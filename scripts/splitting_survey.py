@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 
+from symsplit.jacobi import SPLIT_RANK_LIMIT
 from symsplit.mcg import ManifoldParams, splitting_theorem_verdict
 
 
@@ -22,10 +23,11 @@ def _describe(verdict) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-rank", type=int, default=4, help="largest rank to survey (1..8)")
+    parser.add_argument("--max-rank", type=int, default=4,
+                        help=f"largest rank to survey (1..{SPLIT_RANK_LIMIT})")
     args = parser.parse_args()
-    if not 1 <= args.max_rank <= 8:
-        parser.error("--max-rank must lie in 1..8")
+    if not 1 <= args.max_rank <= SPLIT_RANK_LIMIT:
+        parser.error(f"--max-rank must lie in 1..{SPLIT_RANK_LIMIT}")
 
     for p in (3, 7):
         c = ManifoldParams(p, 1).c

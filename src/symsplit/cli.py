@@ -14,9 +14,10 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .jacobi import JacobiElement, SplitVerdict, gamma_psi_member, jinv, jmul
+from .jacobi import SPLIT_RANK_LIMIT, JacobiElement, SplitVerdict, gamma_psi_member, jinv, jmul
 from .mcg import pontryagin_parts, splitting_theorem_verdict
-from .quadratic import QuadraticRefinement, expected_orbit_sizes, orbit_decomposition
+from .quadratic import (DECOMPOSITION_RANK_LIMIT, QuadraticRefinement, expected_orbit_sizes,
+                        orbit_decomposition)
 from .symplectic import Covector, SymplecticMatrix
 from .verify import VERIFY_RANK_LIMIT, run_suites
 
@@ -111,8 +112,8 @@ def _bits(values) -> str:
 
 def _cmd_orbits(args) -> tuple[int, str]:
     r = args.r
-    if not 1 <= r <= 8:
-        raise CliInputError("--r must lie in 1..8")
+    if not 1 <= r <= DECOMPOSITION_RANK_LIMIT:
+        raise CliInputError(f"--r must lie in 1..{DECOMPOSITION_RANK_LIMIT}")
     rep = orbit_decomposition(r)
     exp = expected_orbit_sizes(r)
     labels = tuple(c.arf_label for c in rep.orbits)
@@ -157,8 +158,8 @@ def _verdict_line(flavor: str, v: SplitVerdict) -> str:
 
 def _cmd_split(args) -> tuple[int, str]:
     r = args.r
-    if not 1 <= r <= 8:
-        raise CliInputError("--r must lie in 1..8")
+    if not 1 <= r <= SPLIT_RANK_LIMIT:
+        raise CliInputError(f"--r must lie in 1..{SPLIT_RANK_LIMIT}")
     if args.modulus is not None and args.modulus != 0 and args.modulus % 4:
         raise CliInputError("--modulus must be 0 or divisible by 4")
     verdict = splitting_theorem_verdict(args.p, r, homotopy_modulus=args.modulus)
@@ -274,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     orbits = sub.add_parser("orbits", help="decompose quadratic refinements into orbits")
-    orbits.add_argument("--r", type=int, required=True, help="rank, 1..8")
+    orbits.add_argument("--r", type=int, required=True, help=f"rank, 1..{DECOMPOSITION_RANK_LIMIT}")
     orbits.add_argument("--format", choices=("table", "json"), default="table")
 
     split = sub.add_parser("split", help="decide the extension splitting question")
     split.add_argument("--p", type=int, choices=(3, 7), required=True, help="middle dimension")
-    split.add_argument("--r", type=int, required=True, help="rank, 1..8")
+    split.add_argument("--r", type=int, required=True, help=f"rank, 1..{SPLIT_RANK_LIMIT}")
     split.add_argument("--modulus", type=int, default=None,
                        help="override the homotopy-model modulus (0 or divisible by 4)")
     split.add_argument("--format", choices=("table", "json"), default="table")

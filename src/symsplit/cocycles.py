@@ -10,10 +10,9 @@ the checking machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
-from .quadratic import QuadraticRefinement, is_group_fixed, qact, qdifference, qtranslate
+from .quadratic import QuadraticRefinement, least_fixed_translate, qact, qdifference
 from .symplectic import Covector, SymplecticMatrix, neg_identity
 
 WITNESS_RANK_LIMIT = 8
@@ -129,19 +128,9 @@ class CoboundaryWitness:
     xbar: Covector
 
 
-def _lex_witness_search(psi: QuadraticRefinement) -> tuple[Optional[Covector], int]:
-    checked = 0
-    for bits in product((0, 1), repeat=2 * psi.rank):
-        checked += 1
-        xbar = Covector(bits, 2)
-        if is_group_fixed(qtranslate(psi, xbar)):
-            return xbar, checked
-    return None, checked
-
-
 def principal_coboundary_witness(psi: QuadraticRefinement) -> Optional[CoboundaryWitness]:
     """Lexicographically least xbar making psi + xbar group-fixed, if one exists."""
     if psi.rank > WITNESS_RANK_LIMIT:
         raise ValueError(f"rank {psi.rank} exceeds the witness search limit {WITNESS_RANK_LIMIT}")
-    xbar, _ = _lex_witness_search(psi)
+    xbar, _ = least_fixed_translate(psi)
     return None if xbar is None else CoboundaryWitness(xbar)

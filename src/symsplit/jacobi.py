@@ -5,18 +5,17 @@ refinement psi, the pairs whose mod-2 covector part equals the principal
 cocycle value of their matrix form a subgroup; it is an extension of the
 symplectic group by the lattice of even covectors.  `splits` decides whether
 that extension admits a homomorphic section, by exhaustive search for a
-group-fixed translate of the base refinement.
+group-fixed translate of the base refinement (`quadratic.least_fixed_translate`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional
 
 from .cocycles import principal_at
-from .quadratic import QuadraticRefinement, is_group_fixed, qtranslate
+from .quadratic import QuadraticRefinement, least_fixed_translate, qtranslate
 from .symplectic import Covector, SymplecticMatrix, _check_rank, random_symplectic_word
 
 SPLIT_RANK_LIMIT = 8
@@ -151,6 +150,12 @@ class SplitVerdict:
         return section_from_witness(self.witness, self.modulus)
 
 
+def _check_split_modulus(modulus: int) -> None:
+    """Splitting is decided for modulus 0 or a multiple of 4; raise ValueError otherwise."""
+    if modulus != 0 and modulus % 4:
+        raise ValueError("modulus must be 0 or divisible by 4")
+
+
 def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> SplitVerdict:
     """Decide whether the extension splits; exhaustive and exact.
 
@@ -161,19 +166,14 @@ def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> S
     r = _check_rank(r)
     if r > SPLIT_RANK_LIMIT:
         raise ValueError(f"rank {r} exceeds the splitting search limit {SPLIT_RANK_LIMIT}")
-    if modulus != 0 and modulus % 4:
-        raise ValueError("modulus must be 0 or divisible by 4")
+    _check_split_modulus(modulus)
     base = default_base_refinement(r) if psi is None else psi
     if base.rank != r:
         raise ValueError("base refinement rank mismatch")
-    checked = 0
-    for bits in product((0, 1), repeat=2 * r):
-        checked += 1
-        xbar = Covector(bits, 2)
-        shifted = qtranslate(base, xbar)
-        if is_group_fixed(shifted):
-            return SplitVerdict(r, modulus, base, True, xbar, shifted, checked)
-    return SplitVerdict(r, modulus, base, False, None, None, checked)
+    xbar, checked = least_fixed_translate(base)
+    if xbar is None:
+        return SplitVerdict(r, modulus, base, False, None, None, checked)
+    return SplitVerdict(r, modulus, base, True, xbar, qtranslate(base, xbar), checked)
 
 
 def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,

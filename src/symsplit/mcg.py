@@ -4,17 +4,17 @@ Two exact models share the same pair arithmetic: the smooth flavor keeps
 integer covectors (modulus 0), while the homotopy flavor reduces them modulo
 twice the order of the relevant stable homotopy group (that order is 12 in
 dimension 3 and 120 in dimension 7).  Twist generators populate the fiber,
-and the splitting question is decided for both flavors at once.
+and the splitting question is decided for both flavors by one search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .jacobi import (JacobiElement, SplitVerdict, gamma_psi_member, jacobi_identity,
-                     reduce_modulus, splits)
+from .jacobi import (JacobiElement, SplitVerdict, _check_split_modulus, gamma_psi_member,
+                     jacobi_identity, reduce_modulus, splits)
 from .quadratic import QuadraticRefinement
 from .symplectic import Covector, SymplecticMatrix, _check_rank
 
@@ -147,7 +147,15 @@ class SplittingTheoremVerdict:
 
 def splitting_theorem_verdict(p: int, r: int,
                               homotopy_modulus: Optional[int] = None) -> SplittingTheoremVerdict:
-    """Decide splitting for the smooth and homotopy models of one manifold."""
+    """Decide splitting for the smooth and homotopy models of one manifold.
+
+    For modulus 0 or a multiple of 4 the extension splits iff the base
+    refinement has a group-fixed translate, a question about mod-2 data alone.
+    So one search decides both flavors: the homotopy verdict is the smooth one
+    with the homotopy modulus in place of 0.
+    """
     params = ManifoldParams(p, r)
     m = 2 * params.c if homotopy_modulus is None else homotopy_modulus
-    return SplittingTheoremVerdict(p, r, splits(r, 0), splits(r, m))
+    _check_split_modulus(m)
+    smooth = splits(r, 0)
+    return SplittingTheoremVerdict(p, r, smooth, replace(smooth, modulus=m))

@@ -3,20 +3,25 @@
 A refinement is determined by its 2r basis values: the refinement identity
 psi(x + y) = psi(x) + psi(y) + phibar(x, y) forces every other value, giving
 the closed evaluation formula used by qeval.  The symplectic group acts on
-refinements through its mod-2 image.  Orbit enumeration uses the transvection
-action
+refinements through its mod-2 image, and a transvection acts by
 
     (psi . T_v)(x) = psi(x) + phibar(v, x) * (psi(v) + 1),
 
-a direct consequence of the refinement identity, evaluated on 2r-bit integer
-states for speed; tests cross-check it against the generic matrix action.
+a direct consequence of the refinement identity.  The orbit and fixedness
+searches run on 2r-bit integer states and use only the 3r - 1 transvections
+at u_i, v_i and u_i + u_{i+1}: their integral lifts generate Sp(2r, Z), so
+their mod-2 images generate Sp(2r, F2), and a closure under the group is the
+closure under these generators.  An orbit then costs its size times 3r - 1
+steps.  Tests cross-check the generators against all 4^r - 1 transvection
+directions and against the generic matrix action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Union
+from typing import Iterator, Optional, Union
 
 from .symplectic import BitMatrix, BitVector, SymplecticMatrix, Covector, Vector, _check_rank
 
@@ -128,24 +133,54 @@ def _bits_of(state: int, nbits: int) -> tuple[int, ...]:
     return tuple((state >> i) & 1 for i in range(nbits))
 
 
-def _orbit_states(start: int, nbits: int) -> set[int]:
-    # one entry per transvection direction: (covector mask, self-pairing parity)
+@lru_cache(maxsize=None)
+def _generators(nbits: int) -> tuple[tuple[int, int, int], ...]:
+    """(direction v, self-pairing parity, swap mask) for the transvections at u_i, v_i, u_i + u_{i+1}.
+
+    psi(v) is popcount(state & v) plus the self-pairing parity, mod 2.  When
+    psi(v) = 0 the transvection flips the state by the swap mask, whose bit j
+    is phibar(v, e_j); when psi(v) = 1 it fixes the state.
+    """
     even = _even_mask(nbits)
-    size = 1 << nbits
-    swap = [0] * size
-    par = bytearray(size)
-    for v in range(1, size):
-        swap[v] = ((v & even) << 1) | ((v >> 1) & even)
-        par[v] = (v & (v >> 1) & even).bit_count() & 1
+    dirs = []
+    for i in range(0, nbits, 2):
+        dirs += [1 << i, 1 << (i + 1)]
+        if i + 2 < nbits:
+            dirs.append((1 << i) | (1 << (i + 2)))
+    return tuple((v, (v & (v >> 1) & even).bit_count() & 1,
+                  ((v & even) << 1) | ((v >> 1) & even)) for v in dirs)
+
+
+def _lex_list(nbits: int) -> list[int]:
+    states = [0]
+    for i in reversed(range(nbits)):
+        states += [s | (1 << i) for s in states]
+    return states
+
+
+def _lex_states(nbits: int) -> Iterator[int]:
+    """All states in the lexicographic order of product((0, 1), repeat=nbits).
+
+    Built from two half-width tables, so memory stays at 2^(nbits/2) entries.
+    """
+    half = nbits // 2
+    tails = [t << half for t in _lex_list(nbits - half)]
+    for head in _lex_list(half):
+        for tail in tails:
+            yield head | tail
+
+
+def _orbit_states(start: int, nbits: int) -> set[int]:
+    gens = _generators(nbits)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
-            for v in range(1, size):
-                if ((s & v).bit_count() ^ par[v]) & 1:
+            for v, par, swap in gens:
+                if ((s & v).bit_count() ^ par) & 1:
                     continue  # psi(v) = 1: this transvection fixes the state
-                t = s ^ swap[v]
+                t = s ^ swap
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
@@ -154,9 +189,11 @@ def _orbit_states(start: int, nbits: int) -> set[int]:
 
 
 def orbit_of(psi: QuadraticRefinement) -> list[QuadraticRefinement]:
-    """Closure of psi under all nonzero mod-2 transvections, sorted by basis values.
+    """Orbit of psi under the symplectic group, sorted by basis values.
 
-    Time and memory grow as 16^r; ranks past 6 are mostly of academic interest.
+    A breadth-first closure under the 3r - 1 generating transvections; it
+    costs the orbit size times 3r - 1 steps, and the orbit holds about 2^(2r-1)
+    refinements.
     """
     if psi.rank > ENUMERATION_RANK_LIMIT:
         raise ValueError(f"rank {psi.rank} exceeds the orbit limit {ENUMERATION_RANK_LIMIT}")
@@ -166,16 +203,29 @@ def orbit_of(psi: QuadraticRefinement) -> list[QuadraticRefinement]:
 
 
 def is_group_fixed(psi: QuadraticRefinement) -> bool:
-    """Whether every transvection fixes psi, i.e. its orbit is a singleton."""
-    n = 2 * psi.rank
-    even = _even_mask(n)
+    """Whether every generating transvection fixes psi, i.e. psi(v) = 1 at each generator v."""
     state = _state_of(psi.basis_values)
-    for v in range(1, 1 << n):
-        par = (v & (v >> 1) & even).bit_count() & 1
-        if ((state & v).bit_count() ^ par) & 1:
-            continue
-        return False  # psi(v) = 0 and v != 0: the transvection at v moves psi
-    return True
+    return all(((state & v).bit_count() ^ par) & 1 for v, par, _ in _generators(2 * psi.rank))
+
+
+def least_fixed_translate(psi: QuadraticRefinement) -> tuple[Optional[Covector], int]:
+    """Lexicographically least mod-2 covector xbar with psi + xbar group-fixed.
+
+    Walks the 4^r candidates in lexicographic order and returns the witness
+    (None if there is none) with the number of candidates checked, which is
+    4^r when there is no witness.
+    """
+    n = 2 * psi.rank
+    gens = _generators(n)
+    base = _state_of(psi.basis_values)
+    for checked, x in enumerate(_lex_states(n), 1):
+        s = base ^ x
+        for v, par, _ in gens:
+            if not ((s & v).bit_count() ^ par) & 1:
+                break  # psi(v) = 0 at a generator v: not fixed
+        else:
+            return Covector(_bits_of(x, n), 2), checked
+    return None, 1 << n
 
 
 @dataclass(frozen=True)
@@ -201,13 +251,12 @@ def orbit_decomposition(r: int) -> OrbitReport:
     n = 2 * r
     seen: set[int] = set()
     classes: list[OrbitClass] = []
-    for bits in product((0, 1), repeat=n):
-        s = _state_of(bits)
+    for s in _lex_states(n):
         if s in seen:
             continue
         orbit = _orbit_states(s, n)
         seen |= orbit
-        rep = QuadraticRefinement(bits)  # lex scan: first unseen state is the least member
+        rep = QuadraticRefinement(_bits_of(s, n))  # lex scan: first unseen state is the least member
         classes.append(OrbitClass(arf(rep), len(orbit), rep))
     if len(seen) != 1 << n:
         raise ArithmeticError("orbits failed to partition the refinement set")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -15,8 +16,9 @@ from symsplit.cocycles import (
     principal_at,
     principal_coboundary_witness,
 )
-from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qtranslate
+from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qeval, qtranslate
 from symsplit.symplectic import (
+    BitVector,
     Covector,
     SymplecticMatrix,
     Vector,
@@ -120,6 +122,23 @@ def test_witness_makes_cocycles_agree():
     xbar = principal_coboundary_witness(psi).xbar
     for a in _random_words(1, 20, seed=33):
         assert principal_at(psi, a) == coboundary_at(xbar, a)
+
+
+def _object_level_witness(psi):
+    """Lex-least xbar with psi + xbar equal to 1 at every nonzero vector, found object by object."""
+    n = 2 * psi.rank
+    nonzero = [BitVector(bits) for bits in product((0, 1), repeat=n) if any(bits)]
+    for bits in product((0, 1), repeat=n):
+        xbar = Covector(bits, 2)
+        if all(qeval(qtranslate(psi, xbar), v) == 1 for v in nonzero):
+            return CoboundaryWitness(xbar)
+    return None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_witness_matches_object_level_search_on_every_base(r):
+    for psi in enumerate_refinements(r):
+        assert principal_coboundary_witness(psi) == _object_level_witness(psi)
 
 
 def test_witness_rank_limit():

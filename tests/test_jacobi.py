@@ -25,8 +25,9 @@ from symsplit.jacobi import (
     section_r1,
     splits,
 )
-from symsplit.quadratic import QuadraticRefinement, qdifference, qtranslate
-from symsplit.symplectic import Covector, SymplecticMatrix, Vector, random_symplectic_word, transvection
+from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qdifference, qeval, qtranslate
+from symsplit.symplectic import (BitVector, Covector, SymplecticMatrix, Vector, random_symplectic_word,
+                                 transvection)
 
 MODULI = (0, 4, 24, 240)
 
@@ -209,6 +210,28 @@ def test_splits_verdict_base_independent():
         for _ in range(5):
             psi = QuadraticRefinement(tuple(rng.randint(0, 1) for _ in range(2 * r)))
             assert splits(r, 0, psi).splits == expected
+
+
+def _object_level_split_search(psi):
+    """Lex-least translate fixed at every nonzero vector, found object by object."""
+    n = 2 * psi.rank
+    nonzero = [BitVector(bits) for bits in product((0, 1), repeat=n) if any(bits)]
+    for checked, bits in enumerate(product((0, 1), repeat=n), 1):
+        xbar = Covector(bits, 2)
+        shifted = qtranslate(psi, xbar)
+        if all(qeval(shifted, v) == 1 for v in nonzero):
+            return xbar, shifted, checked
+    return None, None, 4 ** psi.rank
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_splits_matches_object_level_search_on_every_base(r):
+    for psi in enumerate_refinements(r):
+        verdict = splits(r, 0, psi)
+        xbar, shifted, checked = _object_level_split_search(psi)
+        assert verdict.splits == (xbar is not None)
+        assert (verdict.witness, verdict.fixed_refinement, verdict.candidates_checked) == (
+            xbar, shifted, checked)
 
 
 def test_splits_guards():

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from symsplit.jacobi import gamma_psi_member, jacobi_identity, random_member
+import symsplit.mcg
+from symsplit.jacobi import gamma_psi_member, jacobi_identity, random_member, splits
 from symsplit.mcg import (
     HOMOTOPY,
     SMOOTH,
@@ -165,6 +166,31 @@ def test_splitting_theorem_small_ranks(p):
 def test_splitting_theorem_modulus_override():
     verdict = splitting_theorem_verdict(3, 2, homotopy_modulus=4)
     assert verdict.homotopy.modulus == 4 and not verdict.homotopy_splits
+
+
+@pytest.mark.parametrize("p,m", [(3, 24), (7, 240)])
+def test_splitting_theorem_searches_once(monkeypatch, p, m):
+    calls = []
+
+    def counting_splits(*args, **kwargs):
+        calls.append(args)
+        return splits(*args, **kwargs)
+
+    monkeypatch.setattr(symsplit.mcg, "splits", counting_splits)
+    for r in (1, 2):
+        calls.clear()
+        verdict = splitting_theorem_verdict(p, r)
+        assert calls == [(r, 0)]
+        assert verdict.homotopy.modulus == m and verdict.smooth.modulus == 0
+        assert verdict.homotopy == splits(r, m)
+
+
+def test_splitting_theorem_rejects_modulus_like_splits():
+    with pytest.raises(ValueError) as from_splits:
+        splits(2, 6)
+    with pytest.raises(ValueError) as from_verdict:
+        splitting_theorem_verdict(3, 2, homotopy_modulus=6)
+    assert str(from_verdict.value) == str(from_splits.value)
 
 
 def test_twists_generate_the_fiber():

@@ -8,10 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from symsplit.quadratic import (
     QuadraticRefinement,
+    _generators,
+    _lex_states,
+    _orbit_states,
+    _state_of,
     arf,
     enumerate_refinements,
     expected_orbit_sizes,
     is_group_fixed,
+    least_fixed_translate,
     orbit_decomposition,
     orbit_of,
     qact,
@@ -225,3 +230,59 @@ def test_rank_limits():
         enumerate_refinements(13)
     with pytest.raises(ValueError):
         orbit_of(QuadraticRefinement.zero(13))
+
+
+def _all_directions_closure(start, nbits):
+    """Closure of a state under the transvections at every nonzero direction."""
+    even = sum(1 << i for i in range(0, nbits, 2))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for v in range(1, 1 << nbits):
+                par = (v & (v >> 1) & even).bit_count() & 1
+                if ((s & v).bit_count() ^ par) & 1:
+                    continue
+                t = s ^ (((v & even) << 1) | ((v >> 1) & even))
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
+def _fixed_by_all_directions(psi):
+    n = 2 * psi.rank
+    return all(qeval(psi, BitVector(bits)) == 1
+               for bits in product((0, 1), repeat=n) if any(bits))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_generator_closure_matches_all_directions_every_start(r):
+    n = 2 * r
+    assert len(_generators(n)) == 3 * r - 1
+    for start in range(1 << n):
+        assert _orbit_states(start, n) == _all_directions_closure(start, n)
+
+
+def test_generator_closure_matches_all_directions_rank_four():
+    rng = random.Random(2024)
+    for start in rng.sample(range(1 << 8), 20):
+        assert _orbit_states(start, 8) == _all_directions_closure(start, 8)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_is_group_fixed_matches_all_directions(r):
+    for psi in enumerate_refinements(r):
+        assert is_group_fixed(psi) == _fixed_by_all_directions(psi)
+
+
+@pytest.mark.parametrize("nbits", [1, 2, 5, 8])
+def test_lex_states_follow_product_order(nbits):
+    assert list(_lex_states(nbits)) == [_state_of(b) for b in product((0, 1), repeat=nbits)]
+
+
+def test_least_fixed_translate_frozen():
+    assert least_fixed_translate(QuadraticRefinement((0, 1))) == (Covector((1, 0), 2), 3)
+    assert least_fixed_translate(QuadraticRefinement.zero(2)) == (None, 16)
