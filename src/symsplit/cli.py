@@ -3,6 +3,15 @@
 Exit codes: 0 success, 1 verified-property failure (including membership
 violations), 2 input error.  JSON reports are byte-deterministic for fixed
 inputs and seed, and embed the seed and package version.
+
+Integers are written in decimal, so an output entry may have at most the
+interpreter's integer-string digit limit (`sys.get_int_max_str_digits()`,
+4300 by default).  A result with a longer entry is not written: the command
+exits 2 with an error naming the limit, as it does for input past the same
+limit.  The limit is process-wide and left as it is.
+
+The argument parser is built on the first `main` call and reused by later
+calls in the same process; importing the module builds nothing.
 """
 
 from __future__ import annotations
@@ -10,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -31,7 +41,13 @@ class CliInputError(ValueError):
 
 def _encode_int(value: int):
     # decimal strings keep arbitrary-precision entries safe for 64-bit readers
-    return value if _INT64_MIN <= value <= _INT64_MAX else str(value)
+    if _INT64_MIN <= value <= _INT64_MAX:
+        return value
+    try:
+        return str(value)
+    except ValueError as exc:  # past the interpreter's int-string digit limit
+        raise CliInputError(f"result entry exceeds the {sys.get_int_max_str_digits()}-digit"
+                            " decimal output limit") from exc
 
 
 def _decode_int(value: Any) -> int:
@@ -193,10 +209,19 @@ def _load_document(path: str) -> Any:
         return json.loads(payload)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise CliInputError(f"{path}: JSON nested too deeply") from exc
 
 
-def _membership_failures(psi: QuadraticRefinement, named_elements) -> list[str]:
-    return [name for name, el in named_elements if not gamma_psi_member(el, psi)]
+def _element_result(args, out: JacobiElement, named_elements) -> tuple[int, str]:
+    """Check the named elements' membership at --psi, if given, then write out as JSON."""
+    if args.psi is not None:
+        psi = _parse_psi(args.psi, out.rank)
+        bad = [name for name, el in named_elements if not gamma_psi_member(el, psi)]
+        if bad:
+            print(f"membership violation at base {args.psi}: {', '.join(bad)}", file=sys.stderr)
+            return 1, ""
+    return 0, json.dumps(element_to_document(out), sort_keys=True) + "\n"
 
 
 def _cmd_mul(args) -> tuple[int, str]:
@@ -205,25 +230,13 @@ def _cmd_mul(args) -> tuple[int, str]:
     if g.rank != h.rank or g.modulus != h.modulus:
         raise CliInputError("operands must share rank and modulus")
     out = jmul(g, h)
-    if args.psi is not None:
-        psi = _parse_psi(args.psi, g.rank)
-        bad = _membership_failures(psi, (("lhs", g), ("rhs", h), ("product", out)))
-        if bad:
-            print(f"membership violation at base {args.psi}: {', '.join(bad)}", file=sys.stderr)
-            return 1, ""
-    return 0, json.dumps(element_to_document(out), sort_keys=True) + "\n"
+    return _element_result(args, out, (("lhs", g), ("rhs", h), ("product", out)))
 
 
 def _cmd_inv(args) -> tuple[int, str]:
     g = element_from_document(_load_document(args.lhs))
     out = jinv(g)
-    if args.psi is not None:
-        psi = _parse_psi(args.psi, g.rank)
-        bad = _membership_failures(psi, (("lhs", g), ("inverse", out)))
-        if bad:
-            print(f"membership violation at base {args.psi}: {', '.join(bad)}", file=sys.stderr)
-            return 1, ""
-    return 0, json.dumps(element_to_document(out), sort_keys=True) + "\n"
+    return _element_result(args, out, (("lhs", g), ("inverse", out)))
 
 
 def _cmd_verify(args) -> tuple[int, str]:
@@ -319,18 +332,20 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves every call
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, text = _HANDLERS[args.command](args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # CliInputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if text:

@@ -69,17 +69,25 @@ def qeval(psi: QuadraticRefinement, v: Union[Vector, BitVector]) -> int:
 
 
 def qact(psi: QuadraticRefinement, a: Union[SymplecticMatrix, BitMatrix]) -> QuadraticRefinement:
-    """Right action psi.A, i.e. the refinement v -> psi(Av); depends only on A mod 2."""
-    if isinstance(a, SymplecticMatrix):
-        m = a.mod2()
-    elif isinstance(a, BitMatrix):
-        m = a
-    else:
+    """Right action psi.A, i.e. the refinement v -> psi(Av); depends only on A mod 2.
+
+    Value j is psi at column j of A.  The column's parities are packed into a
+    2r-bit int c (bit i is entry i mod 2), and psi(c) is popcount(c & psi)
+    plus the pair products popcount(c & (c >> 1) & even), mod 2: the qeval
+    formula on packed states.  No mod-2 matrix or vector is built.
+    """
+    if not isinstance(a, (SymplecticMatrix, BitMatrix)):
         raise TypeError("expected a SymplecticMatrix or BitMatrix")
-    if m.rank != psi.rank:
+    n = 2 * psi.rank
+    if len(a.rows) != n:
         raise ValueError("rank mismatch")
-    values = tuple(qeval(psi, m.column(j)) for j in range(2 * psi.rank))
-    return QuadraticRefinement(values)
+    state = _state_of(psi.basis_values)
+    even = _even_mask(n)
+    values = []
+    for col in zip(*a.rows):
+        c = _state_of(col)
+        values.append(((c & state).bit_count() + (c & (c >> 1) & even).bit_count()) & 1)
+    return QuadraticRefinement(tuple(values))
 
 
 def qtranslate(psi: QuadraticRefinement, xbar: Covector) -> QuadraticRefinement:
@@ -118,6 +126,7 @@ def enumerate_refinements(r: int) -> list[QuadraticRefinement]:
     return [QuadraticRefinement(bits) for bits in product((0, 1), repeat=2 * r)]
 
 
+@lru_cache(maxsize=None)
 def _even_mask(nbits: int) -> int:
     return sum(1 << i for i in range(0, nbits, 2))
 

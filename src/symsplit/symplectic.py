@@ -2,9 +2,16 @@
 
 All values are immutable tuples of Python integers, so every operation is
 exact at any size.  The basis of Z^(2r) is ordered (u1, v1, ..., ur, vr) and
-the form takes +1 on each (ui, vi) pair, which keeps its Gram matrix block
+the form takes +1 on each (ui, vi) pair, which keeps its Gram matrix J block
 diagonal.  Matrices act on column vectors from the left; covectors are row
 functionals, acted on the right by composition.
+
+J is a signed permutation, so no kernel multiplies by it.  A matrix preserves
+the form iff phi(col_i, col_j) = J_ij for every pair of columns i < j
+(antisymmetry covers the rest), and the inverse of a form-preserving matrix
+is the signed transpose -J A^T J, still verified by multiplying back.
+Matrices from outside are coerced, shape-checked and form-checked on
+construction; products and inverses of matrices already validated skip both.
 """
 
 from __future__ import annotations
@@ -34,17 +41,6 @@ def _matmul(a, b):
 
 def _transpose(rows):
     return tuple(zip(*rows))
-
-
-@lru_cache(maxsize=None)
-def _form_rows(r: int) -> tuple[tuple[int, ...], ...]:
-    # Gram matrix of the form: +1 at (2k, 2k+1), -1 at (2k+1, 2k).
-    n = 2 * r
-    rows = [[0] * n for _ in range(n)]
-    for k in range(r):
-        rows[2 * k][2 * k + 1] = 1
-        rows[2 * k + 1][2 * k] = -1
-    return tuple(tuple(row) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -239,16 +235,27 @@ class Covector:
         return self.reduce_to(2)
 
 
-def _preserves_form(rows) -> bool:
-    j = _form_rows(len(rows) // 2)
-    return _matmul(_matmul(_transpose(rows), j), rows) == j
+def _preserves_form(rows, modulus: int = 0) -> bool:
+    """Whether A^T J A == J, exactly (modulus 0) or mod modulus; no product with J.
 
-
-def _preserves_form_mod2(rows) -> bool:
-    j = _form_rows(len(rows) // 2)
-    j2 = tuple(tuple(e % 2 for e in row) for row in j)
-    prod = _matmul(_matmul(_transpose(rows), j2), rows)
-    return tuple(tuple(e % 2 for e in row) for row in prod) == j2
+    Entry (i, j) of A^T J A is phi(col_i, col_j).  It is checked against J_ij
+    for the pairs i < j only, where J is 1 exactly at (2k, 2k+1) and 0
+    elsewhere; the diagonal is 0 and the lower triangle follows by
+    antisymmetry.  That is n(n-1)/2 pairings, about n^3/2 multiplications.
+    """
+    cols = tuple(zip(*rows))
+    firsts = [c[0::2] for c in cols]  # coordinates on u_1..u_r
+    seconds = [c[1::2] for c in cols]  # coordinates on v_1..v_r
+    n = len(cols)
+    for i in range(n):
+        fi, si = firsts[i], seconds[i]
+        for j in range(i + 1, n):
+            value = sum(map(mul, fi, seconds[j])) - sum(map(mul, si, firsts[j]))
+            if modulus:
+                value %= modulus
+            if value != (j == i + 1 and i % 2 == 0):  # J_ij, as 0 or 1
+                return False
+    return True
 
 
 def is_symplectic(matrix: Union["SymplecticMatrix", Sequence[Sequence[int]]]) -> bool:
@@ -279,6 +286,13 @@ class SymplecticMatrix:
         if check and not _preserves_form(rows):
             raise ValueError("matrix does not preserve the hyperbolic form")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "SymplecticMatrix":
+        """Wrap rows known to be a form-preserving tuple of int tuples; no coercion, no check."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
+
     @property
     def rank(self) -> int:
         return len(self.rows) // 2
@@ -289,7 +303,7 @@ class SymplecticMatrix:
 
     @classmethod
     def identity(cls, r: int) -> "SymplecticMatrix":
-        return cls(_identity_rows(2 * _check_rank(r)), check=False)
+        return cls._trusted(_identity_rows(2 * _check_rank(r)))
 
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if not isinstance(other, SymplecticMatrix):
@@ -297,16 +311,23 @@ class SymplecticMatrix:
         if self.dim != other.dim:
             raise ValueError("rank mismatch")
         # products of form-preserving matrices preserve the form
-        return SymplecticMatrix(_matmul(self.rows, other.rows), check=False)
+        return SymplecticMatrix._trusted(_matmul(self.rows, other.rows))
 
     def inverse(self) -> "SymplecticMatrix":
-        """Exact inverse derived from the form identity, verified by multiplying back."""
-        j = _form_rows(self.rank)
-        negj = tuple(tuple(-e for e in row) for row in j)
-        inv_rows = _matmul(_matmul(negj, _transpose(self.rows)), j)
-        if _matmul(self.rows, inv_rows) != _identity_rows(self.dim):
+        """Exact inverse -J A^T J, verified by multiplying back.
+
+        As J is a signed permutation this is a signed transpose,
+        inv[i][j] = +-A[j^1][i^1] with sign + when i + j is even, so it needs
+        no multiplication; the one product A . inv == I is the postcondition,
+        and ArithmeticError is raised if it fails.
+        """
+        rows = self.rows
+        n = len(rows)
+        inv_rows = tuple(tuple(rows[j ^ 1][i ^ 1] if not (i + j) & 1 else -rows[j ^ 1][i ^ 1]
+                               for j in range(n)) for i in range(n))
+        if _matmul(rows, inv_rows) != _identity_rows(n):
             raise ArithmeticError("inverse postcondition failed")
-        return SymplecticMatrix(inv_rows, check=False)
+        return SymplecticMatrix._trusted(inv_rows)
 
     def mod2(self) -> "BitMatrix":
         # the reduction of a form-preserving matrix preserves the form mod 2
@@ -334,7 +355,7 @@ class BitMatrix:
         if n == 0 or n % 2 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square of even dimension")
         object.__setattr__(self, "rows", rows)
-        if check and not _preserves_form_mod2(rows):
+        if check and not _preserves_form(rows, 2):
             raise ValueError("matrix is not symplectic mod 2")
 
     @property
@@ -358,7 +379,7 @@ def transvection(v: Vector) -> SymplecticMatrix:
         e = Vector.unit(v.rank, j)
         c = phi_eval(v, e)
         cols.append(tuple(e.coords[i] + c * v.coords[i] for i in range(n)))
-    return SymplecticMatrix(_transpose(cols), check=False)
+    return SymplecticMatrix._trusted(_transpose(cols))
 
 
 def act_covector(x: Covector, a: Union[SymplecticMatrix, BitMatrix]) -> Covector:
@@ -372,7 +393,7 @@ def reduce_covector(x: Covector, m: int) -> Covector:
 def neg_identity(r: int) -> SymplecticMatrix:
     n = 2 * _check_rank(r)
     rows = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
-    return SymplecticMatrix(rows, check=False)
+    return SymplecticMatrix._trusted(rows)
 
 
 @lru_cache(maxsize=None)

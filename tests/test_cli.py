@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symsplit.cli import element_from_document, element_to_document, main
 from symsplit.jacobi import JacobiElement, jmul
@@ -190,6 +194,29 @@ def test_big_entries_serialized_as_strings(tmp_path, capsys):
     assert element_from_document(json.loads(out)) == g.inverse()
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = _run(capsys, "inv", "--lhs", str(path))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int-string digit limit")
+def test_result_past_decimal_digit_limit_is_an_input_error(tmp_path, capsys):
+    # a valid document whose entry has 4300 digits; the product's has 4301
+    doc = {"r": 1, "modulus": 0, "x": [0, 0], "A": [[1, "5" + "0" * 4299], [0, 1]]}
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "mul", "--lhs", str(path), "--rhs", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: result entry exceeds the {sys.get_int_max_str_digits()}-digit decimal output limit\n"
+    code, out, _ = _run(capsys, "inv", "--lhs", str(path))  # 4300-digit entries still print
+    assert code == 0 and json.loads(out)["A"][0][1] == "-5" + "0" * 4299
+
+
 def test_verify_table_and_exit_codes(capsys):
     code, out, err = _run(capsys, "verify", "--r", "1", "--samples", "10", "--seed", "7")
     assert code == 0 and err == ""
@@ -266,3 +293,74 @@ def test_console_script_entry_point():
                            "--format", "json"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["pass"] is True
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, monkeypatch):
+    # fixed width, so argparse wraps usage text the same in and out of process
+    monkeypatch.setenv("COLUMNS", "80")
+    t = transvection(Vector((1, 1)))
+    g = _write_element(tmp_path / "g.json", JacobiElement(Covector((2, 2), 24), t))
+    h = _write_element(tmp_path / "h.json", JacobiElement(Covector((4, 0), 24), t.inverse()))
+    calls = [
+        ("mul", "--lhs", g, "--rhs", h, "--psi", "11"),
+        ("inv", "--lhs", g),
+        ("split", "--p", "3", "--r", "2", "--modulus", "4"),
+        ("split", "--p", "3", "--r", "2"),
+        ("verify", "--r", "1", "--samples", "3", "--seed", "5", "--negative-control"),
+        ("verify", "--r", "1", "--samples", "3", "--seed", "5"),
+        ("orbits", "--format", "json"),
+        ("--version",),
+    ]
+    env = dict(os.environ, COLUMNS="80")
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "symsplit.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(fresh.returncode)
+    assert codes == [0, 0, 0, 0, 1, 0, 2, 0]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(1 << 70), 1 << 70) | st.text(max_size=6)
+    | st.sampled_from(["0", "-3", "+2", "1.5", "9" * 30]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _element_documents(draw):
+    """Arbitrary JSON, or a valid rank-1 document with one field replaced by arbitrary JSON."""
+    if draw(st.booleans()):
+        return draw(_json_values)
+    doc = {"r": 1, "modulus": draw(st.sampled_from([0, 2, 3, 24])), "x": [0, 0],
+           "A": [[1, draw(st.integers(-5, 5))], [0, 1]]}
+    key = draw(st.sampled_from(["r", "modulus", "x", "A", None]))
+    if key is not None:
+        doc[key] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=st.lists(_element_documents(), min_size=2, max_size=2),
+       op=st.sampled_from(["mul", "inv"]), psi=st.sampled_from([None, "00", "11", "0"]))
+def test_exit_contract_on_arbitrary_documents(tmp_path_factory, docs, op, psi):
+    # ROADMAP exit contract: 0 success, 1 membership violation only, 2 input error, no traceback
+    paths = []
+    for k, doc in enumerate(docs):
+        path = tmp_path_factory.getbasetemp() / f"contract-{k}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    argv = [op, "--lhs", paths[0]] + (["--rhs", paths[1]] if op == "mul" else [])
+    argv += [] if psi is None else ["--psi", psi]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("membership violation") and out.getvalue() == ""
+    elif code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    else:
+        assert err.getvalue() == "" and element_from_document(json.loads(out.getvalue()))

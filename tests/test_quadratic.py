@@ -25,8 +25,10 @@ from symsplit.quadratic import (
     qtranslate,
 )
 from symsplit.symplectic import (
+    BitMatrix,
     BitVector,
     Covector,
+    SymplecticMatrix,
     Vector,
     neg_identity,
     random_symplectic_word,
@@ -115,6 +117,39 @@ def test_qact_is_evaluation_on_columns():
             acted = qact(psi, a)
             for j in range(2 * r):
                 assert acted.basis_values[j] == qeval(psi, a.column(j))
+
+
+def _qact_by_columns(psi, a):
+    """qact before packing: qeval on each column of the mod-2 reduction."""
+    m = a.mod2() if isinstance(a, SymplecticMatrix) else a
+    return QuadraticRefinement(tuple(qeval(psi, m.column(j)) for j in range(2 * psi.rank)))
+
+
+def _test_matrices(r, rng):
+    """Seeded words with small entries, -Id, and words with negative multi-hundred-digit entries."""
+    mats = [random_symplectic_word(r, rng.randint(0, 10), rng) for _ in range(6)]
+    mats.append(neg_identity(r))
+    for _ in range(3):
+        huge = Vector(tuple(rng.randint(-10 ** 150, 10 ** 150) for _ in range(2 * r)))
+        mats.append(random_symplectic_word(r, 4, rng) * transvection(huge)
+                    * random_symplectic_word(r, 4, rng))
+    entries = [e for a in mats for row in a.rows for e in row]
+    assert min(entries) < 0 and max(len(str(abs(e))) for e in entries) >= 200
+    return mats
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_packed_qact_matches_column_oracle(r):
+    rng = random.Random(100 + r)
+    if r <= 2:
+        psis = enumerate_refinements(r)
+    else:
+        psis = [QuadraticRefinement(tuple(rng.randint(0, 1) for _ in range(2 * r)))
+                for _ in range(12)]
+    for a in _test_matrices(r, rng):
+        for m in (a, a.mod2(), BitMatrix(a.rows)):
+            for psi in psis:
+                assert qact(psi, m) == _qact_by_columns(psi, m)
 
 
 def test_qact_right_action_law():

@@ -10,6 +10,9 @@ from symsplit.symplectic import (
     Covector,
     SymplecticMatrix,
     Vector,
+    _matmul,
+    _preserves_form,
+    _transpose,
     act_covector,
     is_symplectic,
     neg_identity,
@@ -179,6 +182,88 @@ def test_inverse_round_trip():
             a = random_symplectic_word(r, rng.randint(0, 12), rng)
             assert a * a.inverse() == SymplecticMatrix.identity(r)
             assert a.inverse() * a == SymplecticMatrix.identity(r)
+
+
+def _form_matrix(r):
+    """Gram matrix J of the form: +1 at (2k, 2k+1), -1 at (2k+1, 2k)."""
+    n = 2 * r
+    return tuple(tuple(int(j == i + 1 and i % 2 == 0) - int(i == j + 1 and j % 2 == 0)
+                       for j in range(n)) for i in range(n))
+
+
+def _two_product_preserves_form(rows, modulus=0):
+    """The check the column-pair kernel replaced: A^T J A == J by two full products."""
+    j = _form_matrix(len(rows) // 2)
+    prod = _matmul(_matmul(_transpose(rows), j), rows)
+    if modulus:
+        return all((p - e) % modulus == 0 for prow, jrow in zip(prod, j) for p, e in zip(prow, jrow))
+    return prod == j
+
+
+def _oracle_words(rng):
+    """Seeded words at r <= 4, half of them with entries past 64 bits."""
+    for r in (1, 2, 3, 4):
+        for big in (False, True):
+            for _ in range(12):
+                a = random_symplectic_word(r, rng.randint(0, 10), rng)
+                if big:
+                    v = Vector(tuple(rng.randint(-(1 << 40), 1 << 40) for _ in range(2 * r)))
+                    a = a * transvection(v) * random_symplectic_word(r, 3, rng)
+                    assert max(abs(e) for row in a.rows for e in row) >= 1 << 64
+                yield r, a
+
+
+def test_form_check_matches_two_product_oracle():
+    rng = random.Random(37)
+    rejected = 0
+    for r, a in _oracle_words(rng):
+        rows = a.rows
+        n = 2 * r
+        assert _preserves_form(rows) and _two_product_preserves_form(rows)
+        assert _preserves_form(rows, 2) and _two_product_preserves_form(rows, 2)
+        i, j = rng.randrange(n), rng.randrange(n)
+        # A + d e_i e_j^T changes phi(col_j, col_k) by +-d A[i^1][k]: it still
+        # preserves the form iff row i^1 of A vanishes off column j
+        stays = all(rows[i ^ 1][k] == 0 for k in range(n) if k != j)
+        stays_mod2 = all(rows[i ^ 1][k] % 2 == 0 for k in range(n) if k != j)
+        for d in (1, -1):
+            bent = tuple(tuple(e + d * (p == i and q == j) for q, e in enumerate(row))
+                         for p, row in enumerate(rows))
+            assert _preserves_form(bent) == _two_product_preserves_form(bent) == stays
+            assert _preserves_form(bent, 2) == _two_product_preserves_form(bent, 2) == stays_mod2
+            rejected += not stays
+    assert rejected > 100  # most perturbations must be rejected
+
+
+def test_inverse_matches_signed_transpose_oracle():
+    rng = random.Random(41)
+    for r, a in _oracle_words(rng):
+        j = _form_matrix(r)
+        negj = tuple(tuple(-e for e in row) for row in j)
+        assert a.inverse().rows == _matmul(_matmul(negj, _transpose(a.rows)), j)
+
+
+def test_inverse_keeps_multiply_back_postcondition():
+    unchecked = SymplecticMatrix(((2, 0), (0, 1)), check=False)  # det 2: not in Sp(2, Z)
+    with pytest.raises(ArithmeticError):
+        unchecked.inverse()
+
+
+def test_internal_results_equal_validated_construction():
+    rng = random.Random(43)
+    for _, a in _oracle_words(rng):
+        b = random_symplectic_word(a.rank, 5, rng)
+        for c in (a * b, a.inverse(), SymplecticMatrix.identity(a.rank), neg_identity(a.rank)):
+            assert c == SymplecticMatrix(c.rows)
+            assert type(c.rows) is tuple and all(type(row) is tuple for row in c.rows)
+            assert all(type(e) is int for row in c.rows for e in row)
+
+
+def test_public_construction_still_coerces():
+    a = SymplecticMatrix([[True, 0], [False, 1]])
+    assert a.rows == ((1, 0), (0, 1)) and all(type(e) is int for row in a.rows for e in row)
+    with pytest.raises(ValueError):
+        SymplecticMatrix([[1, 0], [0, 1], [0, 0]], check=False)
 
 
 def test_random_symplectic_contract():
