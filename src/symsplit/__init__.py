@@ -6,17 +6,12 @@ algorithmic decision of the extension splitting question.
 __version__ = "0.1.0"
 
 from .symplectic import (
-    BitMatrix,
-    BitVector,
     Covector,
     SymplecticMatrix,
     Vector,
-    act_covector,
     is_symplectic,
     neg_identity,
     phi_eval,
-    random_symplectic,
-    reduce_covector,
     transvection,
 )
 from .quadratic import (
@@ -46,7 +41,6 @@ from .cocycles import (
     principal_coboundary_witness,
 )
 from .jacobi import (
-    ExtensionModel,
     JacobiElement,
     SplitVerdict,
     gamma_psi_member,
@@ -54,10 +48,8 @@ from .jacobi import (
     jacobi_identity,
     jinv,
     jmul,
-    project,
     reduce_modulus,
     reframe,
-    section_r1,
     splits,
 )
 from .mcg import (

@@ -176,8 +176,6 @@ def _cmd_split(args) -> tuple[int, str]:
     r = args.r
     if not 1 <= r <= SPLIT_RANK_LIMIT:
         raise CliInputError(f"--r must lie in 1..{SPLIT_RANK_LIMIT}")
-    if args.modulus is not None and args.modulus != 0 and args.modulus % 4:
-        raise CliInputError("--modulus must be 0 or divisible by 4")
     verdict = splitting_theorem_verdict(args.p, r, homotopy_modulus=args.modulus)
     agree = verdict.smooth.splits == verdict.homotopy.splits
     results = {
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--p", type=int, choices=(3, 7), required=True, help="middle dimension")
     split.add_argument("--r", type=int, required=True, help=f"rank, 1..{SPLIT_RANK_LIMIT}")
     split.add_argument("--modulus", type=int, default=None,
-                       help="override the homotopy-model modulus (0 or divisible by 4)")
+                       help="override the homotopy-model modulus (0 or a positive integer divisible by 4)")
     split.add_argument("--format", choices=("table", "json"), default="table")
 
     mul = sub.add_parser("mul", help="multiply two serialized group elements")

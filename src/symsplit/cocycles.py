@@ -15,8 +15,6 @@ from typing import Optional
 from .quadratic import QuadraticRefinement, least_fixed_translate, qact, qdifference
 from .symplectic import Covector, SymplecticMatrix, neg_identity
 
-WITNESS_RANK_LIMIT = 8
-
 
 class Cocycle:
     """A rule assigning a covector of fixed modulus to each symplectic matrix."""
@@ -130,7 +128,5 @@ class CoboundaryWitness:
 
 def principal_coboundary_witness(psi: QuadraticRefinement) -> Optional[CoboundaryWitness]:
     """Lexicographically least xbar making psi + xbar group-fixed, if one exists."""
-    if psi.rank > WITNESS_RANK_LIMIT:
-        raise ValueError(f"rank {psi.rank} exceeds the witness search limit {WITNESS_RANK_LIMIT}")
     xbar, _ = least_fixed_translate(psi)
     return None if xbar is None else CoboundaryWitness(xbar)

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cocycles import principal_at
-from .quadratic import QuadraticRefinement, least_fixed_translate, qtranslate
+from .quadratic import SPLIT_RANK_LIMIT, QuadraticRefinement, least_fixed_translate, qtranslate
 from .symplectic import Covector, SymplecticMatrix, _check_rank, random_symplectic_word
-
-SPLIT_RANK_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,6 @@ def include_fiber(x: Covector, r: int) -> JacobiElement:
     return JacobiElement(x, SymplecticMatrix.identity(r))
 
 
-def project(g: JacobiElement) -> SymplecticMatrix:
-    return g.a
-
-
 def reduce_modulus(g: JacobiElement, m: int) -> JacobiElement:
     return JacobiElement(g.x.reduce_to(m), g.a)
 
@@ -119,13 +113,6 @@ def section_from_witness(xbar: Covector, modulus: int) -> Callable[[SymplecticMa
     return sigma
 
 
-def section_r1(a: SymplecticMatrix, modulus: int = 0) -> JacobiElement:
-    """The zero section A -> (0, A), valid at rank 1 over the Arf-1 base form."""
-    if a.rank != 1:
-        raise ValueError("the zero section exists only at rank 1")
-    return JacobiElement(Covector.zero(1, modulus), a)
-
-
 @dataclass(frozen=True)
 class SplitVerdict:
     """Outcome of the splitting decision at one rank and modulus.
@@ -151,9 +138,9 @@ class SplitVerdict:
 
 
 def _check_split_modulus(modulus: int) -> None:
-    """Splitting is decided for modulus 0 or a multiple of 4; raise ValueError otherwise."""
-    if modulus != 0 and modulus % 4:
-        raise ValueError("modulus must be 0 or divisible by 4")
+    """Splitting is decided for modulus 0 or a positive multiple of 4; raise ValueError otherwise."""
+    if modulus < 0 or modulus % 4:
+        raise ValueError("modulus must be 0 or a positive integer divisible by 4")
 
 
 def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> SplitVerdict:
@@ -161,11 +148,9 @@ def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> S
 
     Requires modulus 0 (integer covectors) or a multiple of 4, the regime in
     which splitting is equivalent to the base refinement having a group-fixed
-    translate.
+    translate.  Ranks above SPLIT_RANK_LIMIT are refused by the search.
     """
     r = _check_rank(r)
-    if r > SPLIT_RANK_LIMIT:
-        raise ValueError(f"rank {r} exceeds the splitting search limit {SPLIT_RANK_LIMIT}")
     _check_split_modulus(modulus)
     base = default_base_refinement(r) if psi is None else psi
     if base.rank != r:
@@ -188,29 +173,3 @@ def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,
         noise = [rng.randrange(modulus) for _ in range(n)]
     coords = tuple(b + 2 * t for b, t in zip(xbar.coords, noise))
     return JacobiElement(Covector(coords, modulus), a)
-
-
-@dataclass(frozen=True)
-class ExtensionModel:
-    """Extension data: the even covector fiber over the symplectic group at a base."""
-
-    rank: int
-    modulus: int
-    base: QuadraticRefinement
-
-    def __post_init__(self) -> None:
-        _check_rank(self.rank)
-        if self.modulus % 2:
-            raise ValueError("modulus must be 0 or even")
-        if self.base.rank != self.rank:
-            raise ValueError("base refinement rank mismatch")
-
-    def identity(self) -> JacobiElement:
-        return jacobi_identity(self.rank, self.modulus)
-
-    def contains(self, g: JacobiElement) -> bool:
-        return (g.rank == self.rank and g.modulus == self.modulus
-                and gamma_psi_member(g, self.base))
-
-    def splitting(self) -> SplitVerdict:
-        return splits(self.rank, self.modulus, self.base)

@@ -14,6 +14,11 @@ their mod-2 images generate Sp(2r, F2), and a closure under the group is the
 closure under these generators.  An orbit then costs its size times 3r - 1
 steps.  Tests cross-check the generators against all 4^r - 1 transvection
 directions and against the generic matrix action.
+
+Mod-2 data comes in as integer objects and is read by its parities: qeval
+takes a `Vector`, qact a `SymplecticMatrix`, and translations are
+`Covector`s of modulus 2.  Internally a refinement, a vector or a matrix
+column is packed into a 2r-bit int (bit i is coordinate i mod 2).
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
-from .symplectic import BitMatrix, BitVector, SymplecticMatrix, Covector, Vector, _check_rank
+from .symplectic import SymplecticMatrix, Covector, Vector, _check_rank
 
 ENUMERATION_RANK_LIMIT = 12
 DECOMPOSITION_RANK_LIMIT = 8
+SPLIT_RANK_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class QuadraticRefinement:
         return cls((0,) * (2 * _check_rank(r) - 2) + (1, 1))
 
 
-def qeval(psi: QuadraticRefinement, v: Union[Vector, BitVector]) -> int:
+def qeval(psi: QuadraticRefinement, v: Vector) -> int:
     """psi(v) = sum over pairs of a_i psi(u_i) + b_i psi(v_i) + a_i b_i, mod 2."""
     bits = tuple(c % 2 for c in v.coords)
     vals = psi.basis_values
@@ -68,16 +74,16 @@ def qeval(psi: QuadraticRefinement, v: Union[Vector, BitVector]) -> int:
     return total
 
 
-def qact(psi: QuadraticRefinement, a: Union[SymplecticMatrix, BitMatrix]) -> QuadraticRefinement:
+def qact(psi: QuadraticRefinement, a: SymplecticMatrix) -> QuadraticRefinement:
     """Right action psi.A, i.e. the refinement v -> psi(Av); depends only on A mod 2.
 
     Value j is psi at column j of A.  The column's parities are packed into a
     2r-bit int c (bit i is entry i mod 2), and psi(c) is popcount(c & psi)
     plus the pair products popcount(c & (c >> 1) & even), mod 2: the qeval
-    formula on packed states.  No mod-2 matrix or vector is built.
+    formula on packed states.
     """
-    if not isinstance(a, (SymplecticMatrix, BitMatrix)):
-        raise TypeError("expected a SymplecticMatrix or BitMatrix")
+    if not isinstance(a, SymplecticMatrix):
+        raise TypeError("expected a SymplecticMatrix")
     n = 2 * psi.rank
     if len(a.rows) != n:
         raise ValueError("rank mismatch")
@@ -222,8 +228,10 @@ def least_fixed_translate(psi: QuadraticRefinement) -> tuple[Optional[Covector],
 
     Walks the 4^r candidates in lexicographic order and returns the witness
     (None if there is none) with the number of candidates checked, which is
-    4^r when there is no witness.
+    4^r when there is no witness.  Ranks above SPLIT_RANK_LIMIT are refused.
     """
+    if psi.rank > SPLIT_RANK_LIMIT:
+        raise ValueError(f"rank {psi.rank} exceeds the splitting search limit {SPLIT_RANK_LIMIT}")
     n = 2 * psi.rank
     gens = _generators(n)
     base = _state_of(psi.basis_values)

@@ -12,6 +12,10 @@ the form iff phi(col_i, col_j) = J_ij for every pair of columns i < j
 is the signed transpose -J A^T J, still verified by multiplying back.
 Matrices from outside are coerced, shape-checked and form-checked on
 construction; products and inverses of matrices already validated skip both.
+
+There is no separate mod-2 type.  Mod-2 data is read as the parities of these
+integer objects (`Covector.reduce_to(2)` for covectors); the refinement code
+in `quadratic` packs those parities into 2r-bit ints internally.
 """
 
 from __future__ import annotations
@@ -103,41 +107,8 @@ class Vector:
     def __rmul__(self, k: int) -> "Vector":
         return Vector(tuple(int(k) * a for a in self.coords))
 
-    def mod2(self) -> "BitVector":
-        return BitVector(self.coords)
 
-
-@dataclass(frozen=True)
-class BitVector:
-    """Mod-2 vector; coordinates normalized to 0/1."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(int(c) % 2 for c in self.coords)
-        if not coords or len(coords) % 2:
-            raise ValueError("a vector needs a positive even number of coordinates")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords) // 2
-
-    @classmethod
-    def zero(cls, r: int) -> "BitVector":
-        return cls((0,) * (2 * _check_rank(r)))
-
-    @classmethod
-    def unit(cls, r: int, j: int) -> "BitVector":
-        return cls(Vector.unit(r, j).coords)
-
-    def __add__(self, other: "BitVector") -> "BitVector":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("rank mismatch")
-        return BitVector(tuple(a ^ b for a, b in zip(self.coords, other.coords)))
-
-
-def phi_eval(v: Union[Vector, BitVector], w: Union[Vector, BitVector]) -> int:
+def phi_eval(v: Vector, w: Vector) -> int:
     """Value of the hyperbolic form: sum over pairs of a_i b'_i - b_i a'_i."""
     a, b = v.coords, w.coords
     if len(a) != len(b):
@@ -199,20 +170,17 @@ class Covector:
     def __neg__(self) -> "Covector":
         return Covector(tuple(-a for a in self.coords), self.modulus)
 
-    def evaluate(self, v: Union[Vector, BitVector]) -> int:
+    def evaluate(self, v: Vector) -> int:
         """Pairing with a vector, reduced into the covector's coefficient ring."""
         if len(v.coords) != len(self.coords):
             raise ValueError("rank mismatch")
         total = sum(map(mul, self.coords, v.coords))
         return total % self.modulus if self.modulus else total
 
-    def act(self, a: Union["SymplecticMatrix", "BitMatrix"]) -> "Covector":
+    def act(self, a: "SymplecticMatrix") -> "Covector":
         """Right action by composition: (x.A)(w) = x(Aw)."""
-        if isinstance(a, BitMatrix):
-            if self.modulus != 2:
-                raise ValueError("mod-2 matrices act only on mod-2 covectors")
-        elif not isinstance(a, SymplecticMatrix):
-            raise TypeError("expected a SymplecticMatrix or BitMatrix")
+        if not isinstance(a, SymplecticMatrix):
+            raise TypeError("expected a SymplecticMatrix")
         rows = a.rows
         if len(rows) != len(self.coords):
             raise ValueError("rank mismatch")
@@ -231,12 +199,9 @@ class Covector:
             raise ValueError(f"{m} does not divide modulus {self.modulus}")
         return Covector(self.coords, m)
 
-    def mod2(self) -> "Covector":
-        return self.reduce_to(2)
 
-
-def _preserves_form(rows, modulus: int = 0) -> bool:
-    """Whether A^T J A == J, exactly (modulus 0) or mod modulus; no product with J.
+def _preserves_form(rows) -> bool:
+    """Whether A^T J A == J, exactly; no product with J.
 
     Entry (i, j) of A^T J A is phi(col_i, col_j).  It is checked against J_ij
     for the pairs i < j only, where J is 1 exactly at (2k, 2k+1) and 0
@@ -251,8 +216,6 @@ def _preserves_form(rows, modulus: int = 0) -> bool:
         fi, si = firsts[i], seconds[i]
         for j in range(i + 1, n):
             value = sum(map(mul, fi, seconds[j])) - sum(map(mul, si, firsts[j]))
-            if modulus:
-                value %= modulus
             if value != (j == i + 1 and i % 2 == 0):  # J_ij, as 0 or 1
                 return False
     return True
@@ -329,10 +292,6 @@ class SymplecticMatrix:
             raise ArithmeticError("inverse postcondition failed")
         return SymplecticMatrix._trusted(inv_rows)
 
-    def mod2(self) -> "BitMatrix":
-        # the reduction of a form-preserving matrix preserves the form mod 2
-        return BitMatrix(self.rows, check=False)
-
     def apply(self, v: Vector) -> Vector:
         if len(self.rows) != len(v.coords):
             raise ValueError("rank mismatch")
@@ -340,34 +299,6 @@ class SymplecticMatrix:
 
     def column(self, j: int) -> Vector:
         return Vector(tuple(row[j] for row in self.rows))
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Mod-2 matrix satisfying the mod-2 form identity."""
-
-    rows: tuple[tuple[int, ...], ...]
-    check: InitVar[bool] = True
-
-    def __post_init__(self, check: bool) -> None:
-        rows = tuple(tuple(int(e) % 2 for e in row) for row in self.rows)
-        n = len(rows)
-        if n == 0 or n % 2 or any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square of even dimension")
-        object.__setattr__(self, "rows", rows)
-        if check and not _preserves_form(rows, 2):
-            raise ValueError("matrix is not symplectic mod 2")
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows) // 2
-
-    @classmethod
-    def identity(cls, r: int) -> "BitMatrix":
-        return cls(_identity_rows(2 * _check_rank(r)), check=False)
-
-    def column(self, j: int) -> BitVector:
-        return BitVector(tuple(row[j] for row in self.rows))
 
 
 @lru_cache(maxsize=None)
@@ -380,14 +311,6 @@ def transvection(v: Vector) -> SymplecticMatrix:
         c = phi_eval(v, e)
         cols.append(tuple(e.coords[i] + c * v.coords[i] for i in range(n)))
     return SymplecticMatrix._trusted(_transpose(cols))
-
-
-def act_covector(x: Covector, a: Union[SymplecticMatrix, BitMatrix]) -> Covector:
-    return x.act(a)
-
-
-def reduce_covector(x: Covector, m: int) -> Covector:
-    return x.reduce_to(m)
 
 
 def neg_identity(r: int) -> SymplecticMatrix:
@@ -408,6 +331,7 @@ def transvection_candidates(r: int) -> tuple[Vector, ...]:
 
 
 def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> SymplecticMatrix:
+    """Product of word_length transvections drawn from the candidate set by rng."""
     if word_length < 0:
         raise ValueError("word length must be non-negative")
     candidates = transvection_candidates(r)
@@ -415,8 +339,3 @@ def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> Symp
     for _ in range(word_length):
         acc = acc * transvection(rng.choice(candidates))
     return acc
-
-
-def random_symplectic(r: int, word_length: int, seed: int) -> SymplecticMatrix:
-    """Deterministic product of word_length transvections drawn from the candidate set."""
-    return random_symplectic_word(r, word_length, random.Random(seed))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .cocycles import (CoboundaryCocycle, PrincipalCocycle, TabulatedCocycle,
                        check_cocycle_law, coboundary_at, minus_id_constraint, principal_at)
-from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, section_r1, splits
+from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
 from .quadratic import QuadraticRefinement, enumerate_refinements, qdifference, qtranslate
 from .symplectic import Covector, SymplecticMatrix, Vector, neg_identity, random_symplectic_word, transvection
 
@@ -130,12 +130,13 @@ def _reframe_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
 def _section_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
     if r == 1:
         passed = 0
-        base = QuadraticRefinement.arf_one(1)
+        verdict = splits(1, 0)
+        sigma = verdict.section()
         for _ in range(samples):
             a, b = _word(1, rng), _word(1, rng)
-            ok = jmul(section_r1(a), section_r1(b)) == section_r1(a * b)
-            ok = ok and section_r1(a).a == a
-            ok = ok and gamma_psi_member(section_r1(a), base)
+            ok = jmul(sigma(a), sigma(b)) == sigma(a * b)
+            ok = ok and sigma(a).a == a
+            ok = ok and gamma_psi_member(sigma(a), verdict.base)
             passed += ok
         return SuiteResult("section", passed, samples)
     passed = (not splits(r, 0).splits) + (not splits(r, 4).splits)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 from symsplit.cli import element_from_document, element_to_document, main
 from symsplit.jacobi import JacobiElement, jmul
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def _run(capsys, *argv):
@@ -104,6 +108,8 @@ def test_split_modulus_override_and_guard(capsys):
     assert json.loads(out)["results"]["homotopy"]["modulus"] == 48
     code, _, err = _run(capsys, "split", "--p", "3", "--r", "1", "--modulus", "6")
     assert code == 2 and "divisible by 4" in err
+    code, out, err = _run(capsys, "split", "--p", "3", "--r", "2", "--modulus", "-4")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_mul_round_trip(tmp_path, capsys):
@@ -364,3 +370,53 @@ def test_exit_contract_on_arbitrary_documents(tmp_path_factory, docs, op, psi):
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
     else:
         assert err.getvalue() == "" and element_from_document(json.loads(out.getvalue()))
+
+
+@st.composite
+def _report_argv(draw):
+    """argv for orbits/split/verify/coeff with values from bounded ranges, some out of range."""
+    def ints(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    command = draw(st.sampled_from(["orbits", "split", "verify", "coeff"]))
+    argv = [command]
+    if command == "coeff":
+        argv += ["--jmax", ints(-1, 30)]
+    else:
+        argv += ["--r", ints(-2, 10)]
+    if command == "split":
+        argv += ["--p", draw(st.sampled_from(["3", "7", "5"]))]
+        if draw(st.booleans()):
+            argv += ["--modulus", ints(-8, 48)]
+    if command == "verify":
+        argv += ["--samples", ints(-1, 3), "--seed", ints(-5, 5)]
+        if draw(st.booleans()):
+            argv.append("--negative-control")
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["table", "json"]))]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_report_argv())
+def test_exit_contract_on_report_argv(argv):
+    # ROADMAP exit contract: 0 success, 1 property failure (here only the planted
+    # negative control), 2 input error; never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert "--negative-control" in argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_report_outputs(name, capsys):
+    # golden/<name>.out is the recorded stdout of cases.json's argv; a change meant to alter it rewrites both
+    case = GOLDEN_CASES[name]
+    code, out, err = _run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], "")
+    assert out == (GOLDEN / f"{name}.out").read_text()

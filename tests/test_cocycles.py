@@ -18,7 +18,6 @@ from symsplit.cocycles import (
 )
 from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qeval, qtranslate
 from symsplit.symplectic import (
-    BitVector,
     Covector,
     SymplecticMatrix,
     Vector,
@@ -127,7 +126,7 @@ def test_witness_makes_cocycles_agree():
 def _object_level_witness(psi):
     """Lex-least xbar with psi + xbar equal to 1 at every nonzero vector, found object by object."""
     n = 2 * psi.rank
-    nonzero = [BitVector(bits) for bits in product((0, 1), repeat=n) if any(bits)]
+    nonzero = [Vector(bits) for bits in product((0, 1), repeat=n) if any(bits)]
     for bits in product((0, 1), repeat=n):
         xbar = Covector(bits, 2)
         if all(qeval(qtranslate(psi, xbar), v) == 1 for v in nonzero):

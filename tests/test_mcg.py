@@ -191,6 +191,11 @@ def test_splitting_theorem_rejects_modulus_like_splits():
     with pytest.raises(ValueError) as from_verdict:
         splitting_theorem_verdict(3, 2, homotopy_modulus=6)
     assert str(from_verdict.value) == str(from_splits.value)
+    with pytest.raises(ValueError) as from_splits:
+        splits(1, -4)
+    with pytest.raises(ValueError) as from_verdict:
+        splitting_theorem_verdict(3, 1, homotopy_modulus=-4)
+    assert str(from_verdict.value) == str(from_splits.value)
 
 
 def test_twists_generate_the_fiber():
