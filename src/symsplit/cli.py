@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--p", type=int, choices=(3, 7), required=True, help="middle dimension")
     split.add_argument("--r", type=int, required=True, help=f"rank, 1..{SPLIT_RANK_LIMIT}")
     split.add_argument("--modulus", type=int, default=None,
-                       help="override the homotopy-model modulus (0 or a positive integer divisible by 4)")
+                       help="override the homotopy-model modulus (a positive integer divisible by 4)")
     split.add_argument("--format", choices=("table", "json"), default="table")
 
     mul = sub.add_parser("mul", help="multiply two serialized group elements")

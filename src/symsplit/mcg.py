@@ -41,6 +41,17 @@ class ManifoldParams:
         return COEFFICIENT_ORDER[self.p]
 
 
+def _check_homotopy_modulus(modulus: int) -> None:
+    """The homotopy flavor needs a positive multiple of 4; raise ValueError otherwise.
+
+    Negative moduli and moduli not divisible by 4 get the splitting search's
+    own message; 0 is refused because it is the smooth model's modulus.
+    """
+    _check_split_modulus(modulus)
+    if modulus == 0:
+        raise ValueError("the homotopy modulus must be positive; 0 is the smooth model's modulus")
+
+
 @dataclass(frozen=True)
 class MCGModel:
     params: ManifoldParams
@@ -53,8 +64,8 @@ class MCGModel:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == SMOOTH and self.modulus != 0:
             raise ValueError("the smooth model works over the integers (modulus 0)")
-        if self.flavor == HOMOTOPY and (self.modulus <= 0 or self.modulus % 4):
-            raise ValueError("the homotopy modulus must be positive and divisible by 4")
+        if self.flavor == HOMOTOPY:
+            _check_homotopy_modulus(self.modulus)
         if self.base.rank != self.params.r:
             raise ValueError("base refinement rank mismatch")
 
@@ -152,10 +163,11 @@ def splitting_theorem_verdict(p: int, r: int,
     For modulus 0 or a multiple of 4 the extension splits iff the base
     refinement has a group-fixed translate, a question about mod-2 data alone.
     So one search decides both flavors: the homotopy verdict is the smooth one
-    with the homotopy modulus in place of 0.
+    with the homotopy modulus in place of 0.  The homotopy modulus is checked
+    as the homotopy model checks it, so it must be positive.
     """
     params = ManifoldParams(p, r)
     m = 2 * params.c if homotopy_modulus is None else homotopy_modulus
-    _check_split_modulus(m)
+    _check_homotopy_modulus(m)
     smooth = splits(r, 0)
     return SplittingTheoremVerdict(p, r, smooth, replace(smooth, modulus=m))

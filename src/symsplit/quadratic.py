@@ -19,6 +19,9 @@ Mod-2 data comes in as integer objects and is read by its parities: qeval
 takes a `Vector`, qact a `SymplecticMatrix`, and translations are
 `Covector`s of modulus 2.  Internally a refinement, a vector or a matrix
 column is packed into a 2r-bit int (bit i is coordinate i mod 2).
+Refinements and mod-2 covectors built here from bits already reduced (the
+action, translation, difference, enumeration, orbits and the translate
+search) are wrapped without the public constructors' coercion and checks.
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ class QuadraticRefinement:
         if not values or len(values) % 2:
             raise ValueError("need a positive even number of basis values")
         object.__setattr__(self, "basis_values", values)
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> "QuadraticRefinement":
+        """Wrap a tuple of 0/1 ints of positive even length; no coercion, no check."""
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "basis_values", values)
+        return psi
 
     @property
     def rank(self) -> int:
@@ -93,7 +103,7 @@ def qact(psi: QuadraticRefinement, a: SymplecticMatrix) -> QuadraticRefinement:
     for col in zip(*a.rows):
         c = _state_of(col)
         values.append(((c & state).bit_count() + (c & (c >> 1) & even).bit_count()) & 1)
-    return QuadraticRefinement(tuple(values))
+    return QuadraticRefinement._trusted(tuple(values))
 
 
 def qtranslate(psi: QuadraticRefinement, xbar: Covector) -> QuadraticRefinement:
@@ -102,14 +112,14 @@ def qtranslate(psi: QuadraticRefinement, xbar: Covector) -> QuadraticRefinement:
         raise ValueError("translation must be a mod-2 covector")
     if xbar.rank != psi.rank:
         raise ValueError("rank mismatch")
-    return QuadraticRefinement(tuple(p ^ c for p, c in zip(psi.basis_values, xbar.coords)))
+    return QuadraticRefinement._trusted(tuple(p ^ c for p, c in zip(psi.basis_values, xbar.coords)))
 
 
 def qdifference(psi1: QuadraticRefinement, psi0: QuadraticRefinement) -> Covector:
     """The unique mod-2 covector with psi1 = psi0 + xbar."""
     if psi1.rank != psi0.rank:
         raise ValueError("rank mismatch")
-    return Covector(tuple(a ^ b for a, b in zip(psi1.basis_values, psi0.basis_values)), 2)
+    return Covector._trusted(tuple(a ^ b for a, b in zip(psi1.basis_values, psi0.basis_values)), 2)
 
 
 def arf(psi: QuadraticRefinement) -> int:
@@ -129,7 +139,7 @@ def enumerate_refinements(r: int) -> list[QuadraticRefinement]:
     r = _check_rank(r)
     if r > ENUMERATION_RANK_LIMIT:
         raise ValueError(f"rank {r} exceeds the enumeration limit {ENUMERATION_RANK_LIMIT}")
-    return [QuadraticRefinement(bits) for bits in product((0, 1), repeat=2 * r)]
+    return [QuadraticRefinement._trusted(bits) for bits in product((0, 1), repeat=2 * r)]
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +224,7 @@ def orbit_of(psi: QuadraticRefinement) -> list[QuadraticRefinement]:
         raise ValueError(f"rank {psi.rank} exceeds the orbit limit {ENUMERATION_RANK_LIMIT}")
     n = 2 * psi.rank
     states = _orbit_states(_state_of(psi.basis_values), n)
-    return [QuadraticRefinement(bits) for bits in sorted(_bits_of(s, n) for s in states)]
+    return [QuadraticRefinement._trusted(bits) for bits in sorted(_bits_of(s, n) for s in states)]
 
 
 def is_group_fixed(psi: QuadraticRefinement) -> bool:
@@ -241,7 +251,7 @@ def least_fixed_translate(psi: QuadraticRefinement) -> tuple[Optional[Covector],
             if not ((s & v).bit_count() ^ par) & 1:
                 break  # psi(v) = 0 at a generator v: not fixed
         else:
-            return Covector(_bits_of(x, n), 2), checked
+            return Covector._trusted(_bits_of(x, n), 2), checked
     return None, 1 << n
 
 
@@ -273,7 +283,7 @@ def orbit_decomposition(r: int) -> OrbitReport:
             continue
         orbit = _orbit_states(s, n)
         seen |= orbit
-        rep = QuadraticRefinement(_bits_of(s, n))  # lex scan: first unseen state is the least member
+        rep = QuadraticRefinement._trusted(_bits_of(s, n))  # lex scan: first unseen state is the least member
         classes.append(OrbitClass(arf(rep), len(orbit), rep))
     if len(seen) != 1 << n:
         raise ArithmeticError("orbits failed to partition the refinement set")

@@ -12,6 +12,14 @@ the form iff phi(col_i, col_j) = J_ij for every pair of columns i < j
 is the signed transpose -J A^T J, still verified by multiplying back.
 Matrices from outside are coerced, shape-checked and form-checked on
 construction; products and inverses of matrices already validated skip both.
+Likewise a covector from outside is coerced and shape-checked, while the
+action, sums, differences, negation and reduction of covectors already
+validated skip that (entries are still reduced into [0, m) for a modulus m).
+
+Seeded words are built by column updates, not matrix products: column j of
+A T_v is A e_j + phi(v, e_j) A v, and every candidate direction has at most
+two nonzero coordinates, so a step reads two columns and rewrites at most
+two, O(r) work instead of a (2r)^3 product.
 
 There is no separate mod-2 type.  Mod-2 data is read as the parities of these
 integer objects (`Covector.reduce_to(2)` for covectors); the refinement code
@@ -138,6 +146,17 @@ class Covector:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "modulus", m)
 
+    @classmethod
+    def _trusted(cls, coords: tuple[int, ...], modulus: int) -> "Covector":
+        """Wrap a tuple of ints of positive even length and a modulus >= 0; no coercion, no shape check.
+
+        Coordinates are still reduced into [0, modulus) when modulus > 0.
+        """
+        x = object.__new__(cls)
+        object.__setattr__(x, "coords", tuple(c % modulus for c in coords) if modulus else coords)
+        object.__setattr__(x, "modulus", modulus)
+        return x
+
     @property
     def rank(self) -> int:
         return len(self.coords) // 2
@@ -161,14 +180,14 @@ class Covector:
 
     def __add__(self, other: "Covector") -> "Covector":
         self._compatible(other)
-        return Covector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.modulus)
+        return Covector._trusted(tuple(a + b for a, b in zip(self.coords, other.coords)), self.modulus)
 
     def __sub__(self, other: "Covector") -> "Covector":
         self._compatible(other)
-        return Covector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.modulus)
+        return Covector._trusted(tuple(a - b for a, b in zip(self.coords, other.coords)), self.modulus)
 
     def __neg__(self) -> "Covector":
-        return Covector(tuple(-a for a in self.coords), self.modulus)
+        return Covector._trusted(tuple(-a for a in self.coords), self.modulus)
 
     def evaluate(self, v: Vector) -> int:
         """Pairing with a vector, reduced into the covector's coefficient ring."""
@@ -185,7 +204,7 @@ class Covector:
         if len(rows) != len(self.coords):
             raise ValueError("rank mismatch")
         coords = tuple(sum(map(mul, self.coords, col)) for col in zip(*rows))
-        return Covector(coords, self.modulus)
+        return Covector._trusted(coords, self.modulus)
 
     def reduce_to(self, m: int) -> "Covector":
         m = int(m)
@@ -197,7 +216,7 @@ class Covector:
             return self
         if self.modulus and self.modulus % m:
             raise ValueError(f"{m} does not divide modulus {self.modulus}")
-        return Covector(self.coords, m)
+        return Covector._trusted(self.coords, m)
 
 
 def _preserves_form(rows) -> bool:
@@ -330,12 +349,40 @@ def transvection_candidates(r: int) -> tuple[Vector, ...]:
     return tuple(us + vs + sums + diffs)
 
 
+@lru_cache(maxsize=None)
+def _word_steps(r: int) -> tuple[tuple[int, int, int, int, tuple[tuple[int, int], ...]], ...]:
+    """Per candidate direction, in transvection_candidates order: (k0, x0, k1, x1, coefficients).
+
+    The direction is v = x0 e_k0 + x1 e_k1 (x1 = 0 for a unit direction), and
+    the coefficients are the pairs (j, phi(v, e_j)) with phi(v, e_j) != 0.
+    """
+    steps = []
+    for v in transvection_candidates(r):
+        (k0, x0), *rest = [(k, x) for k, x in enumerate(v.coords) if x]
+        k1, x1 = rest[0] if rest else (k0, 0)
+        coeffs = tuple((j, c) for j in range(2 * r) if (c := phi_eval(v, Vector.unit(r, j))))
+        steps.append((k0, x0, k1, x1, coeffs))
+    return tuple(steps)
+
+
 def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> SymplecticMatrix:
-    """Product of word_length transvections drawn from the candidate set by rng."""
+    """Product of word_length transvections drawn from the candidate set by rng.
+
+    The product is built by column updates: right-multiplying A by T_v adds
+    phi(v, e_j) A v to column j, which is nonzero for at most two j, and A v
+    combines at most two columns.  The columns live in one mutable list, an
+    updated column replacing its entry, and are frozen into a matrix once, at
+    the end.  rng draws exactly as
+    `rng.choice(transvection_candidates(r))` would, once per step.
+    """
     if word_length < 0:
         raise ValueError("word length must be non-negative")
-    candidates = transvection_candidates(r)
-    acc = SymplecticMatrix.identity(r)
+    r = _check_rank(r)
+    steps = _word_steps(r)
+    cols = list(_identity_rows(2 * r))  # I is symmetric: its rows are its columns
     for _ in range(word_length):
-        acc = acc * transvection(rng.choice(candidates))
-    return acc
+        k0, x0, k1, x1, coeffs = rng.choice(steps)
+        av = [x0 * a + x1 * b for a, b in zip(cols[k0], cols[k1])]
+        for j, c in coeffs:
+            cols[j] = [a + c * b for a, b in zip(cols[j], av)]
+    return SymplecticMatrix._trusted(_transpose(cols))

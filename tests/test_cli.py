@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symsplit.cli import element_from_document, element_to_document, main
 from symsplit.jacobi import JacobiElement, jmul
@@ -110,6 +110,8 @@ def test_split_modulus_override_and_guard(capsys):
     assert code == 2 and "divisible by 4" in err
     code, out, err = _run(capsys, "split", "--p", "3", "--r", "2", "--modulus", "-4")
     assert code == 2 and out == "" and err.startswith("error: ")
+    code, out, err = _run(capsys, "split", "--p", "3", "--r", "1", "--modulus", "0")
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_mul_round_trip(tmp_path, capsys):
@@ -399,6 +401,7 @@ def _report_argv(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(argv=_report_argv())
+@example(argv=["split", "--p", "3", "--r", "1", "--modulus", "0"])
 def test_exit_contract_on_report_argv(argv):
     # ROADMAP exit contract: 0 success, 1 property failure (here only the planted
     # negative control), 2 input error; never a traceback

@@ -198,6 +198,20 @@ def test_splitting_theorem_rejects_modulus_like_splits():
     assert str(from_verdict.value) == str(from_splits.value)
 
 
+def test_homotopy_modulus_has_one_validator():
+    # the homotopy model and the verdict refuse the same moduli with the same message
+    for m in (0, -4, 6):
+        with pytest.raises(ValueError) as from_model:
+            homotopy_model(3, 1, modulus=m)
+        with pytest.raises(ValueError) as from_verdict:
+            splitting_theorem_verdict(3, 1, homotopy_modulus=m)
+        assert str(from_verdict.value) == str(from_model.value)
+    with pytest.raises(ValueError, match="positive"):
+        splitting_theorem_verdict(3, 1, homotopy_modulus=0)
+    assert splits(1, 0).modulus == 0 and splits(2, 0).modulus == 0  # the smooth model keeps 0
+    assert splitting_theorem_verdict(3, 1, homotopy_modulus=4).homotopy.modulus == 4
+
+
 def test_twists_generate_the_fiber():
     # products of the 2r twist generators with even coefficients reach every
     # even covector over the identity matrix

@@ -316,3 +316,34 @@ def test_lex_states_follow_product_order(nbits):
 def test_least_fixed_translate_frozen():
     assert least_fixed_translate(QuadraticRefinement((0, 1))) == (Covector((1, 0), 2), 3)
     assert least_fixed_translate(QuadraticRefinement.zero(2)) == (None, 16)
+
+
+def test_internal_refinements_equal_public_construction():
+    rng = random.Random(23)
+    big = 10 ** 299 + 12345  # 300 digits
+    for r in (1, 2, 3):
+        n = 2 * r
+        internal = (enumerate_refinements(r) + orbit_of(QuadraticRefinement.zero(r))
+                    + [orbit.representative for orbit in orbit_decomposition(r).orbits])
+        for psi in internal:
+            public = QuadraticRefinement(psi.basis_values)
+            assert psi == public and hash(psi) == hash(public)
+            assert type(psi.basis_values) is tuple and all(type(b) is int for b in psi.basis_values)
+        assert enumerate_refinements(r) == [QuadraticRefinement(bits) for bits in product((0, 1), repeat=n)]
+        for _ in range(20):
+            psi = QuadraticRefinement([rng.choice((-big, big, -3, 0, 1, 4)) for _ in range(n)])
+            phi = QuadraticRefinement([rng.randint(0, 1) for _ in range(n)])
+            xbar = Covector([rng.choice((-big, big, -1, 2, 3)) for _ in range(n)], 2)
+            a = random_symplectic_word(r, 8, rng) * transvection(Vector((big,) + (1,) * (n - 1)))
+            results = [
+                (qact(psi, a), QuadraticRefinement([qeval(psi, a.column(j)) for j in range(n)])),
+                (qtranslate(psi, xbar), QuadraticRefinement([p + c for p, c in zip(psi.basis_values, xbar.coords)])),
+                (qdifference(phi, psi), Covector([p - q for p, q in zip(phi.basis_values, psi.basis_values)], 2)),
+            ]
+            witness, _ = least_fixed_translate(psi)
+            if witness is not None:
+                results.append((witness, Covector(witness.coords, 2)))
+            for got, want in results:
+                assert got == want and hash(got) == hash(want)
+                values = got.coords if isinstance(got, Covector) else got.basis_values
+                assert type(values) is tuple and all(type(v) is int and v in (0, 1) for v in values)

@@ -260,6 +260,35 @@ def test_random_symplectic_contract():
     assert random_symplectic_word(2, 20, random.Random(10)) != a  # overwhelmingly likely, fixed seeds
 
 
+def _word_by_products(r, length, rng):
+    # the definition the column updates replace: candidate transvections multiplied under *
+    candidates = transvection_candidates(r)
+    acc = SymplecticMatrix.identity(r)
+    for _ in range(length):
+        acc = acc * transvection(rng.choice(candidates))
+    return acc
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_word_column_updates_match_transvection_products(r):
+    for length in range(26):
+        for seed in range(24 if r <= 3 else 8):
+            fast_rng, slow_rng = random.Random(1000 * seed + length), random.Random(1000 * seed + length)
+            word = random_symplectic_word(r, length, fast_rng)
+            assert word.rows == _word_by_products(r, length, slow_rng).rows
+            assert type(word.rows) is tuple and all(type(row) is tuple for row in word.rows)
+            assert all(type(e) is int for row in word.rows for e in row)
+            assert is_symplectic(word)
+            assert fast_rng.random() == slow_rng.random()  # the generator advanced identically
+
+
+def test_word_length_and_rank_are_checked():
+    with pytest.raises(ValueError):
+        random_symplectic_word(2, -1, random.Random(0))
+    with pytest.raises(ValueError):
+        random_symplectic_word(0, 3, random.Random(0))
+
+
 def test_candidate_directions():
     cands = transvection_candidates(2)
     assert len(cands) == 2 * 2 + 2 * 2 * 2
@@ -287,3 +316,50 @@ def test_matrix_shape_validation():
         Covector((1, 2, 3))
     with pytest.raises(ValueError):
         Covector((1, 2), -3)
+
+
+_BIG = 10 ** 299 + 12345  # 300 digits
+
+
+def _assert_equal_to_public(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert type(got.coords) is tuple and all(type(c) is int for c in got.coords)
+    assert type(got.modulus) is int
+    if got.modulus:
+        assert all(0 <= c < got.modulus for c in got.coords)
+
+
+@pytest.mark.parametrize("m", [0, 2, 24, 240])
+def test_internal_covectors_equal_public_construction(m):
+    rng = random.Random(m)
+    entries = (-_BIG, _BIG, -_BIG - 1, -7, -1, 0, 5, 239, 241)
+    for r in (1, 2, 3):
+        n = 2 * r
+        big = random_symplectic_word(r, 6, rng) * transvection(Vector((_BIG,) + (1,) * (n - 1)))
+        for a in (random_symplectic_word(r, 10, rng), big, neg_identity(r)):
+            x = Covector([rng.choice(entries) for _ in range(n)], m)
+            y = Covector([rng.choice(entries) for _ in range(n)], m)
+            acted = [sum(x.coords[i] * a.rows[i][j] for i in range(n)) for j in range(n)]
+            _assert_equal_to_public(x.act(a), Covector(acted, m))
+            _assert_equal_to_public(x + y, Covector([p + q for p, q in zip(x.coords, y.coords)], m))
+            _assert_equal_to_public(x - y, Covector([p - q for p, q in zip(x.coords, y.coords)], m))
+            _assert_equal_to_public(-x, Covector([-p for p in x.coords], m))
+            for k in (0, 2, 4, 24, 240):
+                if m == 0 or (k and m % k == 0):
+                    _assert_equal_to_public(x.reduce_to(k), Covector(x.coords, k))
+
+
+def test_public_covector_construction_still_coerces_and_checks():
+    x = Covector((True, 2.0), 24)
+    assert x.coords == (1, 2) and all(type(c) is int for c in x.coords)
+    assert Covector((-1, 25), 24).coords == (23, 1)
+    assert Covector((-_BIG, _BIG), 0).coords == (-_BIG, _BIG)
+    y = Covector((3, 4), True)
+    assert y.modulus == 1 and type(y.modulus) is int and y.coords == (0, 0)
+    for coords, m in (((1, 2, 3), 0), ((), 24), ((1, 2), -3)):
+        with pytest.raises(ValueError):
+            Covector(coords, m)
+    with pytest.raises(ValueError):
+        Covector(("a", 0))
+    with pytest.raises(TypeError):
+        Covector((None, 0))
