@@ -30,7 +30,6 @@ from .quadratic import (
 )
 from .cocycles import (
     CoboundaryCocycle,
-    CoboundaryWitness,
     Cocycle,
     PrincipalCocycle,
     TabulatedCocycle,
@@ -38,7 +37,6 @@ from .cocycles import (
     coboundary_at,
     minus_id_constraint,
     principal_at,
-    principal_coboundary_witness,
 )
 from .jacobi import (
     JacobiElement,

@@ -10,9 +10,8 @@ the checking machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .quadratic import QuadraticRefinement, least_fixed_translate, qact, qdifference
+from .quadratic import QuadraticRefinement, qact, qdifference
 from .symplectic import Covector, SymplecticMatrix, neg_identity
 
 
@@ -115,18 +114,3 @@ def minus_id_constraint(s: Cocycle, a: SymplecticMatrix) -> bool:
     sneg = s.value(neg_identity(s.rank))
     return sa + sa == -(sneg.act(a) - sneg)
 
-
-@dataclass(frozen=True)
-class CoboundaryWitness:
-    """Mod-2 covector xbar with s(psi) = s(xbar) on the whole group.
-
-    Equivalently, psi + xbar is fixed by every transvection.
-    """
-
-    xbar: Covector
-
-
-def principal_coboundary_witness(psi: QuadraticRefinement) -> Optional[CoboundaryWitness]:
-    """Lexicographically least xbar making psi + xbar group-fixed, if one exists."""
-    xbar, _ = least_fixed_translate(psi)
-    return None if xbar is None else CoboundaryWitness(xbar)

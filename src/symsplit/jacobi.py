@@ -4,8 +4,11 @@ Elements are pairs (x, A) with product (x, A)(y, B) = (x.B + y, AB).  For a
 refinement psi, the pairs whose mod-2 covector part equals the principal
 cocycle value of their matrix form a subgroup; it is an extension of the
 symplectic group by the lattice of even covectors.  `splits` decides whether
-that extension admits a homomorphic section, by exhaustive search for a
-group-fixed translate of the base refinement (`quadratic.least_fixed_translate`).
+that extension admits a homomorphic section, which it does iff some translate
+psi + xbar of the base refinement is group-fixed.  A fixed refinement is 1 at
+every u_i and v_i, so the one candidate is xbar = psi + 1...1, whose translate
+is the all-ones refinement; `splits` decides it with `quadratic.is_group_fixed`
+in O(r) steps.
 """
 
 from __future__ import annotations
@@ -15,8 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cocycles import principal_at
-from .quadratic import SPLIT_RANK_LIMIT, QuadraticRefinement, least_fixed_translate, qtranslate
+from .quadratic import QuadraticRefinement, is_group_fixed, qdifference
 from .symplectic import Covector, SymplecticMatrix, _check_rank, random_symplectic_word
+
+# A verdict without a witness reports 4^r candidates; 4^31 is the largest such
+# count that is still a signed 64-bit JSON integer.  The decision itself is O(r).
+SPLIT_RANK_LIMIT = 31
 
 
 @dataclass(frozen=True)
@@ -98,29 +105,16 @@ def default_base_refinement(r: int) -> QuadraticRefinement:
     return QuadraticRefinement.arf_one(1) if r == 1 else QuadraticRefinement.zero(r)
 
 
-def lift_bits(xbar: Covector, modulus: int) -> Covector:
-    """Integer (or residue) covector with the given mod-2 reduction."""
-    if xbar.modulus != 2:
-        raise ValueError("expected a mod-2 covector")
-    return Covector(xbar.coords, modulus)
-
-
-def section_from_witness(xbar: Covector, modulus: int) -> Callable[[SymplecticMatrix], JacobiElement]:
-    """Homomorphic section A -> (x.A - x, A) where x lifts the witness."""
-    x = lift_bits(xbar, modulus)
-    def sigma(a: SymplecticMatrix) -> JacobiElement:
-        return JacobiElement(x.act(a) - x, a)
-    return sigma
-
-
 @dataclass(frozen=True)
 class SplitVerdict:
     """Outcome of the splitting decision at one rank and modulus.
 
-    When `splits` is true, `witness` is the lexicographically least mod-2
-    translation making the base refinement group-fixed, and the section is
-    A -> (x.A - x, A) for x any lift of the witness.  When false, every one of
-    the 2^(2r) candidate translations was checked and none is group-fixed.
+    When `splits` is true, `witness` is the one mod-2 translation making the
+    base refinement group-fixed, and the section is A -> (x.A - x, A) for x
+    any lift of the witness.  `candidates_checked` is the witness's 1-based
+    position in the lexicographic order of all 4^r mod-2 covectors, or 4^r
+    when there is no witness: the count a lexicographic walk over the
+    candidates would check.
     """
 
     rank: int
@@ -132,9 +126,13 @@ class SplitVerdict:
     candidates_checked: int
 
     def section(self) -> Callable[[SymplecticMatrix], JacobiElement]:
+        """Homomorphic section A -> (x.A - x, A), where x is the witness's 0/1 lift."""
         if not self.splits or self.witness is None:
             raise ValueError("extension does not split; no section exists")
-        return section_from_witness(self.witness, self.modulus)
+        x = Covector(self.witness.coords, self.modulus)
+        def sigma(a: SymplecticMatrix) -> JacobiElement:
+            return JacobiElement(x.act(a) - x, a)
+        return sigma
 
 
 def _check_split_modulus(modulus: int) -> None:
@@ -144,21 +142,27 @@ def _check_split_modulus(modulus: int) -> None:
 
 
 def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> SplitVerdict:
-    """Decide whether the extension splits; exhaustive and exact.
+    """Decide whether the extension splits; exact, in O(r) steps.
 
     Requires modulus 0 (integer covectors) or a multiple of 4, the regime in
     which splitting is equivalent to the base refinement having a group-fixed
-    translate.  Ranks above SPLIT_RANK_LIMIT are refused by the search.
+    translate.  The one candidate translate is the all-ones refinement; it is
+    fixed at rank 1 and at no higher rank, and the witness is its difference
+    from the base.  Ranks above SPLIT_RANK_LIMIT are refused.
     """
     r = _check_rank(r)
+    if r > SPLIT_RANK_LIMIT:
+        raise ValueError(f"rank {r} exceeds the splitting limit {SPLIT_RANK_LIMIT}")
     _check_split_modulus(modulus)
     base = default_base_refinement(r) if psi is None else psi
     if base.rank != r:
         raise ValueError("base refinement rank mismatch")
-    xbar, checked = least_fixed_translate(base)
-    if xbar is None:
-        return SplitVerdict(r, modulus, base, False, None, None, checked)
-    return SplitVerdict(r, modulus, base, True, xbar, qtranslate(base, xbar), checked)
+    fixed = QuadraticRefinement._trusted((1,) * (2 * r))
+    if not is_group_fixed(fixed):
+        return SplitVerdict(r, modulus, base, False, None, None, 4 ** r)
+    xbar = qdifference(fixed, base)
+    position = int("".join(map(str, xbar.coords)), 2) + 1
+    return SplitVerdict(r, modulus, base, True, xbar, fixed, position)
 
 
 def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,

@@ -4,7 +4,7 @@ Two exact models share the same pair arithmetic: the smooth flavor keeps
 integer covectors (modulus 0), while the homotopy flavor reduces them modulo
 twice the order of the relevant stable homotopy group (that order is 12 in
 dimension 3 and 120 in dimension 7).  Twist generators populate the fiber,
-and the splitting question is decided for both flavors by one search.
+and the splitting question is decided for both flavors by one solve.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ManifoldParams:
 def _check_homotopy_modulus(modulus: int) -> None:
     """The homotopy flavor needs a positive multiple of 4; raise ValueError otherwise.
 
-    Negative moduli and moduli not divisible by 4 get the splitting search's
+    Negative moduli and moduli not divisible by 4 get the splitting decision's
     own message; 0 is refused because it is the smooth model's modulus.
     """
     _check_split_modulus(modulus)
@@ -162,7 +162,7 @@ def splitting_theorem_verdict(p: int, r: int,
 
     For modulus 0 or a multiple of 4 the extension splits iff the base
     refinement has a group-fixed translate, a question about mod-2 data alone.
-    So one search decides both flavors: the homotopy verdict is the smooth one
+    So one solve decides both flavors: the homotopy verdict is the smooth one
     with the homotopy modulus in place of 0.  The homotopy modulus is checked
     as the homotopy model checks it, so it must be positive.
     """

@@ -7,21 +7,25 @@ refinements through its mod-2 image, and a transvection acts by
 
     (psi . T_v)(x) = psi(x) + phibar(v, x) * (psi(v) + 1),
 
-a direct consequence of the refinement identity.  The orbit and fixedness
-searches run on 2r-bit integer states and use only the 3r - 1 transvections
-at u_i, v_i and u_i + u_{i+1}: their integral lifts generate Sp(2r, Z), so
-their mod-2 images generate Sp(2r, F2), and a closure under the group is the
-closure under these generators.  An orbit then costs its size times 3r - 1
-steps.  Tests cross-check the generators against all 4^r - 1 transvection
-directions and against the generic matrix action.
+a direct consequence of the refinement identity.  The orbit search and the
+fixedness check run on 2r-bit integer states and use only the 3r - 1
+transvections at u_i, v_i and u_i + u_{i+1}: their integral lifts generate
+Sp(2r, Z), so their mod-2 images generate Sp(2r, F2), and a closure under the
+group is the closure under these generators.  An orbit then costs its size
+times 3r - 1 steps.  A refinement is group-fixed iff it is 1 at every
+generator; the generators include each u_i and v_i, so only the all-ones
+refinement can be, and it is fixed only at rank 1 (at r >= 2 its value at
+u_1 + u_2 is 1 + 1 + 0 = 0).  Tests cross-check the generators against all
+4^r - 1 transvection directions and against the generic matrix action.
 
 Mod-2 data comes in as integer objects and is read by its parities: qeval
 takes a `Vector`, qact a `SymplecticMatrix`, and translations are
 `Covector`s of modulus 2.  Internally a refinement, a vector or a matrix
 column is packed into a 2r-bit int (bit i is coordinate i mod 2).
 Refinements and mod-2 covectors built here from bits already reduced (the
-action, translation, difference, enumeration, orbits and the translate
-search) are wrapped without the public constructors' coercion and checks.
+zero and Arf-one refinements, the action, translation, difference,
+enumeration and orbits) are wrapped without the public constructors'
+coercion and checks.
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .symplectic import SymplecticMatrix, Covector, Vector, _check_rank
 
 ENUMERATION_RANK_LIMIT = 12
 DECOMPOSITION_RANK_LIMIT = 8
-SPLIT_RANK_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,12 @@ class QuadraticRefinement:
 
     @classmethod
     def zero(cls, r: int) -> "QuadraticRefinement":
-        return cls((0,) * (2 * _check_rank(r)))
+        return cls._trusted((0,) * (2 * _check_rank(r)))
 
     @classmethod
     def arf_one(cls, r: int) -> "QuadraticRefinement":
         """Lexicographically least refinement with Arf invariant 1."""
-        return cls((0,) * (2 * _check_rank(r) - 2) + (1, 1))
+        return cls._trusted((0,) * (2 * _check_rank(r) - 2) + (1, 1))
 
 
 def qeval(psi: QuadraticRefinement, v: Vector) -> int:
@@ -155,7 +158,10 @@ def _state_of(bits) -> int:
 
 
 def _bits_of(state: int, nbits: int) -> tuple[int, ...]:
-    return tuple((state >> i) & 1 for i in range(nbits))
+    # from a list, so the tuple is allocated at its final size: one built from a
+    # generator is resized, and CPython then keeps it on the free list of the
+    # new size, which grows with every call until a full garbage collection
+    return tuple([(state >> i) & 1 for i in range(nbits)])
 
 
 @lru_cache(maxsize=None)
@@ -231,28 +237,6 @@ def is_group_fixed(psi: QuadraticRefinement) -> bool:
     """Whether every generating transvection fixes psi, i.e. psi(v) = 1 at each generator v."""
     state = _state_of(psi.basis_values)
     return all(((state & v).bit_count() ^ par) & 1 for v, par, _ in _generators(2 * psi.rank))
-
-
-def least_fixed_translate(psi: QuadraticRefinement) -> tuple[Optional[Covector], int]:
-    """Lexicographically least mod-2 covector xbar with psi + xbar group-fixed.
-
-    Walks the 4^r candidates in lexicographic order and returns the witness
-    (None if there is none) with the number of candidates checked, which is
-    4^r when there is no witness.  Ranks above SPLIT_RANK_LIMIT are refused.
-    """
-    if psi.rank > SPLIT_RANK_LIMIT:
-        raise ValueError(f"rank {psi.rank} exceeds the splitting search limit {SPLIT_RANK_LIMIT}")
-    n = 2 * psi.rank
-    gens = _generators(n)
-    base = _state_of(psi.basis_values)
-    for checked, x in enumerate(_lex_states(n), 1):
-        s = base ^ x
-        for v, par, _ in gens:
-            if not ((s & v).bit_count() ^ par) & 1:
-                break  # psi(v) = 0 at a generator v: not fixed
-        else:
-            return Covector._trusted(_bits_of(x, n), 2), checked
-    return None, 1 << n
 
 
 @dataclass(frozen=True)

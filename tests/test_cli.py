@@ -114,6 +114,19 @@ def test_split_modulus_override_and_guard(capsys):
     assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_split_rank_guard(capsys):
+    # the limit is set by output size: 4^31 is the largest candidate count that is a 64-bit JSON int
+    code, out, err = _run(capsys, "split", "--p", "3", "--r", "31", "--format", "json")
+    assert code == 0 and err == ""
+    res = json.loads(out)["results"]
+    for flavor in ("smooth", "homotopy"):
+        assert res[flavor]["splits"] is False
+        assert type(res[flavor]["candidates_checked"]) is int
+        assert res[flavor]["candidates_checked"] == 4 ** 31
+    code, out, err = _run(capsys, "split", "--p", "3", "--r", "32")
+    assert code == 2 and out == "" and "1..31" in err
+
+
 def test_mul_round_trip(tmp_path, capsys):
     t = transvection(Vector.u(1, 1))
     g = JacobiElement(Covector((2, 3), 24), t)

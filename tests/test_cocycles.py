@@ -7,15 +7,14 @@ import pytest
 
 from symsplit.cocycles import (
     CoboundaryCocycle,
-    CoboundaryWitness,
     PrincipalCocycle,
     TabulatedCocycle,
     check_cocycle_law,
     coboundary_at,
     minus_id_constraint,
     principal_at,
-    principal_coboundary_witness,
 )
+from symsplit.jacobi import splits
 from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qeval, qtranslate
 from symsplit.symplectic import (
     Covector,
@@ -101,24 +100,21 @@ def test_minus_id_constraint_rejects_odd_modulus():
 
 
 def test_witness_frozen_rank_one():
-    w = principal_coboundary_witness(QuadraticRefinement((1, 1)))
-    assert w == CoboundaryWitness(Covector((0, 0), 2))
-    w = principal_coboundary_witness(QuadraticRefinement((0, 0)))
-    assert w == CoboundaryWitness(Covector((1, 1), 2))
-    w = principal_coboundary_witness(QuadraticRefinement((0, 1)))
-    assert w == CoboundaryWitness(Covector((1, 0), 2))
+    assert splits(1, 0, QuadraticRefinement((1, 1))).witness == Covector((0, 0), 2)
+    assert splits(1, 0, QuadraticRefinement((0, 0))).witness == Covector((1, 1), 2)
+    assert splits(1, 0, QuadraticRefinement((0, 1))).witness == Covector((1, 0), 2)
 
 
 def test_witness_absent_above_rank_one():
     for r in (2, 3):
-        assert principal_coboundary_witness(QuadraticRefinement.zero(r)) is None
-        assert principal_coboundary_witness(QuadraticRefinement.arf_one(r)) is None
+        assert splits(r, 0, QuadraticRefinement.zero(r)).witness is None
+        assert splits(r, 0, QuadraticRefinement.arf_one(r)).witness is None
 
 
 def test_witness_makes_cocycles_agree():
     # when a witness exists, the principal cocycle IS the coboundary of the witness
     psi = QuadraticRefinement((0, 0))
-    xbar = principal_coboundary_witness(psi).xbar
+    xbar = splits(1, 0, psi).witness
     for a in _random_words(1, 20, seed=33):
         assert principal_at(psi, a) == coboundary_at(xbar, a)
 
@@ -130,19 +126,19 @@ def _object_level_witness(psi):
     for bits in product((0, 1), repeat=n):
         xbar = Covector(bits, 2)
         if all(qeval(qtranslate(psi, xbar), v) == 1 for v in nonzero):
-            return CoboundaryWitness(xbar)
+            return xbar
     return None
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_witness_matches_object_level_search_on_every_base(r):
+    words = _random_words(r, 5, seed=40 + r)
     for psi in enumerate_refinements(r):
-        assert principal_coboundary_witness(psi) == _object_level_witness(psi)
-
-
-def test_witness_rank_limit():
-    with pytest.raises(ValueError):
-        principal_coboundary_witness(QuadraticRefinement.zero(9))
+        xbar = splits(r, 0, psi).witness
+        assert xbar == _object_level_witness(psi)
+        if xbar is not None:
+            for a in words:
+                assert principal_at(psi, a) == coboundary_at(xbar, a)
 
 
 def test_tabulated_negative_control():

@@ -15,11 +15,9 @@ from symsplit.jacobi import (
     jacobi_identity,
     jinv,
     jmul,
-    lift_bits,
     random_member,
     reduce_modulus,
     reframe,
-    section_from_witness,
     splits,
 )
 from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qdifference, qeval, qtranslate
@@ -221,19 +219,31 @@ def _object_level_split_search(psi):
     return None, None, 4 ** psi.rank
 
 
+def _assert_matches_object_level_search(psi):
+    verdict = splits(psi.rank, 0, psi)
+    xbar, shifted, checked = _object_level_split_search(psi)
+    assert verdict.splits == (xbar is not None)
+    assert (verdict.witness, verdict.fixed_refinement, verdict.candidates_checked) == (
+        xbar, shifted, checked)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_splits_matches_object_level_search_on_every_base(r):
     for psi in enumerate_refinements(r):
-        verdict = splits(r, 0, psi)
-        xbar, shifted, checked = _object_level_split_search(psi)
-        assert verdict.splits == (xbar is not None)
-        assert (verdict.witness, verdict.fixed_refinement, verdict.candidates_checked) == (
-            xbar, shifted, checked)
+        _assert_matches_object_level_search(psi)
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_splits_matches_object_level_search_on_seeded_bases(r):
+    rng = random.Random(1000 + r)
+    for _ in range(4):
+        _assert_matches_object_level_search(
+            QuadraticRefinement(tuple(rng.randint(0, 1) for _ in range(2 * r))))
 
 
 def test_splits_guards():
     with pytest.raises(ValueError):
-        splits(9, 0)
+        splits(32, 0)
     with pytest.raises(ValueError):
         splits(1, 6)
     with pytest.raises(ValueError):
@@ -271,16 +281,8 @@ def test_section_from_nonzero_witness():
         assert gamma_psi_member(sigma(a), psi)
 
 
-def test_lift_bits():
-    xbar = Covector((1, 0), 2)
-    assert lift_bits(xbar, 0) == Covector((1, 0))
-    assert lift_bits(xbar, 24) == Covector((1, 0), 24)
-    with pytest.raises(ValueError):
-        lift_bits(Covector((1, 0), 4), 0)
-
-
 def test_section_from_witness_standalone():
-    sigma = section_from_witness(Covector((1, 1), 2), 0)
+    sigma = splits(1, 0, QuadraticRefinement((0, 0))).section()
     g = sigma(transvection(Vector.u(1, 1)))
     x = Covector((1, 1))
     assert g.x == x.act(g.a) - x

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsplit.jacobi import splits
 from symsplit.quadratic import (
     QuadraticRefinement,
     _generators,
@@ -16,7 +17,6 @@ from symsplit.quadratic import (
     enumerate_refinements,
     expected_orbit_sizes,
     is_group_fixed,
-    least_fixed_translate,
     orbit_decomposition,
     orbit_of,
     qact,
@@ -314,8 +314,10 @@ def test_lex_states_follow_product_order(nbits):
 
 
 def test_least_fixed_translate_frozen():
-    assert least_fixed_translate(QuadraticRefinement((0, 1))) == (Covector((1, 0), 2), 3)
-    assert least_fixed_translate(QuadraticRefinement.zero(2)) == (None, 16)
+    verdict = splits(1, 0, QuadraticRefinement((0, 1)))
+    assert (verdict.witness, verdict.candidates_checked) == (Covector((1, 0), 2), 3)
+    verdict = splits(2, 0, QuadraticRefinement.zero(2))
+    assert (verdict.witness, verdict.candidates_checked) == (None, 16)
 
 
 def test_internal_refinements_equal_public_construction():
@@ -324,7 +326,8 @@ def test_internal_refinements_equal_public_construction():
     for r in (1, 2, 3):
         n = 2 * r
         internal = (enumerate_refinements(r) + orbit_of(QuadraticRefinement.zero(r))
-                    + [orbit.representative for orbit in orbit_decomposition(r).orbits])
+                    + [orbit.representative for orbit in orbit_decomposition(r).orbits]
+                    + [QuadraticRefinement.zero(r), QuadraticRefinement.arf_one(r)])
         for psi in internal:
             public = QuadraticRefinement(psi.basis_values)
             assert psi == public and hash(psi) == hash(public)
@@ -340,9 +343,10 @@ def test_internal_refinements_equal_public_construction():
                 (qtranslate(psi, xbar), QuadraticRefinement([p + c for p, c in zip(psi.basis_values, xbar.coords)])),
                 (qdifference(phi, psi), Covector([p - q for p, q in zip(phi.basis_values, psi.basis_values)], 2)),
             ]
-            witness, _ = least_fixed_translate(psi)
-            if witness is not None:
-                results.append((witness, Covector(witness.coords, 2)))
+            verdict = splits(r, 0, psi)
+            if verdict.splits:
+                results.append((verdict.witness, Covector(verdict.witness.coords, 2)))
+                results.append((verdict.fixed_refinement, QuadraticRefinement(verdict.fixed_refinement.basis_values)))
             for got, want in results:
                 assert got == want and hash(got) == hash(want)
                 values = got.coords if isinstance(got, Covector) else got.basis_values
