@@ -2,8 +2,9 @@
 """Tabulate refinement orbit sizes against the closed formulas, rank by rank.
 
 Each rank contributes two orbits, one per Arf value; the census recomputes the
-sizes by breadth-first search over the 3r - 1 generating transvections and
-compares with 2^(2r-1) +/- 2^(r-1).  A rank costs 4^r (3r - 1) steps.
+sizes by closing each orbit, held as one 4^r-bit int, under the 3r - 1
+generating transvections and compares with 2^(2r-1) +/- 2^(r-1).  A rank costs
+a few rounds of 3r - 1 big-int steps on 4^r bits: rank 10 takes about 0.05 s.
 """
 
 from __future__ import annotations

@@ -58,9 +58,11 @@ def test_orbits_json_schema_and_determinism(capsys):
 
 
 def test_orbits_rank_guard(capsys):
-    code, out, err = _run(capsys, "orbits", "--r", "9")
+    code, out, err = _run(capsys, "orbits", "--r", "10", "--format", "json")
+    assert code == 0 and err == "" and json.loads(out)["results"]["pass"] is True
+    code, out, err = _run(capsys, "orbits", "--r", "11")
     assert code == 2 and out == ""
-    assert "1..8" in err
+    assert "1..10" in err
 
 
 def test_split_table_rank_one(capsys):

@@ -6,12 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsplit import quadratic
 from symsplit.jacobi import splits
 from symsplit.quadratic import (
     QuadraticRefinement,
     _generators,
     _lex_states,
-    _orbit_states,
+    _orbit_bitset,
     _state_of,
     arf,
     enumerate_refinements,
@@ -231,7 +232,7 @@ def test_orbit_of_frozen_rank_one():
     assert orbit_of(QuadraticRefinement.arf_one(1)) == [QuadraticRefinement.arf_one(1)]
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 9, 10])
 def test_orbit_decomposition_against_formulas(r):
     report = orbit_decomposition(r)
     assert report.rank == r
@@ -239,6 +240,13 @@ def test_orbit_decomposition_against_formulas(r):
     assert tuple(c.size for c in report.orbits) == expected_orbit_sizes(r)
     assert report.orbits[0].representative == QuadraticRefinement.zero(r)
     assert report.orbits[1].representative == QuadraticRefinement.arf_one(r)
+
+
+def test_orbit_decomposition_rejects_overlapping_orbits(monkeypatch):
+    # a closure that also reaches state 0 from every start makes the second orbit overlap the first
+    monkeypatch.setattr(quadratic, "_orbit_bitset", lambda start, nbits: (1 << start) | 1)
+    with pytest.raises(ArithmeticError, match="overlap"):
+        orbit_decomposition(1)
 
 
 def test_orbit_sizes_sum_to_refinement_count():
@@ -254,12 +262,36 @@ def test_group_fixed_classification_rank_one_and_two():
 
 
 def test_rank_limits():
+    # listing stops at 9 (2^20 refinement objects at r = 10); decomposition builds only representatives
     with pytest.raises(ValueError):
-        orbit_decomposition(9)
-    with pytest.raises(ValueError):
-        enumerate_refinements(13)
-    with pytest.raises(ValueError):
-        orbit_of(QuadraticRefinement.zero(13))
+        orbit_decomposition(11)
+    with pytest.raises(ValueError, match="enumeration limit 9"):
+        enumerate_refinements(10)
+    with pytest.raises(ValueError, match="orbit limit 9"):
+        orbit_of(QuadraticRefinement.zero(10))
+
+
+def _orbit_states(start, nbits):
+    """Breadth-first closure of a state under the generators, one state at a time."""
+    gens = _generators(nbits)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for v, par, swap in gens:
+                if ((s & v).bit_count() ^ par) & 1:
+                    continue  # psi(v) = 1: this transvection fixes the state
+                t = s ^ swap
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
+def _bitset(states):
+    return sum(1 << s for s in states)
 
 
 def _all_directions_closure(start, nbits):
@@ -293,13 +325,34 @@ def test_generator_closure_matches_all_directions_every_start(r):
     n = 2 * r
     assert len(_generators(n)) == 3 * r - 1
     for start in range(1 << n):
-        assert _orbit_states(start, n) == _all_directions_closure(start, n)
+        orbit = _orbit_bitset(start, n)
+        assert orbit == _bitset(_all_directions_closure(start, n))
+        assert orbit == _bitset(_orbit_states(start, n))
 
 
 def test_generator_closure_matches_all_directions_rank_four():
     rng = random.Random(2024)
     for start in rng.sample(range(1 << 8), 20):
-        assert _orbit_states(start, 8) == _all_directions_closure(start, 8)
+        assert _orbit_bitset(start, 8) == _bitset(_all_directions_closure(start, 8))
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_bitset_closure_matches_breadth_first_search(r):
+    n = 2 * r
+    rng = random.Random(300 + r)
+    for start in rng.sample(range(1 << n), 20):
+        assert _orbit_bitset(start, n) == _bitset(_orbit_states(start, n))
+
+
+@pytest.mark.parametrize("r", [1, 4, 6])
+def test_orbit_of_lists_the_closure_in_order(r):
+    rng = random.Random(400 + r)
+    n = 2 * r
+    for _ in range(3):
+        start = rng.randrange(1 << n)
+        psi = QuadraticRefinement(tuple((start >> i) & 1 for i in range(n)))
+        listed = [member.basis_values for member in orbit_of(psi)]
+        assert listed == sorted(tuple((s >> i) & 1 for i in range(n)) for s in _orbit_states(start, n))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -35,6 +35,20 @@ def test_orbit_census_runs():
     assert "MISMATCH" not in proc.stdout
 
 
+def test_orbit_census_top_rank():
+    proc = _run_script("orbit_census.py", "--max-rank", "10")
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [[str(r), str(a), str(2 ** (2 * r - 1) + (-1) ** a * 2 ** (r - 1))]
+                                         for r in range(1, 11) for a in (0, 1)]
+    assert all(row[2] == row[3] for row in rows)
+    assert [row[4] for row in rows[-2:]] == ["0" * 20, "0" * 18 + "11"]
+    assert "MISMATCH" not in proc.stdout
+    proc = _run_script("orbit_census.py", "--max-rank", "11")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--max-rank must lie in 1..10" in proc.stderr
+
+
 @pytest.mark.parametrize("name", ["splitting_survey.py", "orbit_census.py"])
 def test_script_rank_guard(name):
     proc = _run_script(name, "--max-rank", "0")
