@@ -145,10 +145,13 @@ def _cmd_orbits(args) -> tuple[int, str]:
         "expected_sizes": list(exp),
         "pass": passed,
     }
+    # right-aligned columns, each as wide as its header or its widest entry
+    size_w = max(len("size"), *(len(str(c.size)) for c in rep.orbits))
+    exp_w = max(len("expected"), *(len(str(e)) for e in exp))
     lines = [f"orbits  r={r}  version={__version__}",
-             "arf  size  expected  representative"]
+             f"arf  {'size':>{size_w}}  {'expected':>{exp_w}}  representative"]
     for c, e in zip(rep.orbits, exp):
-        lines.append(f"{c.arf_label:>3}  {c.size:>4}  {e:>8}  {_bits(c.representative.basis_values)}")
+        lines.append(f"{c.arf_label:>3}  {c.size:>{size_w}}  {e:>{exp_w}}  {_bits(c.representative.basis_values)}")
     lines.append(f"formulas: {'PASS' if passed else 'FAIL'}")
     text = _render(_report("orbits", {"r": r}, results), args.format, lines)
     return (0 if passed else 1), text

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadratic import QuadraticRefinement, qact, qdifference
+from .quadratic import QuadraticRefinement, _bits_of, _principal_state
 from .symplectic import Covector, SymplecticMatrix, neg_identity
 
 
@@ -98,7 +98,11 @@ def coboundary_at(x: Covector, a: SymplecticMatrix) -> Covector:
 
 
 def principal_at(psi: QuadraticRefinement, a: SymplecticMatrix) -> Covector:
-    return qdifference(qact(psi, a), psi)
+    """psi.A - psi as a mod-2 covector, read off the packed kernel of `qact`.
+
+    Raises as `qact` does; the returned covector is the only object built.
+    """
+    return Covector._trusted(_bits_of(_principal_state(psi, a), 2 * psi.rank), 2)
 
 
 def check_cocycle_law(s: Cocycle, a: SymplecticMatrix, b: SymplecticMatrix) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cocycles import principal_at
-from .quadratic import QuadraticRefinement, is_group_fixed, qdifference
+from .quadratic import QuadraticRefinement, _principal_state, _state_of, is_group_fixed, qdifference
 from .symplectic import Covector, SymplecticMatrix, _check_rank, random_symplectic_word
 
 # A verdict without a witness reports 4^r candidates; 4^31 is the largest such
@@ -68,12 +68,16 @@ def jinv(g: JacobiElement) -> JacobiElement:
 
 
 def gamma_psi_member(g: JacobiElement, psi: QuadraticRefinement) -> bool:
-    """Whether the mod-2 part of x equals the principal cocycle value of A."""
+    """Whether the mod-2 part of x equals the principal cocycle value psi.A - psi of A.
+
+    Both sides are compared as packed 2r-bit states, the parities of x against
+    the packed kernel of `qact`; no object is built.
+    """
     if g.rank != psi.rank:
         raise ValueError("rank mismatch")
     if g.modulus % 2:
         raise ValueError("membership needs modulus 0 or even")
-    return g.x.reduce_to(2) == principal_at(psi, g.a)
+    return _state_of(g.x.coords) == _principal_state(psi, g.a)
 
 
 def include_fiber(x: Covector, r: int) -> JacobiElement:

@@ -25,8 +25,16 @@ generic matrix action.
 
 Mod-2 data comes in as integer objects and is read by its parities: qeval
 takes a `Vector`, qact a `SymplecticMatrix`, and translations are
-`Covector`s of modulus 2.  Internally a refinement, a vector or a matrix
-column is packed into a 2r-bit int (bit i is coordinate i mod 2).
+`Covector`s of modulus 2.  Internally a refinement or a vector is packed into
+a 2r-bit int (bit i is coordinate i mod 2), and a matrix by rows: row R_i has
+bit j set when A[i][j] is odd.  The action psi.A is then the XOR of the rows
+R_i at the set bits of psi, XOR R_2k & R_2k+1 for each pair, in O(r) big-int
+steps (`_qact_state`).  `qact`, `cocycles.principal_at` and
+`jacobi.gamma_psi_member` share that kernel, so a membership test compares
+two packed ints and builds no object.  Sets of states are 4^r-bit ints, as in
+the orbit closure; XOR by a fixed mask moves such a set by a few masks and
+shifts (`_xor_moved`), which the `verify` torsor check uses to see that the
+translates of one refinement cover all 4^r states.
 Refinements and mod-2 covectors built here from bits already reduced (the
 zero and Arf-one refinements, the action, translation, difference,
 enumeration and orbits) are wrapped without the public constructors'
@@ -37,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product, repeat
+from operator import and_
 from typing import Iterator
 
 from .symplectic import SymplecticMatrix, Covector, Vector, _check_rank
@@ -99,23 +108,54 @@ def qeval(psi: QuadraticRefinement, v: Vector) -> int:
 def qact(psi: QuadraticRefinement, a: SymplecticMatrix) -> QuadraticRefinement:
     """Right action psi.A, i.e. the refinement v -> psi(Av); depends only on A mod 2.
 
-    Value j is psi at column j of A.  The column's parities are packed into a
-    2r-bit int c (bit i is entry i mod 2), and psi(c) is popcount(c & psi)
-    plus the pair products popcount(c & (c >> 1) & even), mod 2: the qeval
-    formula on packed states.
+    Value j is psi at column j of A, computed for all j at once from the
+    row-packed parities of A (see `_qact_state`).
+    """
+    state = _principal_state(psi, a) ^ _state_of(psi.basis_values)
+    return QuadraticRefinement._trusted(_bits_of(state, 2 * psi.rank))
+
+
+def _principal_state(psi: QuadraticRefinement, a: SymplecticMatrix) -> int:
+    """The packed state of psi.A - psi, i.e. of psi.A XOR psi.
+
+    Raises TypeError unless a is a SymplecticMatrix, and ValueError unless its
+    rank is psi's.  `qact`, `cocycles.principal_at` and
+    `jacobi.gamma_psi_member` all go through here.
     """
     if not isinstance(a, SymplecticMatrix):
         raise TypeError("expected a SymplecticMatrix")
-    n = 2 * psi.rank
-    if len(a.rows) != n:
+    if len(a.rows) != 2 * psi.rank:
         raise ValueError("rank mismatch")
     state = _state_of(psi.basis_values)
-    even = _even_mask(n)
-    values = []
-    for col in zip(*a.rows):
-        c = _state_of(col)
-        values.append(((c & state).bit_count() + (c & (c >> 1) & even).bit_count()) & 1)
-    return QuadraticRefinement._trusted(tuple(values))
+    return _qact_state(state, a.rows) ^ state
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _qact_state(state: int, rows) -> int:
+    """psi.A on packed states: psi's state in, the state of psi.A out.
+
+    Bit j of the result is psi(c) for column c of A: the XOR of c_i over the
+    set bits i of psi, XOR the pair products c_2k c_2k+1.  Packing row R_i
+    (bit j is A[i][j] mod 2) makes that, for all j at once, the XOR of R_i
+    over the set bits i of the state, XOR R_2k & R_2k+1 for every pair.  The
+    n rows are packed together, as one n^2-bit int whose bits i*n .. i*n + n - 1
+    are R_i: the parities go through `map` into bytes, are spelled as binary
+    digits and read by `int`, with no Python-level loop over the entries.
+    """
+    n = len(rows)
+    packed = int(bytes(map(and_, chain.from_iterable(rows), repeat(1)))[::-1].translate(_DIGITS), 2)
+    mask = (1 << n) - 1
+    out = 0
+    for i in range(0, n, 2):
+        first, second = packed >> (i * n) & mask, packed >> (i * n + n) & mask
+        out ^= first & second
+        if state >> i & 1:
+            out ^= first
+        if state >> (i + 1) & 1:
+            out ^= second
+    return out
 
 
 def qtranslate(psi: QuadraticRefinement, xbar: Covector) -> QuadraticRefinement:
@@ -211,36 +251,59 @@ def _lex_states(nbits: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
+def _block_clears(nbits: int) -> tuple[int, ...]:
+    """Per bit k, the bitset C_k of the states whose bit k is clear.
+
+    Over the 2^nbits states a bitset has bit s set when state s is in it.
+    C_k repeats 2^k set and 2^k clear bits; its complement B_k holds the
+    states whose bit k is set.  Cached per rank.
+    """
+    size = 1 << nbits
+    clears = []
+    for k in range(nbits):
+        width = 1 << k
+        clear, period = (1 << width) - 1, 2 * width
+        while period < size:
+            clear |= clear << period
+            period *= 2
+        clears.append(clear)
+    return tuple(clears)
+
+
+def _xor_moves(mask: int, nbits: int) -> tuple[tuple[int, int], ...]:
+    """The moves (2^k, C_k), one per set bit k of mask, that make up XOR by mask on a bitset."""
+    clears = _block_clears(nbits)
+    return tuple((1 << k, clears[k]) for k in range(nbits) if mask >> k & 1)
+
+
+def _xor_moved(bitset: int, mask: int, nbits: int) -> int:
+    """The set {s XOR mask : s in bitset} of nbits-bit states.
+
+    XOR by 2^k swaps each state in C_k with its partner 2^k above it, so each
+    move is one mask-and-shift each way.
+    """
+    for shift, clear in _xor_moves(mask, nbits):
+        bitset = ((bitset & clear) << shift) | ((bitset >> shift) & clear)
+    return bitset
+
+
+@lru_cache(maxsize=None)
 def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """Per generator, the bitset P_v of states with psi(v) = 0 and the moves of its swap.
 
-    Over the 2^nbits states a bitset has bit s set when state s is in it.  B_k,
-    the states whose bit k is set, repeats 2^k clear and 2^k set bits.  psi(v)
-    is popcount(s & v) plus the self-pairing parity, so P_v is the XOR of B_k
-    over the set bits k of v, complemented when that parity is 0.  XOR by the
-    swap mask permutes states; it is one move (2^k, complement of B_k) per set
-    bit k of the mask.  Cached per rank: at r = 10 the 5r - 1 masks of 4^r
-    bits hold about 6.5 MB.
+    psi(v) is popcount(s & v) plus the self-pairing parity, so P_v is the XOR
+    of B_k over the set bits k of v, complemented when that parity is 0.
+    Cached per rank: at r = 10 the 5r - 1 masks of 4^r bits hold about 6.5 MB.
     """
-    size = 1 << nbits
-    full = (1 << size) - 1
-    blocks = []
-    for k in range(nbits):
-        width = 1 << k
-        block, period = ((1 << width) - 1) << width, 2 * width
-        while period < size:
-            block |= block << period
-            period *= 2
-        blocks.append(block)
-    clears = [full ^ block for block in blocks]
+    full = (1 << (1 << nbits)) - 1
+    clears = _block_clears(nbits)
     steps = []
     for v, par, swap in _generators(nbits):
         odd = 0
         for k in range(nbits):
             if v >> k & 1:
-                odd ^= blocks[k]
-        moves = tuple((1 << k, clears[k]) for k in range(nbits) if swap >> k & 1)
-        steps.append((odd if par else full ^ odd, moves))
+                odd ^= full ^ clears[k]
+        steps.append((odd if par else full ^ odd, _xor_moves(swap, nbits)))
     return tuple(steps)
 
 
@@ -252,7 +315,8 @@ def _orbit_bitset(start: int, nbits: int) -> int:
         before = orbit
         for zero_at_v, moves in steps:
             moved = orbit & zero_at_v
-            for shift, clear in moves:
+            for shift, clear in moves:  # _xor_moved inlined: a call per generator and round costs
+                # several percent of orbit_decomposition at small ranks
                 moved = ((moved & clear) << shift) | ((moved >> shift) & clear)
             orbit |= moved
         if orbit == before:

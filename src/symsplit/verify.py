@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from .cocycles import (CoboundaryCocycle, PrincipalCocycle, TabulatedCocycle,
                        check_cocycle_law, coboundary_at, minus_id_constraint, principal_at)
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
-from .quadratic import QuadraticRefinement, enumerate_refinements, qdifference, qtranslate
+from .quadratic import QuadraticRefinement, _state_of, _xor_moved, qdifference, qtranslate
 from .symplectic import Covector, SymplecticMatrix, Vector, neg_identity, random_symplectic_word, transvection
 
 SUITE_MODULI = (0, 4, 24, 240)
-VERIFY_RANK_LIMIT = 6
+VERIFY_RANK_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,22 @@ def _cocycle_law_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
 
 
 def _torsor_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
+    # Full image, as one 4^r-bit set (bit s for state s, see quadratic._xor_moved):
+    # start from the zero base and, for each unit covector e_j, add the set
+    # XOR-moved by the state of qtranslate(zero, e_j).  The result holds every
+    # XOR of those 2r states, the translates of the zero base by sums of unit
+    # covectors, and it is all 4^r states iff the 2r states form a basis.  Then
+    # translation reaches every refinement (transitive), and as there are as
+    # many covectors as refinements, each by exactly one covector (free).  The
+    # samples below check that translates compose and invert by XOR.
     passed = 0
+    n = 2 * r
     base = QuadraticRefinement.zero(r)
-    # every translate of the zero base; the bits are already reduced, so no re-coercion
-    image = {qtranslate(base, Covector._trusted(q.basis_values, 2)) for q in enumerate_refinements(r)}
-    passed += image == set(enumerate_refinements(r))
+    image = 1
+    for j in range(n):
+        translate = qtranslate(base, Covector.unit(r, j, 2))
+        image |= _xor_moved(image, _state_of(translate.basis_values), n)
+    passed += image == (1 << (1 << n)) - 1
     for _ in range(samples):
         psi = _random_refinement(r, rng)
         xbar = _random_bit_covector(r, rng)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,28 @@ def test_orbits_json_schema_and_determinism(capsys):
     assert res["orbits"][0] == {"arf": 0, "size": 3, "representative": [0, 0]}
     assert res["orbits"][1] == {"arf": 1, "size": 1, "representative": [1, 1]}
     assert out1 == json.dumps(report, sort_keys=True) + "\n"
+
+
+def _assert_columns_line_up(header, rows, left):
+    """Every cell ends where its header label ends, or starts where it starts for the columns in left."""
+    labels = [m.span() for m in re.finditer(r"\S+", header)]
+    for row in rows:
+        cells = [m.span() for m in re.finditer(r"\S+", row)]
+        assert len(cells) == len(labels), (header, row)
+        for i, (label, cell) in enumerate(zip(labels, cells)):
+            if i in left:
+                assert cell[0] == label[0], (header, row)
+            else:
+                assert cell[1] == label[1], (header, row)
+
+
+@pytest.mark.parametrize("r", [1, 8, 10])
+def test_orbits_columns_line_up(capsys, r):
+    code, out, err = _run(capsys, "orbits", "--r", str(r))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 5 and lines[-1] == "formulas: PASS"
+    _assert_columns_line_up(lines[1], lines[2:-1], left={3})
 
 
 def test_orbits_rank_guard(capsys):
@@ -283,8 +306,10 @@ def test_verify_negative_control(capsys):
 
 
 def test_verify_guards(capsys):
-    code, _, err = _run(capsys, "verify", "--r", "7", "--samples", "5", "--seed", "1")
-    assert code == 2 and "1..6" in err
+    code, out, err = _run(capsys, "verify", "--r", "8", "--samples", "5", "--seed", "1")
+    assert code == 0 and err == "" and out.splitlines()[-1] == "all suites: PASS"
+    code, out, err = _run(capsys, "verify", "--r", "9", "--samples", "5", "--seed", "1")
+    assert code == 2 and out == "" and "1..8" in err
     code, _, err = _run(capsys, "verify", "--r", "1", "--samples", "0", "--seed", "1")
     assert code == 2 and "positive" in err
 

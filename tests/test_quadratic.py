@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symsplit import quadratic
-from symsplit.jacobi import splits
+from symsplit.cocycles import principal_at
+from symsplit.jacobi import JacobiElement, gamma_psi_member, splits
 from symsplit.quadratic import (
     QuadraticRefinement,
     _generators,
@@ -123,29 +124,43 @@ def _qact_by_columns(psi, a):
 
 
 def _test_matrices(r, rng):
-    """Seeded words with small entries, -Id, and words with negative multi-hundred-digit entries."""
+    """Seeded words with small entries, -Id, and words with negative entries of 300 digits and more."""
     mats = [random_symplectic_word(r, rng.randint(0, 10), rng) for _ in range(6)]
     mats.append(neg_identity(r))
     for _ in range(3):
-        huge = Vector(tuple(rng.randint(-10 ** 150, 10 ** 150) for _ in range(2 * r)))
+        huge = Vector(tuple(rng.randint(-10 ** 300, 10 ** 300) for _ in range(2 * r)))
         mats.append(random_symplectic_word(r, 4, rng) * transvection(huge)
                     * random_symplectic_word(r, 4, rng))
     entries = [e for a in mats for row in a.rows for e in row]
-    assert min(entries) < 0 and max(len(str(abs(e))) for e in entries) >= 200
+    assert min(entries) < 0 and max(len(str(abs(e))) for e in entries) >= 300
     return mats
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_packed_qact_matches_column_oracle(r):
+    # qact, principal_at and gamma_psi_member against psi.A built by qeval on each
+    # column and psi.A - psi as qdifference of objects: every psi at r <= 2
     rng = random.Random(100 + r)
     if r <= 2:
         psis = enumerate_refinements(r)
     else:
         psis = [QuadraticRefinement(tuple(rng.randint(0, 1) for _ in range(2 * r)))
                 for _ in range(12)]
+    big = 10 ** 299 + 7  # 300 digits
     for a in _test_matrices(r, rng):
         for psi in psis:
-            assert qact(psi, a) == _qact_by_columns(psi, a)
+            acted = _qact_by_columns(psi, a)
+            assert qact(psi, a) == acted
+            xbar = qdifference(acted, psi)
+            got = principal_at(psi, a)
+            assert got == xbar and hash(got) == hash(xbar)
+            # a member lifts xbar by even noise; flipping one parity makes a non-member
+            x = [b + 2 * rng.choice((-big, -5, 0, 3, big)) for b in xbar.coords]
+            j = rng.randrange(2 * r)
+            flipped = x[:j] + [x[j] + rng.choice((-1, 1))] + x[j + 1:]
+            for m in (0, 24):
+                assert gamma_psi_member(JacobiElement(Covector(x, m), a), psi)
+                assert not gamma_psi_member(JacobiElement(Covector(flipped, m), a), psi)
 
 
 def test_qact_right_action_law():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,14 @@ def test_orbit_census_top_rank():
     assert all(row[2] == row[3] for row in rows)
     assert [row[4] for row in rows[-2:]] == ["0" * 20, "0" * 18 + "11"]
     assert "MISMATCH" not in proc.stdout
+    # each cell ends under its header label; the left-aligned representative starts under it
+    header, *lines = proc.stdout.splitlines()
+    labels = [m.span() for m in re.finditer(r"\S+", header)]
+    for line in lines:
+        cells = [m.span() for m in re.finditer(r"\S+", line)]
+        assert len(cells) == len(labels)
+        assert [c[0] if i == 4 else c[1] for i, c in enumerate(cells)] == \
+            [h[0] if i == 4 else h[1] for i, h in enumerate(labels)], line
     proc = _run_script("orbit_census.py", "--max-rank", "11")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "--max-rank must lie in 1..10" in proc.stderr

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import pytest
 
+from symsplit import quadratic
+from symsplit.quadratic import QuadraticRefinement
 from symsplit.verify import SUITE_MODULI, VERIFY_RANK_LIMIT, SuiteResult, run_suites
 
 EXPECTED_ORDER = ["cocycle_law", "torsor", "additivity", "minus_id",
@@ -39,3 +44,35 @@ def test_negative_control_appends_expected_failure():
     control = suites[-1]
     assert control.passed == 0 and control.total == 1 and not control.ok
     assert all(s.ok for s in suites[:-1])
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_torsor_check_builds_no_refinement_per_state(monkeypatch, seed):
+    # the full-image check is one 4^r-bit set: no listing of all refinements and,
+    # over all suites at r = 6, fewer refinement objects than the 4^6 states
+    counts = Counter()
+    listing = quadratic.enumerate_refinements
+
+    def counting_listing(r):
+        counts["enumerate_refinements"] += 1
+        return listing(r)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symsplit") and getattr(module, "enumerate_refinements", None) is listing:
+            monkeypatch.setattr(module, "enumerate_refinements", counting_listing)
+    trusted, post_init = QuadraticRefinement._trusted.__func__, QuadraticRefinement.__post_init__
+
+    def counting_trusted(cls, values):
+        counts["refinements"] += 1
+        return trusted(cls, values)
+
+    def counting_post_init(self):
+        counts["refinements"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(QuadraticRefinement, "_trusted", classmethod(counting_trusted))
+    monkeypatch.setattr(QuadraticRefinement, "__post_init__", counting_post_init)
+    suites = run_suites(6, 20, seed)
+    assert all(s.ok for s in suites)
+    assert counts["enumerate_refinements"] == 0
+    assert 0 < counts["refinements"] < 4 ** 6
