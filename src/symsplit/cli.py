@@ -169,10 +169,10 @@ def _verdict_dict(v: SplitVerdict) -> dict:
     }
 
 
-def _verdict_line(flavor: str, v: SplitVerdict) -> str:
+def _verdict_line(flavor: str, v: SplitVerdict, modulus_w: int, checked_w: int) -> str:
     witness = _bits(v.witness.coords) if v.witness is not None else "-"
-    return (f"{flavor:<9} {v.modulus:>7}  {'yes' if v.splits else 'no':<6} "
-            f"{witness:<8} {v.candidates_checked:>7}")
+    return (f"{flavor:<9} {v.modulus:>{modulus_w}}  {'yes' if v.splits else 'no':<6} "
+            f"{witness:<8} {v.candidates_checked:>{checked_w}}")
 
 
 def _cmd_split(args) -> tuple[int, str]:
@@ -188,10 +188,13 @@ def _cmd_split(args) -> tuple[int, str]:
         "homotopy": _verdict_dict(verdict.homotopy),
         "verdicts_agree": agree,
     }
+    # right-aligned number columns, each as wide as its header or its widest entry
+    flavors = (("smooth", verdict.smooth), ("homotopy", verdict.homotopy))
+    modulus_w = max(len("modulus"), *(len(str(v.modulus)) for _, v in flavors))
+    checked_w = max(len("checked"), *(len(str(v.candidates_checked)) for _, v in flavors))
     lines = [f"split  p={args.p}  r={r}  version={__version__}",
-             "flavor    modulus  splits  witness  checked",
-             _verdict_line("smooth", verdict.smooth),
-             _verdict_line("homotopy", verdict.homotopy)]
+             f"flavor    {'modulus':>{modulus_w}}  splits  witness  {'checked':>{checked_w}}",
+             *(_verdict_line(name, v, modulus_w, checked_w) for name, v in flavors)]
     if verdict.smooth.splits:
         lines.append("section: A -> (x.A - x, A) for x any lift of the witness")
     else:

@@ -165,7 +165,7 @@ def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> S
     if not is_group_fixed(fixed):
         return SplitVerdict(r, modulus, base, False, None, None, 4 ** r)
     xbar = qdifference(fixed, base)
-    position = int("".join(map(str, xbar.coords)), 2) + 1
+    position = _state_of(xbar.coords) + 1
     return SplitVerdict(r, modulus, base, True, xbar, fixed, position)
 
 

@@ -26,11 +26,13 @@ generic matrix action.
 Mod-2 data comes in as integer objects and is read by its parities: qeval
 takes a `Vector`, qact a `SymplecticMatrix`, and translations are
 `Covector`s of modulus 2.  Internally a refinement or a vector is packed into
-a 2r-bit int (bit i is coordinate i mod 2), and a matrix by rows: row R_i has
-bit j set when A[i][j] is odd.  The action psi.A is then the XOR of the rows
-R_i at the set bits of psi, XOR R_2k & R_2k+1 for each pair, in O(r) big-int
-steps (`_qact_state`).  `qact`, `cocycles.principal_at` and
-`jacobi.gamma_psi_member` share that kernel, so a membership test compares
+a 2r-bit int whose bit 2r - 1 - i is coordinate i mod 2 (`_state_of`): the
+state read as a number is the 0/1 tuple read in binary, so numeric order of
+states is lexicographic order of refinements.  A matrix is packed by rows,
+each row like a state from its parities.  The action psi.A is then the XOR of
+the rows R_i at the coordinates i where psi is 1, XOR R_2k & R_2k+1 for each
+pair, in O(r) big-int steps (`_qact_state`).  `qact`, `cocycles.principal_at`
+and `jacobi.gamma_psi_member` share that kernel, so a membership test compares
 two packed ints and builds no object.  Sets of states are 4^r-bit ints, as in
 the orbit closure; XOR by a fixed mask moves such a set by a few masks and
 shifts (`_xor_moved`), which the `verify` torsor check uses to see that the
@@ -47,7 +49,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product, repeat
 from operator import and_
-from typing import Iterator
 
 from .symplectic import SymplecticMatrix, Covector, Vector, _check_rank
 
@@ -136,16 +137,18 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def _qact_state(state: int, rows) -> int:
     """psi.A on packed states: psi's state in, the state of psi.A out.
 
-    Bit j of the result is psi(c) for column c of A: the XOR of c_i over the
-    set bits i of psi, XOR the pair products c_2k c_2k+1.  Packing row R_i
-    (bit j is A[i][j] mod 2) makes that, for all j at once, the XOR of R_i
-    over the set bits i of the state, XOR R_2k & R_2k+1 for every pair.  The
-    n rows are packed together, as one n^2-bit int whose bits i*n .. i*n + n - 1
-    are R_i: the parities go through `map` into bytes, are spelled as binary
-    digits and read by `int`, with no Python-level loop over the entries.
+    Coordinate j of the result is psi(c) for column c of A: the XOR of c_i
+    over the coordinates i where psi is 1, XOR the pair products c_2k c_2k+1.
+    Packing row R_i as a state (coordinate j is A[i][j] mod 2) makes that, for
+    all j at once, the XOR of R_i over psi's 1-coordinates i, XOR R_2k & R_2k+1
+    for every pair.  The n rows are packed together as one n^2-bit int: the
+    parities go through `map` into bytes, are spelled as binary digits in
+    reading order and read by `int`, with no Python-level loop over the
+    entries.  Block b (bits b*n .. b*n + n - 1) then holds R_(n-1-b), the row
+    of coordinate n - 1 - b, which is state bit b.
     """
     n = len(rows)
-    packed = int(bytes(map(and_, chain.from_iterable(rows), repeat(1)))[::-1].translate(_DIGITS), 2)
+    packed = int(bytes(map(and_, chain.from_iterable(rows), repeat(1))).translate(_DIGITS), 2)
     mask = (1 << n) - 1
     out = 0
     for i in range(0, n, 2):
@@ -194,60 +197,46 @@ def enumerate_refinements(r: int) -> list[QuadraticRefinement]:
     return [QuadraticRefinement._trusted(bits) for bits in product((0, 1), repeat=2 * r)]
 
 
-@lru_cache(maxsize=None)
-def _even_mask(nbits: int) -> int:
-    return sum(1 << i for i in range(0, nbits, 2))
-
-
 def _state_of(bits) -> int:
+    """Pack 0/1 values (or their parities) into an int, coordinate i of n at bit n - 1 - i.
+
+    The state is the tuple read as a binary number, so numeric order of states
+    is lexicographic order of tuples.  The convention is defined here and in
+    `_bits_of`; the rest of the module follows from it.
+    """
     state = 0
-    for i, b in enumerate(bits):
-        state |= (b & 1) << i
+    for b in bits:
+        state = state << 1 | (b & 1)
     return state
 
 
 def _bits_of(state: int, nbits: int) -> tuple[int, ...]:
+    """The nbits-tuple whose `_state_of` is state."""
     # from a list, so the tuple is allocated at its final size: one built from a
     # generator is resized, and CPython then keeps it on the free list of the
     # new size, which grows with every call until a full garbage collection
-    return tuple([(state >> i) & 1 for i in range(nbits)])
+    return tuple([state >> i & 1 for i in range(nbits - 1, -1, -1)])
 
 
 @lru_cache(maxsize=None)
 def _generators(nbits: int) -> tuple[tuple[int, int, int], ...]:
     """(direction v, self-pairing parity, swap mask) for the transvections at u_i, v_i, u_i + u_{i+1}.
 
-    psi(v) is popcount(state & v) plus the self-pairing parity, mod 2.  When
-    psi(v) = 0 the transvection flips the state by the swap mask, whose bit j
-    is phibar(v, e_j); when psi(v) = 1 it fixes the state.
+    u_i and v_i are the upper and lower bit of the aligned pair of bits
+    {nbits - 2i, nbits - 2i + 1} (i from 1).  psi(v) is popcount(state & v)
+    plus the self-pairing parity, mod 2.  When psi(v) = 0 the transvection
+    flips the state by the swap mask, v with the two bits of each pair
+    exchanged, whose coordinate j is phibar(v, e_j); when psi(v) = 1 it fixes
+    the state.
     """
-    even = _even_mask(nbits)
+    even = sum(1 << i for i in range(0, nbits, 2))
     dirs = []
-    for i in range(0, nbits, 2):
-        dirs += [1 << i, 1 << (i + 1)]
-        if i + 2 < nbits:
-            dirs.append((1 << i) | (1 << (i + 2)))
+    for u in (1 << i for i in range(nbits - 1, 0, -2)):
+        dirs += [u, u >> 1]
+        if u > 2:
+            dirs.append(u | u >> 2)
     return tuple((v, (v & (v >> 1) & even).bit_count() & 1,
                   ((v & even) << 1) | ((v >> 1) & even)) for v in dirs)
-
-
-def _lex_list(nbits: int) -> list[int]:
-    states = [0]
-    for i in reversed(range(nbits)):
-        states += [s | (1 << i) for s in states]
-    return states
-
-
-def _lex_states(nbits: int) -> Iterator[int]:
-    """All states in the lexicographic order of product((0, 1), repeat=nbits).
-
-    Built from two half-width tables, so memory stays at 2^(nbits/2) entries.
-    """
-    half = nbits // 2
-    tails = [t << half for t in _lex_list(nbits - half)]
-    for head in _lex_list(half):
-        for tail in tails:
-            yield head | tail
 
 
 @lru_cache(maxsize=None)
@@ -327,14 +316,15 @@ def orbit_of(psi: QuadraticRefinement) -> list[QuadraticRefinement]:
     """Orbit of psi under the symplectic group, sorted by basis values.
 
     The orbit is closed as one 4^r-bit set (see `_orbit_bitset`), and its
-    members are listed by one lexicographic pass over the 4^r states.  The
-    list holds about 2^(2r-1) refinements, hence the rank limit.
+    members are its set bits in increasing order, which is lexicographic
+    order.  The list holds about 2^(2r-1) refinements, hence the rank limit.
     """
     if psi.rank > ENUMERATION_RANK_LIMIT:
         raise ValueError(f"rank {psi.rank} exceeds the orbit limit {ENUMERATION_RANK_LIMIT}")
     n = 2 * psi.rank
-    members = bin(_orbit_bitset(_state_of(psi.basis_values), n))[2:].zfill(1 << n)[::-1]  # char s is bit s
-    return [QuadraticRefinement._trusted(_bits_of(s, n)) for s in _lex_states(n) if members[s] == "1"]
+    orbit = _orbit_bitset(_state_of(psi.basis_values), n)
+    return [QuadraticRefinement._trusted(_bits_of(s, n))
+            for s, bit in enumerate(bin(orbit)[:1:-1]) if bit == "1"]  # char s is bit s
 
 
 def is_group_fixed(psi: QuadraticRefinement) -> bool:
@@ -359,7 +349,11 @@ class OrbitReport:
 
 
 def orbit_decomposition(r: int) -> OrbitReport:
-    """Partition all refinements into orbits, labelled by the Arf invariant."""
+    """Partition all refinements into orbits, labelled by the Arf invariant.
+
+    Each orbit is closed from the least state not yet seen, which is therefore
+    its lexicographically least member and its representative.
+    """
     r = _check_rank(r)
     if r > DECOMPOSITION_RANK_LIMIT:
         raise ValueError(f"rank {r} exceeds the decomposition limit {DECOMPOSITION_RANK_LIMIT}")
@@ -367,18 +361,13 @@ def orbit_decomposition(r: int) -> OrbitReport:
     everything = (1 << (1 << n)) - 1
     seen = 0
     classes: list[OrbitClass] = []
-    for s in _lex_states(n):
-        if seen >> s & 1:
-            continue
+    while seen != everything:
+        s = (~seen & (seen + 1)).bit_length() - 1  # the lowest clear bit of seen
         orbit = _orbit_bitset(s, n)
         if orbit & seen:
             raise ArithmeticError("orbits overlap")
         seen |= orbit
-        rep = QuadraticRefinement._trusted(_bits_of(s, n))  # lex scan: first unseen state is the least member
+        rep = QuadraticRefinement._trusted(_bits_of(s, n))
         classes.append(OrbitClass(arf(rep), orbit.bit_count(), rep))
-        if seen == everything:
-            break
-    if seen != everything:
-        raise ArithmeticError("orbits failed to partition the refinement set")
     classes.sort(key=lambda c: (c.arf_label, c.representative.basis_values))
     return OrbitReport(r, tuple(classes))

@@ -320,7 +320,6 @@ class SymplecticMatrix:
         return Vector(tuple(row[j] for row in self.rows))
 
 
-@lru_cache(maxsize=None)
 def transvection(v: Vector) -> SymplecticMatrix:
     """Matrix of w -> w + phi(v, w) v, symplectic for every integer v."""
     n = 2 * v.rank

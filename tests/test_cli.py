@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from symsplit.cli import element_from_document, element_to_document, main
 from symsplit.jacobi import JacobiElement, jmul
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
@@ -86,6 +88,46 @@ def test_orbits_rank_guard(capsys):
     code, out, err = _run(capsys, "orbits", "--r", "11")
     assert code == 2 and out == ""
     assert "1..10" in err
+
+
+def _split_layout(capsys, *argv):
+    """The set of row layouts of a split table: per cell, its anchor less its header label's.
+
+    The anchor is the end for the right-aligned number columns (modulus,
+    checked) and the start for the others.
+    """
+    code, out, err = _run(capsys, "split", *argv)
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()[1:4]
+    labels = [m.span() for m in re.finditer(r"\S+", header)]
+    layouts = set()
+    for row in rows:
+        cells = [m.span() for m in re.finditer(r"\S+", row)]
+        assert len(cells) == len(labels), (header, row)
+        layouts.add(tuple(c[1] - h[1] if i in (1, 4) else c[0] - h[0]
+                          for i, (h, c) in enumerate(zip(labels, cells))))
+    return layouts
+
+
+@pytest.mark.parametrize("argv", [("--p", "7", "--r", "31"),
+                                  ("--p", "3", "--r", "2", "--modulus", "4000000000")])
+def test_split_columns_line_up(capsys, argv):
+    # 19-digit counts and a 10-digit modulus keep the small-rank layout under their headers
+    assert _split_layout(capsys, *argv) == _split_layout(capsys, "--p", "3", "--r", "2")
+
+
+def test_readme_sample_output(capsys):
+    # each `$ symsplit ...` line in a README code block is followed by its exact stdout
+    samples = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S):
+        for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, _, expected = command.partition("\n")
+            samples.append((shlex.split(line), expected))
+    assert samples
+    for argv, expected in samples:
+        assert argv[0] == "symsplit"
+        code, out, err = _run(capsys, *argv[1:])
+        assert (code, out, err) == (0, expected, ""), argv
 
 
 def test_split_table_rank_one(capsys):
@@ -338,7 +380,8 @@ def test_argparse_errors_and_version(capsys):
 
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "symsplit.cli", "orbits", "--r", "1",
-                           "--format", "json"], capture_output=True, text=True)
+                           "--format", "json"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["pass"] is True
 
@@ -359,7 +402,7 @@ def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, mon
         ("orbits", "--format", "json"),
         ("--version",),
     ]
-    env = dict(os.environ, COLUMNS="80")
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(ROOT / "src"))
     codes = []
     for argv in calls:
         fresh = subprocess.run([sys.executable, "-m", "symsplit.cli", *argv],

@@ -11,8 +11,8 @@ from symsplit.cocycles import principal_at
 from symsplit.jacobi import JacobiElement, gamma_psi_member, splits
 from symsplit.quadratic import (
     QuadraticRefinement,
+    _bits_of,
     _generators,
-    _lex_states,
     _orbit_bitset,
     _state_of,
     arf,
@@ -365,9 +365,9 @@ def test_orbit_of_lists_the_closure_in_order(r):
     n = 2 * r
     for _ in range(3):
         start = rng.randrange(1 << n)
-        psi = QuadraticRefinement(tuple((start >> i) & 1 for i in range(n)))
+        psi = QuadraticRefinement(_bits_of(start, n))
         listed = [member.basis_values for member in orbit_of(psi)]
-        assert listed == sorted(tuple((s >> i) & 1 for i in range(n)) for s in _orbit_states(start, n))
+        assert listed == sorted(_bits_of(s, n) for s in _orbit_states(start, n))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -377,8 +377,10 @@ def test_is_group_fixed_matches_all_directions(r):
 
 
 @pytest.mark.parametrize("nbits", [1, 2, 5, 8])
-def test_lex_states_follow_product_order(nbits):
-    assert list(_lex_states(nbits)) == [_state_of(b) for b in product((0, 1), repeat=nbits)]
+def test_states_follow_product_order(nbits):
+    tuples = list(product((0, 1), repeat=nbits))
+    assert [_state_of(b) for b in tuples] == list(range(1 << nbits))
+    assert [_bits_of(s, nbits) for s in range(1 << nbits)] == tuples
 
 
 def test_least_fixed_translate_frozen():
