@@ -29,10 +29,7 @@ from .quadratic import (
     qtranslate,
 )
 from .cocycles import (
-    CoboundaryCocycle,
     Cocycle,
-    PrincipalCocycle,
-    TabulatedCocycle,
     check_cocycle_law,
     coboundary_at,
     minus_id_constraint,

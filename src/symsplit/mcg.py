@@ -54,20 +54,20 @@ def _check_homotopy_modulus(modulus: int) -> None:
 
 @dataclass(frozen=True)
 class MCGModel:
+    """The smooth model over integer covectors (modulus 0) or a homotopy model (modulus > 0)."""
+
     params: ManifoldParams
-    flavor: str
     modulus: int
     base: QuadraticRefinement
 
     def __post_init__(self) -> None:
-        if self.flavor not in (SMOOTH, HOMOTOPY):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == SMOOTH and self.modulus != 0:
-            raise ValueError("the smooth model works over the integers (modulus 0)")
-        if self.flavor == HOMOTOPY:
-            _check_homotopy_modulus(self.modulus)
+        _check_split_modulus(self.modulus)
         if self.base.rank != self.params.r:
             raise ValueError("base refinement rank mismatch")
+
+    @property
+    def flavor(self) -> str:
+        return HOMOTOPY if self.modulus else SMOOTH
 
     @property
     def rank(self) -> int:
@@ -83,14 +83,15 @@ class MCGModel:
 
 def aut_model(p: int, r: int) -> MCGModel:
     """Smooth-flavor model: integer covectors over the all-zero base refinement."""
-    return MCGModel(ManifoldParams(p, r), SMOOTH, 0, QuadraticRefinement.zero(r))
+    return MCGModel(ManifoldParams(p, r), 0, QuadraticRefinement.zero(r))
 
 
 def homotopy_model(p: int, r: int, modulus: Optional[int] = None) -> MCGModel:
     """Homotopy-flavor model; modulus defaults to twice the coefficient order."""
     params = ManifoldParams(p, r)
     m = 2 * params.c if modulus is None else modulus
-    return MCGModel(params, HOMOTOPY, m, QuadraticRefinement.zero(r))
+    _check_homotopy_modulus(m)
+    return MCGModel(params, m, QuadraticRefinement.zero(r))
 
 
 def dehn_twist(model: MCGModel, i: int, kind: str, alpha: int) -> JacobiElement:
@@ -112,15 +113,18 @@ def dehn_twist(model: MCGModel, i: int, kind: str, alpha: int) -> JacobiElement:
 
 
 def to_homotopy(model: MCGModel, g: JacobiElement, target: Optional[MCGModel] = None) -> JacobiElement:
-    """Reduce a smooth-model member into the homotopy model."""
+    """Reduce a smooth-model member into a homotopy model over the same base refinement.
+
+    The target defaults to the model with modulus twice the coefficient order.
+    """
     if model.flavor != SMOOTH:
         raise ValueError("source model must have the smooth flavor")
     if not model.contains(g):
         raise ValueError("element is not a member of the smooth model")
     if target is None:
-        target = homotopy_model(model.params.p, model.params.r)
-    if target.flavor != HOMOTOPY or target.params != model.params:
-        raise ValueError("target must be a homotopy model with the same parameters")
+        target = replace(model, modulus=2 * model.params.c)
+    if target.flavor != HOMOTOPY or (target.params, target.base) != (model.params, model.base):
+        raise ValueError("target must be a homotopy model with the same parameters and base")
     return reduce_modulus(g, target.modulus)
 
 

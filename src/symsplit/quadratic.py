@@ -33,10 +33,7 @@ each row like a state from its parities.  The action psi.A is then the XOR of
 the rows R_i at the coordinates i where psi is 1, XOR R_2k & R_2k+1 for each
 pair, in O(r) big-int steps (`_qact_state`).  `qact`, `cocycles.principal_at`
 and `jacobi.gamma_psi_member` share that kernel, so a membership test compares
-two packed ints and builds no object.  Sets of states are 4^r-bit ints, as in
-the orbit closure; XOR by a fixed mask moves such a set by a few masks and
-shifts (`_xor_moved`), which the `verify` torsor check uses to see that the
-translates of one refinement cover all 4^r states.
+two packed ints and builds no object.
 Refinements and mod-2 covectors built here from bits already reduced (the
 zero and Arf-one refinements, the action, translation, difference,
 enumeration and orbits) are wrapped without the public constructors'
@@ -259,30 +256,16 @@ def _block_clears(nbits: int) -> tuple[int, ...]:
     return tuple(clears)
 
 
-def _xor_moves(mask: int, nbits: int) -> tuple[tuple[int, int], ...]:
-    """The moves (2^k, C_k), one per set bit k of mask, that make up XOR by mask on a bitset."""
-    clears = _block_clears(nbits)
-    return tuple((1 << k, clears[k]) for k in range(nbits) if mask >> k & 1)
-
-
-def _xor_moved(bitset: int, mask: int, nbits: int) -> int:
-    """The set {s XOR mask : s in bitset} of nbits-bit states.
-
-    XOR by 2^k swaps each state in C_k with its partner 2^k above it, so each
-    move is one mask-and-shift each way.
-    """
-    for shift, clear in _xor_moves(mask, nbits):
-        bitset = ((bitset & clear) << shift) | ((bitset >> shift) & clear)
-    return bitset
-
-
 @lru_cache(maxsize=None)
 def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """Per generator, the bitset P_v of states with psi(v) = 0 and the moves of its swap.
 
     psi(v) is popcount(s & v) plus the self-pairing parity, so P_v is the XOR
-    of B_k over the set bits k of v, complemented when that parity is 0.
-    Cached per rank: at r = 10 the 5r - 1 masks of 4^r bits hold about 6.5 MB.
+    of B_k over the set bits k of v, complemented when that parity is 0.  XOR
+    by the swap mask is one move (2^k, C_k) per set bit k: XOR by 2^k swaps
+    each state in C_k with its partner 2^k above it, one mask-and-shift each
+    way.  Cached per rank: at r = 10 the 5r - 1 masks of 4^r bits hold about
+    6.5 MB.
     """
     full = (1 << (1 << nbits)) - 1
     clears = _block_clears(nbits)
@@ -292,7 +275,8 @@ def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
         for k in range(nbits):
             if v >> k & 1:
                 odd ^= full ^ clears[k]
-        steps.append((odd if par else full ^ odd, _xor_moves(swap, nbits)))
+        moves = tuple((1 << k, clears[k]) for k in range(nbits) if swap >> k & 1)
+        steps.append((odd if par else full ^ odd, moves))
     return tuple(steps)
 
 
@@ -304,8 +288,7 @@ def _orbit_bitset(start: int, nbits: int) -> int:
         before = orbit
         for zero_at_v, moves in steps:
             moved = orbit & zero_at_v
-            for shift, clear in moves:  # _xor_moved inlined: a call per generator and round costs
-                # several percent of orbit_decomposition at small ranks
+            for shift, clear in moves:
                 moved = ((moved & clear) << shift) | ((moved >> shift) & clear)
             orbit |= moved
         if orbit == before:

@@ -29,7 +29,7 @@ in `quadratic` packs those parities into 2r-bit ints internally.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -257,15 +257,14 @@ class SymplecticMatrix:
     """Integer matrix preserving the hyperbolic form; validated on construction."""
 
     rows: tuple[tuple[int, ...], ...]
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         rows = tuple(_as_int_tuple(row) for row in self.rows)
         n = len(rows)
         if n == 0 or n % 2 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square of even dimension")
         object.__setattr__(self, "rows", rows)
-        if check and not _preserves_form(rows):
+        if not _preserves_form(rows):
             raise ValueError("matrix does not preserve the hyperbolic form")
 
     @classmethod

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from operator import xor
 
-from .cocycles import (CoboundaryCocycle, PrincipalCocycle, TabulatedCocycle,
-                       check_cocycle_law, coboundary_at, minus_id_constraint, principal_at)
+from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
-from .quadratic import QuadraticRefinement, _state_of, _xor_moved, qdifference, qtranslate
+from .quadratic import QuadraticRefinement, qdifference, qtranslate
 from .symplectic import Covector, SymplecticMatrix, Vector, neg_identity, random_symplectic_word, transvection
 
 SUITE_MODULI = (0, 4, 24, 240)
@@ -53,28 +54,28 @@ def _word(r: int, rng: random.Random, max_len: int = 10) -> SymplecticMatrix:
 def _cocycle_law_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
     passed = 0
     for _ in range(samples):
-        s = PrincipalCocycle(_random_refinement(r, rng))
+        s = partial(principal_at, _random_refinement(r, rng))
         passed += check_cocycle_law(s, _word(r, rng), _word(r, rng))
     return SuiteResult("cocycle_law", passed, samples)
 
 
 def _torsor_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
-    # Full image, as one 4^r-bit set (bit s for state s, see quadratic._xor_moved):
-    # start from the zero base and, for each unit covector e_j, add the set
-    # XOR-moved by the state of qtranslate(zero, e_j).  The result holds every
-    # XOR of those 2r states, the translates of the zero base by sums of unit
-    # covectors, and it is all 4^r states iff the 2r states form a basis.  Then
-    # translation reaches every refinement (transitive), and as there are as
-    # many covectors as refinements, each by exactly one covector (free).  The
+    # Full image: translating by a sum of unit covectors XORs their translates
+    # of the zero base, so translation reaches every refinement (transitive)
+    # iff the 2r unit translates are linearly independent over F2, and then,
+    # as there are as many covectors as refinements, by exactly one covector
+    # (free).  The translates are reduced to an XOR basis kept in decreasing
+    # lexicographic order, so min(t, t ^ b) clears b's leading 1 from t.  The
     # samples below check that translates compose and invert by XOR.
-    passed = 0
-    n = 2 * r
     base = QuadraticRefinement.zero(r)
-    image = 1
-    for j in range(n):
-        translate = qtranslate(base, Covector.unit(r, j, 2))
-        image |= _xor_moved(image, _state_of(translate.basis_values), n)
-    passed += image == (1 << (1 << n)) - 1
+    basis: list[tuple[int, ...]] = []
+    for j in range(2 * r):
+        t = qtranslate(base, Covector.unit(r, j, 2)).basis_values
+        for b in basis:
+            t = min(t, tuple(map(xor, t, b)))
+        if any(t):
+            basis = sorted(basis + [t], reverse=True)
+    passed = int(len(basis) == 2 * r)
     for _ in range(samples):
         psi = _random_refinement(r, rng)
         xbar = _random_bit_covector(r, rng)
@@ -100,7 +101,7 @@ def _minus_id_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
     neg = neg_identity(r)
     for k in range(samples):
         m = SUITE_MODULI[k % len(SUITE_MODULI)]
-        s = CoboundaryCocycle(_random_covector(r, m, rng))
+        s = partial(coboundary_at, _random_covector(r, m, rng))
         passed += minus_id_constraint(s, _word(r, rng))
         passed += principal_at(_random_refinement(r, rng), neg).is_zero()
     return SuiteResult("minus_id", passed, 2 * samples)
@@ -158,12 +159,10 @@ def _section_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
 def _negative_control_suite(r: int) -> SuiteResult:
     # deliberately law-violating table; the law check must count a failure
     t = transvection(Vector.u(r, 1))
-    table = (
-        (SymplecticMatrix.identity(r), Covector.zero(r, 2)),
-        (t, Covector.unit(r, 0, 2)),
-        (t * t, Covector.zero(r, 2)),
-    )
-    holds = check_cocycle_law(TabulatedCocycle(table), t, t)
+    table = {SymplecticMatrix.identity(r): Covector.zero(r, 2),
+             t: Covector.unit(r, 0, 2),
+             t * t: Covector.zero(r, 2)}
+    holds = check_cocycle_law(table.__getitem__, t, t)
     return SuiteResult("negative_control", int(holds), 1)
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from itertools import product
 
 import pytest
 
 from symsplit.cocycles import (
-    CoboundaryCocycle,
     coboundary_at,
     minus_id_constraint,
     principal_at,
@@ -167,7 +167,7 @@ def test_05_cocycle_additivity_and_negative_identity(announce):
         r = 1 + i % 3
         x = _random_covector(r, m, rng)
         a = random_symplectic_word(r, rng.randint(0, 12), rng)
-        if not minus_id_constraint(CoboundaryCocycle(x), a):
+        if not minus_id_constraint(partial(coboundary_at, x), a):
             failures.append(("minus_id", m, r, x))
     ok = not failures
     announce(5, "cocycles add over translation and obey the -Id identities", ok)

@@ -6,7 +6,9 @@ import random
 import pytest
 
 import symsplit.mcg
-from symsplit.jacobi import gamma_psi_member, jacobi_identity, random_member, splits
+from symsplit.cocycles import principal_at
+from symsplit.jacobi import (JacobiElement, gamma_psi_member, jacobi_identity, random_member,
+                             reduce_modulus, splits)
 from symsplit.mcg import (
     HOMOTOPY,
     SMOOTH,
@@ -21,7 +23,7 @@ from symsplit.mcg import (
     to_homotopy,
 )
 from symsplit.quadratic import QuadraticRefinement
-from symsplit.symplectic import Covector, SymplecticMatrix
+from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
 
 
 def test_coefficient_orders():
@@ -41,21 +43,23 @@ def test_model_construction():
     assert h.flavor == HOMOTOPY and h.modulus == 24
     assert homotopy_model(7, 1).modulus == 240
     assert homotopy_model(7, 1, modulus=120).modulus == 120
+    # the flavor is read off the modulus
+    params, base = ManifoldParams(3, 1), QuadraticRefinement.zero(1)
+    assert MCGModel(params, 0, base).flavor == SMOOTH
+    assert MCGModel(params, 24, base).flavor == HOMOTOPY
 
 
 def test_model_invariants():
     params = ManifoldParams(3, 1)
     base = QuadraticRefinement.zero(1)
     with pytest.raises(ValueError):
-        MCGModel(params, "piecewise", 0, base)
+        homotopy_model(3, 1, modulus=0)
     with pytest.raises(ValueError):
-        MCGModel(params, SMOOTH, 24, base)
+        MCGModel(params, 6, base)
     with pytest.raises(ValueError):
-        MCGModel(params, HOMOTOPY, 0, base)
+        MCGModel(params, -4, base)
     with pytest.raises(ValueError):
-        MCGModel(params, HOMOTOPY, 6, base)
-    with pytest.raises(ValueError):
-        MCGModel(params, SMOOTH, 0, QuadraticRefinement.zero(2))
+        MCGModel(params, 0, QuadraticRefinement.zero(2))
 
 
 def test_membership_in_models():
@@ -119,6 +123,14 @@ def test_to_homotopy_reduction():
     assert altered.modulus == 48 and altered.x.coords == (0, 26)
 
 
+def test_to_homotopy_default_target_keeps_the_base():
+    smooth = MCGModel(ManifoldParams(3, 1), 0, QuadraticRefinement((1, 1)))
+    target = MCGModel(smooth.params, 24, smooth.base)
+    rng = random.Random(5)
+    for _ in range(5):
+        assert target.contains(to_homotopy(smooth, random_member(smooth.base, 0, rng)))
+
+
 def test_to_homotopy_kernel_is_double_coefficient_lattice():
     # a twist dies in the homotopy model exactly when 2c divides its coefficient
     m = aut_model(3, 1)
@@ -136,6 +148,13 @@ def test_to_homotopy_guards():
         to_homotopy(m, jacobi_identity(1, 4))  # wrong modulus, not a member
     with pytest.raises(ValueError):
         to_homotopy(m, dehn_twist(m, 1, "u", 2), homotopy_model(7, 1))
+    # a smooth member over the zero base reduces to a non-member over another base
+    t = transvection(Vector.v(1, 1))
+    g = JacobiElement(Covector(principal_at(m.base, t).coords), t)
+    other_base = MCGModel(m.params, 24, QuadraticRefinement((1, 1)))
+    assert m.contains(g) and not other_base.contains(reduce_modulus(g, 24))
+    with pytest.raises(ValueError, match="base"):
+        to_homotopy(m, g, other_base)
 
 
 def test_pontryagin_parts_and_coefficients():

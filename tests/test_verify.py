@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from symsplit import quadratic
+from symsplit import quadratic, verify
 from symsplit.quadratic import QuadraticRefinement
 from symsplit.verify import SUITE_MODULI, VERIFY_RANK_LIMIT, SuiteResult, run_suites
 
@@ -76,3 +76,18 @@ def test_torsor_check_builds_no_refinement_per_state(monkeypatch, seed):
     assert all(s.ok for s in suites)
     assert counts["enumerate_refinements"] == 0
     assert 0 < counts["refinements"] < 4 ** 6
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_torsor_suite_fails_when_a_unit_translate_is_lost(monkeypatch, r):
+    # a translation that leaves the base unmoved by e_0 spans only 2r - 1
+    # directions; seed 3 draws no e_0 sample at r = 2, 3, so the full-image
+    # rank check is the one check that fails
+    real = verify.qtranslate
+
+    def lossy(psi, xbar):
+        return psi if xbar.coords == (1,) + (0,) * (2 * r - 1) else real(psi, xbar)
+
+    monkeypatch.setattr(verify, "qtranslate", lossy)
+    torsor = {s.name: s for s in run_suites(r, samples=4, seed=3)}["torsor"]
+    assert (torsor.passed, torsor.total) == (4, 5)
