@@ -8,8 +8,10 @@ functionals, acted on the right by composition.
 
 J is a signed permutation, so no kernel multiplies by it.  A matrix preserves
 the form iff phi(col_i, col_j) = J_ij for every pair of columns i < j
-(antisymmetry covers the rest), and the inverse of a form-preserving matrix
-is the signed transpose -J A^T J, still verified by multiplying back.
+(antisymmetry covers the rest).  The inverse of a form-preserving matrix is
+the signed transpose -J A^T J, and its postcondition is the same pairing
+check on the rows: A (-J A^T J) = I iff A J A^T = J, since J^-1 = -J.  So
+the inverse is verified exactly at half the cost of multiplying back.
 Matrices from outside are coerced, shape-checked and form-checked on
 construction; products and inverses of matrices already validated skip both.
 Likewise a covector from outside is coerced and shape-checked, while the
@@ -36,7 +38,7 @@ from typing import Iterable, Sequence, Union
 
 
 def _as_int_tuple(values: Iterable[int]) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(map(int, values))
 
 
 def _check_rank(r: int) -> int:
@@ -219,18 +221,20 @@ class Covector:
         return Covector._trusted(self.coords, m)
 
 
-def _preserves_form(rows) -> bool:
-    """Whether A^T J A == J, exactly; no product with J.
+def _pairs_as_basis(vectors) -> bool:
+    """Whether phi(w_i, w_j) == J_ij for the n vectors w_0..w_(n-1), exactly; no product with J.
 
-    Entry (i, j) of A^T J A is phi(col_i, col_j).  It is checked against J_ij
-    for the pairs i < j only, where J is 1 exactly at (2k, 2k+1) and 0
-    elsewhere; the diagonal is 0 and the lower triangle follows by
-    antisymmetry.  That is n(n-1)/2 pairings, about n^3/2 multiplications.
+    Given the columns of A this is A^T J A == J, and given the rows it is
+    A J A^T == J.  Each phi(w_i, w_j) is checked against J_ij for the pairs
+    i < j only, where J is 1 exactly at (2k, 2k+1) and 0 elsewhere; the
+    diagonal is 0 and the lower triangle follows by antisymmetry.  That is
+    n(n-1)/2 pairings, about n^3/2 multiplications, with an exit at the
+    first mismatch.
     """
-    cols = tuple(zip(*rows))
-    firsts = [c[0::2] for c in cols]  # coordinates on u_1..u_r
-    seconds = [c[1::2] for c in cols]  # coordinates on v_1..v_r
-    n = len(cols)
+    vectors = tuple(vectors)
+    firsts = [w[0::2] for w in vectors]  # coordinates on u_1..u_r
+    seconds = [w[1::2] for w in vectors]  # coordinates on v_1..v_r
+    n = len(vectors)
     for i in range(n):
         fi, si = firsts[i], seconds[i]
         for j in range(i + 1, n):
@@ -238,6 +242,18 @@ def _preserves_form(rows) -> bool:
             if value != (j == i + 1 and i % 2 == 0):  # J_ij, as 0 or 1
                 return False
     return True
+
+
+def _preserves_form(rows) -> bool:
+    """Whether A^T J A == J, exactly: the columns of A pair as the basis does."""
+    return _pairs_as_basis(zip(*rows))
+
+
+def _signed_transpose(rows) -> tuple[tuple[int, ...], ...]:
+    """-J A^T J: entry (i, j) is +-A[j^1][i^1], with sign + when i + j is even."""
+    n = len(rows)
+    return tuple(tuple(rows[j ^ 1][i ^ 1] if not (i + j) & 1 else -rows[j ^ 1][i ^ 1]
+                       for j in range(n)) for i in range(n))
 
 
 def is_symplectic(matrix: Union["SymplecticMatrix", Sequence[Sequence[int]]]) -> bool:
@@ -295,20 +311,18 @@ class SymplecticMatrix:
         return SymplecticMatrix._trusted(_matmul(self.rows, other.rows))
 
     def inverse(self) -> "SymplecticMatrix":
-        """Exact inverse -J A^T J, verified by multiplying back.
+        """Exact inverse -J A^T J, with the postcondition A . inv == I checked.
 
-        As J is a signed permutation this is a signed transpose,
-        inv[i][j] = +-A[j^1][i^1] with sign + when i + j is even, so it needs
-        no multiplication; the one product A . inv == I is the postcondition,
-        and ArithmeticError is raised if it fails.
+        As J is a signed permutation the inverse is a signed transpose and
+        needs no multiplication.  Since J^-1 = -J, A (-J A^T J) = I holds iff
+        A J A^T = J, that is iff the rows of A pair under phi as the basis
+        vectors do.  That check is exact, costs half the product A . inv, and
+        ArithmeticError is raised if it fails (a `_trusted` non-member).
         """
         rows = self.rows
-        n = len(rows)
-        inv_rows = tuple(tuple(rows[j ^ 1][i ^ 1] if not (i + j) & 1 else -rows[j ^ 1][i ^ 1]
-                               for j in range(n)) for i in range(n))
-        if _matmul(rows, inv_rows) != _identity_rows(n):
+        if not _pairs_as_basis(rows):
             raise ArithmeticError("inverse postcondition failed")
-        return SymplecticMatrix._trusted(inv_rows)
+        return SymplecticMatrix._trusted(_signed_transpose(rows))
 
     def apply(self, v: Vector) -> Vector:
         if len(self.rows) != len(v.coords):

@@ -13,13 +13,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symsplit.cli import element_from_document, element_to_document, main
+from symsplit.cli import ELEMENT_RANK_LIMIT, element_from_document, element_to_document, main
 from symsplit.jacobi import JacobiElement, jmul
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+INT64_MAX = (1 << 63) - 1
+INT64_MIN = -(1 << 63)
+INT64_BOUNDARY = (INT64_MAX, INT64_MAX + 1, INT64_MIN, INT64_MIN - 1)
 
 
 def _run(capsys, *argv):
@@ -31,6 +34,11 @@ def _run(capsys, *argv):
 def _write_element(path, g):
     path.write_text(json.dumps(element_to_document(g)))
     return str(path)
+
+
+def _identity_document(r):
+    n = 2 * r
+    return {"r": r, "modulus": 0, "x": [0] * n, "A": [[int(i == j) for j in range(n)] for i in range(n)]}
 
 
 def test_orbits_table(capsys):
@@ -282,6 +290,58 @@ def test_big_entries_serialized_as_strings(tmp_path, capsys):
     assert element_from_document(json.loads(out)) == g.inverse()
 
 
+@pytest.mark.parametrize("k", INT64_BOUNDARY)
+def test_int64_boundary_entries(tmp_path, capsys, k):
+    # entries inside the int64 range stay JSON integers, the ones just past it become decimal strings
+    wire = k if INT64_MIN <= k <= INT64_MAX else str(k)
+    doc = {"r": 1, "modulus": 0, "x": [k, 0], "A": [[1, k], [0, 1]]}
+    g = element_from_document(doc)
+    assert g == element_from_document({"r": 1, "modulus": 0, "x": [str(k), "0"], "A": [["1", str(k)], [0, "+1"]]})
+    want = {"r": 1, "modulus": 0, "x": [wire, 0], "A": [[1, wire], [0, 1]]}
+    assert element_to_document(g) == want and element_from_document(want) == g
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    ident = tmp_path / "id.json"
+    ident.write_text(json.dumps(_identity_document(1)))
+    assert _run(capsys, "mul", "--lhs", str(path), "--rhs", str(ident)) == (
+        0, json.dumps(want, sort_keys=True) + "\n", "")
+    code, out, err = _run(capsys, "inv", "--lhs", str(path))
+    assert (code, err) == (0, "")
+    inverse = json.loads(out)
+    assert element_from_document(inverse) == g.inverse()
+    for entry in inverse["x"] + inverse["A"][0]:  # -k and k^2 cross the boundary the other way
+        assert INT64_MIN <= entry <= INT64_MAX if type(entry) is int else not INT64_MIN <= int(entry) <= INT64_MAX
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "expected an integer"),
+    (1.5, "expected an integer or decimal string, got 1.5"),
+    ("0x1", "expected an integer or decimal string, got '0x1'"),
+])
+def test_row_mixing_ints_with_non_integers(tmp_path, capsys, bad, message):
+    path = tmp_path / "doc.json"
+    for doc in ({"r": 1, "modulus": 0, "x": [0, bad], "A": [[1, 0], [0, 1]]},
+                {"r": 1, "modulus": 0, "x": [0, 0], "A": [[1, "+5"], [0, bad]]},
+                {"r": 1, "modulus": 0, "x": [0, 0], "A": [[bad, 0], [0, 1]]}):
+        path.write_text(json.dumps(doc))
+        assert _run(capsys, "inv", "--lhs", str(path)) == (2, "", f"error: {message}\n"), doc
+    doc = {"r": 1, "modulus": 0, "x": ["+5", 0], "A": [[1, "+5"], [0, 1]]}
+    assert element_from_document(doc) == element_from_document(
+        {"r": 1, "modulus": 0, "x": [5, 0], "A": [[1, 5], [0, 1]]})
+
+
+def test_element_rank_guard(tmp_path, capsys):
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps(_identity_document(ELEMENT_RANK_LIMIT)))
+    assert _run(capsys, "inv", "--lhs", str(path)) == (
+        0, json.dumps(_identity_document(ELEMENT_RANK_LIMIT), sort_keys=True) + "\n", "")
+    message = f"error: r must lie in 1..{ELEMENT_RANK_LIMIT}\n"
+    for doc in (_identity_document(ELEMENT_RANK_LIMIT + 1), {"r": 10 ** 30, "modulus": 0, "x": [], "A": []}):
+        path.write_text(json.dumps(doc))
+        assert _run(capsys, "inv", "--lhs", str(path)) == (2, "", message)
+        assert _run(capsys, "mul", "--lhs", str(path), "--rhs", str(path)) == (2, "", message)
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000 + "]" * 200000)
@@ -303,6 +363,10 @@ def test_result_past_decimal_digit_limit_is_an_input_error(tmp_path, capsys):
     assert err == f"error: result entry exceeds the {sys.get_int_max_str_digits()}-digit decimal output limit\n"
     code, out, _ = _run(capsys, "inv", "--lhs", str(path))  # 4300-digit entries still print
     assert code == 0 and json.loads(out)["A"][0][1] == "-5" + "0" * 4299
+    # the covector part of a product past the limit is refused the same way
+    doc["x"] = ["5" + "0" * 4299, 0]
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, "mul", "--lhs", str(path), "--rhs", str(path)) == (2, "", err)
 
 
 def test_verify_table_and_exit_codes(capsys):
@@ -425,7 +489,7 @@ def _element_documents(draw):
     if draw(st.booleans()):
         return draw(_json_values)
     doc = {"r": 1, "modulus": draw(st.sampled_from([0, 2, 3, 24])), "x": [0, 0],
-           "A": [[1, draw(st.integers(-5, 5))], [0, 1]]}
+           "A": [[1, draw(st.integers(-5, 5) | st.sampled_from(INT64_BOUNDARY))], [0, 1]]}
     key = draw(st.sampled_from(["r", "modulus", "x", "A", None]))
     if key is not None:
         doc[key] = draw(_json_values)
@@ -435,6 +499,8 @@ def _element_documents(draw):
 @settings(max_examples=150, deadline=None)
 @given(docs=st.lists(_element_documents(), min_size=2, max_size=2),
        op=st.sampled_from(["mul", "inv"]), psi=st.sampled_from([None, "00", "11", "0"]))
+@example(docs=[_identity_document(ELEMENT_RANK_LIMIT + 1)] * 2, op="mul", psi=None)
+@example(docs=[_identity_document(ELEMENT_RANK_LIMIT + 1), {}], op="inv", psi="00")
 def test_exit_contract_on_arbitrary_documents(tmp_path_factory, docs, op, psi):
     # ROADMAP exit contract: 0 success, 1 membership violation only, 2 input error, no traceback
     paths = []

@@ -9,8 +9,11 @@ from symsplit.symplectic import (
     Covector,
     SymplecticMatrix,
     Vector,
+    _identity_rows,
     _matmul,
+    _pairs_as_basis,
     _preserves_form,
+    _signed_transpose,
     _transpose,
     is_symplectic,
     neg_identity,
@@ -201,6 +204,12 @@ def _oracle_words(rng):
                 yield r, a
 
 
+def _bend(rows, i, j, d):
+    """A + d e_i e_j^T."""
+    return tuple(tuple(e + d * (p == i and q == j) for q, e in enumerate(row))
+                 for p, row in enumerate(rows))
+
+
 def test_form_check_matches_two_product_oracle():
     rng = random.Random(37)
     rejected = 0
@@ -213,8 +222,7 @@ def test_form_check_matches_two_product_oracle():
         # preserves the form iff row i^1 of A vanishes off column j
         stays = all(rows[i ^ 1][k] == 0 for k in range(n) if k != j)
         for d in (1, -1):
-            bent = tuple(tuple(e + d * (p == i and q == j) for q, e in enumerate(row))
-                         for p, row in enumerate(rows))
+            bent = _bend(rows, i, j, d)
             assert _preserves_form(bent) == _two_product_preserves_form(bent) == stays
             rejected += not stays
     assert rejected > 100  # most perturbations must be rejected
@@ -228,10 +236,33 @@ def test_inverse_matches_signed_transpose_oracle():
         assert a.inverse().rows == _matmul(_matmul(negj, _transpose(a.rows)), j)
 
 
+def test_row_pairing_postcondition_matches_multiply_back():
+    # A J A^T == J on the rows is the inverse postcondition; multiplying back is its definition
+    rng = random.Random(47)
+    rejected = 0
+    for r, a in _oracle_words(rng):
+        n = 2 * r
+        for rows in (a.rows, *(_bend(a.rows, rng.randrange(n), rng.randrange(n), d) for d in (1, -1, 3))):
+            multiply_back = _matmul(rows, _signed_transpose(rows)) == _identity_rows(n)
+            assert _pairs_as_basis(rows) == multiply_back == _preserves_form(rows)
+            if multiply_back:
+                assert SymplecticMatrix._trusted(rows).inverse().rows == _signed_transpose(rows)
+            else:
+                with pytest.raises(ArithmeticError):
+                    SymplecticMatrix._trusted(rows).inverse()
+            rejected += not multiply_back
+    assert rejected > 150  # most perturbations must be rejected
+
+
 def test_inverse_keeps_multiply_back_postcondition():
     unchecked = SymplecticMatrix._trusted(((2, 0), (0, 1)))  # det 2: not in Sp(2, Z)
     with pytest.raises(ArithmeticError):
         unchecked.inverse()
+    word = random_symplectic_word(3, 12, random.Random(53))
+    bent = SymplecticMatrix._trusted(_bend(word.rows, 4, 1, 1))
+    assert not is_symplectic(bent)
+    with pytest.raises(ArithmeticError):
+        bent.inverse()
 
 
 def test_internal_results_equal_validated_construction():
