@@ -236,6 +236,9 @@ def _load_document(path: str) -> Any:
         return json.loads(payload)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer literal past the int-string digit limit
+        raise CliInputError(f"{path}: integer literal exceeds the {sys.get_int_max_str_digits()}-digit"
+                            " decimal input limit") from exc
     except RecursionError as exc:
         raise CliInputError(f"{path}: JSON nested too deeply") from exc
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .quadratic import QuadraticRefinement, _bits_of, _principal_state
+from .quadratic import QuadraticRefinement, qact, qdifference
 from .symplectic import Covector, SymplecticMatrix, neg_identity
 
 Cocycle = Callable[[SymplecticMatrix], Covector]
@@ -26,11 +26,11 @@ def coboundary_at(x: Covector, a: SymplecticMatrix) -> Covector:
 
 
 def principal_at(psi: QuadraticRefinement, a: SymplecticMatrix) -> Covector:
-    """psi.A - psi as a mod-2 covector, read off the packed kernel of `qact`.
+    """psi.A - psi as a mod-2 covector: the XOR of the two packed states.
 
-    Raises as `qact` does; the returned covector is the only object built.
+    Raises as `qact` does.
     """
-    return Covector._trusted(_bits_of(_principal_state(psi, a), 2 * psi.rank), 2)
+    return qdifference(qact(psi, a), psi)
 
 
 def check_cocycle_law(s: Cocycle, a: SymplecticMatrix, b: SymplecticMatrix) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cocycles import principal_at
-from .quadratic import QuadraticRefinement, _principal_state, _state_of, is_group_fixed, qdifference
+from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
 from .symplectic import Covector, SymplecticMatrix, _check_rank, random_symplectic_word
 
 # A verdict without a witness reports 4^r candidates; 4^31 is the largest such
@@ -70,14 +70,14 @@ def jinv(g: JacobiElement) -> JacobiElement:
 def gamma_psi_member(g: JacobiElement, psi: QuadraticRefinement) -> bool:
     """Whether the mod-2 part of x equals the principal cocycle value psi.A - psi of A.
 
-    Both sides are compared as packed 2r-bit states, the parities of x against
-    the packed kernel of `qact`; no object is built.
+    Both sides are compared as packed 2r-bit states: the parities of x against
+    the state of psi.A XOR psi's.  The only object built is psi.A.
     """
     if g.rank != psi.rank:
         raise ValueError("rank mismatch")
     if g.modulus % 2:
         raise ValueError("membership needs modulus 0 or even")
-    return _state_of(g.x.coords) == _principal_state(psi, g.a)
+    return _state_of(g.x.coords) == qact(psi, g.a).state ^ psi.state
 
 
 def include_fiber(x: Covector, r: int) -> JacobiElement:
@@ -161,12 +161,11 @@ def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> S
     base = default_base_refinement(r) if psi is None else psi
     if base.rank != r:
         raise ValueError("base refinement rank mismatch")
-    fixed = QuadraticRefinement._trusted((1,) * (2 * r))
+    fixed = QuadraticRefinement._trusted(2 * r, (1 << 2 * r) - 1)
     if not is_group_fixed(fixed):
         return SplitVerdict(r, modulus, base, False, None, None, 4 ** r)
-    xbar = qdifference(fixed, base)
-    position = _state_of(xbar.coords) + 1
-    return SplitVerdict(r, modulus, base, True, xbar, fixed, position)
+    position = (fixed.state ^ base.state) + 1
+    return SplitVerdict(r, modulus, base, True, qdifference(fixed, base), fixed, position)
 
 
 def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,

@@ -151,14 +151,6 @@ class SplittingTheoremVerdict:
     smooth: SplitVerdict
     homotopy: SplitVerdict
 
-    @property
-    def smooth_splits(self) -> bool:
-        return self.smooth.splits
-
-    @property
-    def homotopy_splits(self) -> bool:
-        return self.homotopy.splits
-
 
 def splitting_theorem_verdict(p: int, r: int,
                               homotopy_modulus: Optional[int] = None) -> SplittingTheoremVerdict:

@@ -23,109 +23,110 @@ generators against all 4^r - 1 transvection directions, the orbit closure
 against a breadth-first search one state at a time, and both against the
 generic matrix action.
 
-Mod-2 data comes in as integer objects and is read by its parities: qeval
-takes a `Vector`, qact a `SymplecticMatrix`, and translations are
-`Covector`s of modulus 2.  Internally a refinement or a vector is packed into
-a 2r-bit int whose bit 2r - 1 - i is coordinate i mod 2 (`_state_of`): the
-state read as a number is the 0/1 tuple read in binary, so numeric order of
-states is lexicographic order of refinements.  A matrix is packed by rows,
-each row like a state from its parities.  The action psi.A is then the XOR of
-the rows R_i at the coordinates i where psi is 1, XOR R_2k & R_2k+1 for each
-pair, in O(r) big-int steps (`_qact_state`).  `qact`, `cocycles.principal_at`
-and `jacobi.gamma_psi_member` share that kernel, so a membership test compares
-two packed ints and builds no object.
-Refinements and mod-2 covectors built here from bits already reduced (the
-zero and Arf-one refinements, the action, translation, difference,
-enumeration and orbits) are wrapped without the public constructors'
-coercion and checks.
+A refinement is its packed state: a 2r-bit int whose bit 2r - 1 - i is its
+value at basis vector i (`_state_of`), so numeric order of states is
+lexicographic order of refinements; `basis_values` derives the 0/1 tuple.
+Translation and difference are XOR, the Arf invariant is one popcount and
+qeval two.  Mod-2 data comes in as integer objects and is read by its
+parities: qeval takes a `Vector`, qact a `SymplecticMatrix`, and translations
+are `Covector`s of modulus 2.  A matrix is packed by rows, each row like a
+state from its parities.  The action psi.A is then the XOR of the rows R_i at
+the coordinates i where psi is 1, XOR R_2k & R_2k+1 for each pair, in O(r)
+big-int steps (`_qact_state`).  `qact` is the one entry point to that kernel;
+`cocycles.principal_at` and `jacobi.gamma_psi_member` call it.  States
+computed here are already reduced, so `_trusted` wraps them without the
+public constructor's per-value coercion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import and_
 
 from .symplectic import SymplecticMatrix, Covector, Vector, _check_rank
 
 # enumerate_refinements and orbit_of build one object per listed refinement: at
-# r = 10 that is 2^20 of them, several seconds and over 300 MB, so listing stops
-# at 9.  orbit_decomposition keeps each orbit as one 4^r-bit int and builds only
-# the representatives; at r = 10 it takes about 0.05 s.
+# r = 10 that is 2^20 of them, about 1.4 s and 140 MB, so listing stops at 9.
+# orbit_decomposition keeps each orbit as one 4^r-bit int and builds only the
+# representatives; at r = 10 it takes about 0.05 s.
 ENUMERATION_RANK_LIMIT = 9
 DECOMPOSITION_RANK_LIMIT = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticRefinement:
-    """Refinement stored by its values on (u1, v1, ..., ur, vr)."""
+    """Refinement stored as the packed state of its values on (u1, v1, ..., ur, vr).
 
-    basis_values: tuple[int, ...]
+    Bit nbits - 1 - i of state is the value at basis vector i.  The public
+    constructor takes the nbits values and keeps their parities.
+    """
 
-    def __post_init__(self) -> None:
-        values = tuple(int(b) % 2 for b in self.basis_values)
+    nbits: int
+    state: int
+
+    def __init__(self, basis_values) -> None:
+        values = [int(b) % 2 for b in basis_values]
         if not values or len(values) % 2:
             raise ValueError("need a positive even number of basis values")
-        object.__setattr__(self, "basis_values", values)
+        object.__setattr__(self, "nbits", len(values))
+        object.__setattr__(self, "state", _state_of(values))
 
     @classmethod
-    def _trusted(cls, values: tuple[int, ...]) -> "QuadraticRefinement":
-        """Wrap a tuple of 0/1 ints of positive even length; no coercion, no check."""
+    def _trusted(cls, nbits: int, state: int) -> "QuadraticRefinement":
+        """Wrap a state below 2^nbits, nbits positive and even; no check."""
         psi = object.__new__(cls)
-        object.__setattr__(psi, "basis_values", values)
+        object.__setattr__(psi, "nbits", nbits)
+        object.__setattr__(psi, "state", state)
         return psi
 
     @property
+    def basis_values(self) -> tuple[int, ...]:
+        return _bits_of(self.state, self.nbits)
+
+    @property
     def rank(self) -> int:
-        return len(self.basis_values) // 2
+        return self.nbits // 2
 
     @classmethod
     def zero(cls, r: int) -> "QuadraticRefinement":
-        return cls._trusted((0,) * (2 * _check_rank(r)))
+        return cls._trusted(2 * _check_rank(r), 0)
 
     @classmethod
     def arf_one(cls, r: int) -> "QuadraticRefinement":
         """Lexicographically least refinement with Arf invariant 1."""
-        return cls._trusted((0,) * (2 * _check_rank(r) - 2) + (1, 1))
+        return cls._trusted(2 * _check_rank(r), 3)
+
+
+def _pair_mask(nbits: int) -> int:
+    """The even bits below nbits, one per pair: each pair's v_i bit, with its u_i bit just above."""
+    return ((1 << nbits) - 1) // 3
 
 
 def qeval(psi: QuadraticRefinement, v: Vector) -> int:
     """psi(v) = sum over pairs of a_i psi(u_i) + b_i psi(v_i) + a_i b_i, mod 2."""
-    bits = tuple(c % 2 for c in v.coords)
-    vals = psi.basis_values
-    if len(bits) != len(vals):
+    if len(v.coords) != psi.nbits:
         raise ValueError("rank mismatch")
-    total = 0
-    for k in range(psi.rank):
-        a, b = bits[2 * k], bits[2 * k + 1]
-        total ^= (a & vals[2 * k]) ^ (b & vals[2 * k + 1]) ^ (a & b)
-    return total
+    bits = _state_of(v.coords)
+    pairs = bits & bits >> 1 & _pair_mask(psi.nbits)
+    return ((psi.state & bits).bit_count() + pairs.bit_count()) & 1
 
 
 def qact(psi: QuadraticRefinement, a: SymplecticMatrix) -> QuadraticRefinement:
     """Right action psi.A, i.e. the refinement v -> psi(Av); depends only on A mod 2.
 
     Value j is psi at column j of A, computed for all j at once from the
-    row-packed parities of A (see `_qact_state`).
-    """
-    state = _principal_state(psi, a) ^ _state_of(psi.basis_values)
-    return QuadraticRefinement._trusted(_bits_of(state, 2 * psi.rank))
-
-
-def _principal_state(psi: QuadraticRefinement, a: SymplecticMatrix) -> int:
-    """The packed state of psi.A - psi, i.e. of psi.A XOR psi.
-
-    Raises TypeError unless a is a SymplecticMatrix, and ValueError unless its
-    rank is psi's.  `qact`, `cocycles.principal_at` and
-    `jacobi.gamma_psi_member` all go through here.
+    row-packed parities of A (see `_qact_state`).  The one entry point to the
+    mod-2 action: `cocycles.principal_at` and `jacobi.gamma_psi_member` call
+    it.  Raises TypeError unless a is a SymplecticMatrix, and ValueError
+    unless its rank is psi's.
     """
     if not isinstance(a, SymplecticMatrix):
         raise TypeError("expected a SymplecticMatrix")
-    if len(a.rows) != 2 * psi.rank:
+    if len(a.rows) != psi.nbits:
         raise ValueError("rank mismatch")
-    state = _state_of(psi.basis_values)
-    return _qact_state(state, a.rows) ^ state
+    return QuadraticRefinement._trusted(psi.nbits, _qact_state(psi.state, a.rows))
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -164,20 +165,20 @@ def qtranslate(psi: QuadraticRefinement, xbar: Covector) -> QuadraticRefinement:
         raise ValueError("translation must be a mod-2 covector")
     if xbar.rank != psi.rank:
         raise ValueError("rank mismatch")
-    return QuadraticRefinement._trusted(tuple(p ^ c for p, c in zip(psi.basis_values, xbar.coords)))
+    return QuadraticRefinement._trusted(psi.nbits, psi.state ^ _state_of(xbar.coords))
 
 
 def qdifference(psi1: QuadraticRefinement, psi0: QuadraticRefinement) -> Covector:
     """The unique mod-2 covector with psi1 = psi0 + xbar."""
-    if psi1.rank != psi0.rank:
+    if psi1.nbits != psi0.nbits:
         raise ValueError("rank mismatch")
-    return Covector._trusted(tuple(a ^ b for a, b in zip(psi1.basis_values, psi0.basis_values)), 2)
+    return Covector._trusted(_bits_of(psi1.state ^ psi0.state, psi1.nbits), 2)
 
 
 def arf(psi: QuadraticRefinement) -> int:
     """Arf invariant: sum over pairs of psi(u_i) psi(v_i), mod 2."""
-    vals = psi.basis_values
-    return sum(vals[2 * k] & vals[2 * k + 1] for k in range(psi.rank)) & 1
+    s = psi.state
+    return (s & s >> 1 & _pair_mask(psi.nbits)).bit_count() & 1
 
 
 def expected_orbit_sizes(r: int) -> tuple[int, int]:
@@ -191,7 +192,7 @@ def enumerate_refinements(r: int) -> list[QuadraticRefinement]:
     r = _check_rank(r)
     if r > ENUMERATION_RANK_LIMIT:
         raise ValueError(f"rank {r} exceeds the enumeration limit {ENUMERATION_RANK_LIMIT}")
-    return [QuadraticRefinement._trusted(bits) for bits in product((0, 1), repeat=2 * r)]
+    return [QuadraticRefinement._trusted(2 * r, s) for s in range(1 << 2 * r)]
 
 
 def _state_of(bits) -> int:
@@ -226,7 +227,7 @@ def _generators(nbits: int) -> tuple[tuple[int, int, int], ...]:
     exchanged, whose coordinate j is phibar(v, e_j); when psi(v) = 1 it fixes
     the state.
     """
-    even = sum(1 << i for i in range(0, nbits, 2))
+    even = _pair_mask(nbits)
     dirs = []
     for u in (1 << i for i in range(nbits - 1, 0, -2)):
         dirs += [u, u >> 1]
@@ -304,16 +305,15 @@ def orbit_of(psi: QuadraticRefinement) -> list[QuadraticRefinement]:
     """
     if psi.rank > ENUMERATION_RANK_LIMIT:
         raise ValueError(f"rank {psi.rank} exceeds the orbit limit {ENUMERATION_RANK_LIMIT}")
-    n = 2 * psi.rank
-    orbit = _orbit_bitset(_state_of(psi.basis_values), n)
-    return [QuadraticRefinement._trusted(_bits_of(s, n))
+    n = psi.nbits
+    orbit = _orbit_bitset(psi.state, n)
+    return [QuadraticRefinement._trusted(n, s)
             for s, bit in enumerate(bin(orbit)[:1:-1]) if bit == "1"]  # char s is bit s
 
 
 def is_group_fixed(psi: QuadraticRefinement) -> bool:
     """Whether every generating transvection fixes psi, i.e. psi(v) = 1 at each generator v."""
-    state = _state_of(psi.basis_values)
-    return all(((state & v).bit_count() ^ par) & 1 for v, par, _ in _generators(2 * psi.rank))
+    return all(((psi.state & v).bit_count() ^ par) & 1 for v, par, _ in _generators(psi.nbits))
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ def orbit_decomposition(r: int) -> OrbitReport:
         if orbit & seen:
             raise ArithmeticError("orbits overlap")
         seen |= orbit
-        rep = QuadraticRefinement._trusted(_bits_of(s, n))
+        rep = QuadraticRefinement._trusted(n, s)
         classes.append(OrbitClass(arf(rep), orbit.bit_count(), rep))
-    classes.sort(key=lambda c: (c.arf_label, c.representative.basis_values))
+    classes.sort(key=lambda c: (c.arf_label, c.representative.state))
     return OrbitReport(r, tuple(classes))

@@ -111,9 +111,6 @@ class Vector:
         self._same_rank(other)
         return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.coords))
-
     def __rmul__(self, k: int) -> "Vector":
         return Vector(tuple(int(k) * a for a in self.coords))
 

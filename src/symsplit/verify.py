@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from operator import xor
 
 from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
@@ -64,16 +63,16 @@ def _torsor_suite(r: int, samples: int, rng: random.Random) -> SuiteResult:
     # of the zero base, so translation reaches every refinement (transitive)
     # iff the 2r unit translates are linearly independent over F2, and then,
     # as there are as many covectors as refinements, by exactly one covector
-    # (free).  The translates are reduced to an XOR basis kept in decreasing
-    # lexicographic order, so min(t, t ^ b) clears b's leading 1 from t.  The
+    # (free).  The translates' states are reduced to an XOR basis kept in
+    # decreasing order, so min(t, t ^ b) clears b's leading 1 from t.  The
     # samples below check that translates compose and invert by XOR.
     base = QuadraticRefinement.zero(r)
-    basis: list[tuple[int, ...]] = []
+    basis: list[int] = []
     for j in range(2 * r):
-        t = qtranslate(base, Covector.unit(r, j, 2)).basis_values
+        t = qtranslate(base, Covector.unit(r, j, 2)).state
         for b in basis:
-            t = min(t, tuple(map(xor, t, b)))
-        if any(t):
+            t = min(t, t ^ b)
+        if t:
             basis = sorted(basis + [t], reverse=True)
     passed = int(len(basis) == 2 * r)
     for _ in range(samples):

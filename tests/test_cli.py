@@ -367,6 +367,11 @@ def test_result_past_decimal_digit_limit_is_an_input_error(tmp_path, capsys):
     doc["x"] = ["5" + "0" * 4299, 0]
     path.write_text(json.dumps(doc))
     assert _run(capsys, "mul", "--lhs", str(path), "--rhs", str(path)) == (2, "", err)
+    # an input integer literal past the limit is refused naming the file
+    path.write_text('{"r": 1, "modulus": 0, "x": [0, 0], "A": [[1, 5' + "0" * 4399 + '], [0, 1]]}')
+    assert _run(capsys, "inv", "--lhs", str(path)) == (
+        2, "", f"error: {path}: integer literal exceeds the {sys.get_int_max_str_digits()}-digit"
+               " decimal input limit\n")
 
 
 def test_verify_table_and_exit_codes(capsys):

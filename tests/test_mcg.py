@@ -176,15 +176,15 @@ def test_splitting_theorem_small_ranks(p):
     for r in (1, 2, 3, 4, 5):
         verdict = splitting_theorem_verdict(p, r)
         assert verdict.p == p and verdict.r == r
-        assert verdict.smooth_splits == (r == 1)
-        assert verdict.homotopy_splits == (r == 1)
+        assert verdict.smooth.splits == (r == 1)
+        assert verdict.homotopy.splits == (r == 1)
         assert verdict.smooth.modulus == 0
         assert verdict.homotopy.modulus == 2 * ManifoldParams(p, r).c
 
 
 def test_splitting_theorem_modulus_override():
     verdict = splitting_theorem_verdict(3, 2, homotopy_modulus=4)
-    assert verdict.homotopy.modulus == 4 and not verdict.homotopy_splits
+    assert verdict.homotopy.modulus == 4 and not verdict.homotopy.splits
 
 
 @pytest.mark.parametrize("p,m", [(3, 24), (7, 240)])

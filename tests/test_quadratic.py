@@ -213,6 +213,13 @@ def test_arf_values_rank_one():
     assert by_arf[1] == [(1, 1)]
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_arf_is_the_per_pair_sum(r):
+    for psi in enumerate_refinements(r):
+        values = psi.basis_values
+        assert arf(psi) == sum(values[2 * k] * values[2 * k + 1] for k in range(r)) % 2
+
+
 def test_arf_is_orbit_invariant():
     rng = random.Random(13)
     for r in (1, 2, 3):
@@ -403,8 +410,13 @@ def test_internal_refinements_equal_public_construction():
             assert psi == public and hash(psi) == hash(public)
             assert type(psi.basis_values) is tuple and all(type(b) is int for b in psi.basis_values)
         assert enumerate_refinements(r) == [QuadraticRefinement(bits) for bits in product((0, 1), repeat=n)]
+        for s in range(1 << n):
+            assert QuadraticRefinement._trusted(n, s) == QuadraticRefinement(_bits_of(s, n))
         for _ in range(20):
-            psi = QuadraticRefinement([rng.choice((-big, big, -3, 0, 1, 4)) for _ in range(n)])
+            values = [rng.choice((-big, big, -3, 0, 1, 4)) for _ in range(n)]
+            psi = QuadraticRefinement(values)
+            assert psi.basis_values == tuple(v % 2 for v in values)
+            assert QuadraticRefinement(psi.basis_values) == psi
             phi = QuadraticRefinement([rng.randint(0, 1) for _ in range(n)])
             xbar = Covector([rng.choice((-big, big, -1, 2, 3)) for _ in range(n)], 2)
             a = random_symplectic_word(r, 8, rng) * transvection(Vector((big,) + (1,) * (n - 1)))

@@ -60,18 +60,18 @@ def test_torsor_check_builds_no_refinement_per_state(monkeypatch, seed):
     for name, module in list(sys.modules.items()):
         if name.startswith("symsplit") and getattr(module, "enumerate_refinements", None) is listing:
             monkeypatch.setattr(module, "enumerate_refinements", counting_listing)
-    trusted, post_init = QuadraticRefinement._trusted.__func__, QuadraticRefinement.__post_init__
+    trusted, init = QuadraticRefinement._trusted.__func__, QuadraticRefinement.__init__
 
-    def counting_trusted(cls, values):
+    def counting_trusted(cls, nbits, state):
         counts["refinements"] += 1
-        return trusted(cls, values)
+        return trusted(cls, nbits, state)
 
-    def counting_post_init(self):
+    def counting_init(self, basis_values):
         counts["refinements"] += 1
-        post_init(self)
+        init(self, basis_values)
 
     monkeypatch.setattr(QuadraticRefinement, "_trusted", classmethod(counting_trusted))
-    monkeypatch.setattr(QuadraticRefinement, "__post_init__", counting_post_init)
+    monkeypatch.setattr(QuadraticRefinement, "__init__", counting_init)
     suites = run_suites(6, 20, seed)
     assert all(s.ok for s in suites)
     assert counts["enumerate_refinements"] == 0
