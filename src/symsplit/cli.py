@@ -1,8 +1,12 @@
 """Command line surface: deterministic reports and serialized group arithmetic.
 
 Exit codes: 0 success, 1 verified-property failure (including membership
-violations), 2 input error.  JSON reports are byte-deterministic for fixed
-inputs and seed, and embed the seed and package version.
+violations), 2 input error.  Every `ValueError` a command raises is an input
+error, printed as "error: <text>" on stderr with exit code 2.  So each rank
+and sample limit is checked once, by the library call it bounds; this module
+checks only what has no library counterpart (element documents, `--psi`,
+`--jmax`).  JSON reports are byte-deterministic for fixed inputs and seed, and
+embed the seed and package version.
 
 Integers are written in decimal, so an output entry may have at most the
 interpreter's integer-string digit limit (`sys.get_int_max_str_digits()`,
@@ -41,10 +45,6 @@ _INT64_MAX = (1 << 63) - 1
 ELEMENT_RANK_LIMIT = 50
 
 
-class CliInputError(ValueError):
-    """Invalid command input; maps to exit code 2."""
-
-
 def _encode_int(value: int):
     # decimal strings keep arbitrary-precision entries safe for 64-bit readers
     if _INT64_MIN <= value <= _INT64_MAX:
@@ -52,20 +52,24 @@ def _encode_int(value: int):
     try:
         return str(value)
     except ValueError as exc:  # past the interpreter's int-string digit limit
-        raise CliInputError(f"result entry exceeds the {sys.get_int_max_str_digits()}-digit"
-                            " decimal output limit") from exc
+        raise ValueError(f"result entry exceeds the {sys.get_int_max_str_digits()}-digit"
+                         " decimal output limit") from exc
 
 
 def _decode_int(value: Any) -> int:
     if isinstance(value, bool):
-        raise CliInputError("expected an integer")
+        raise ValueError("expected an integer")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         body = value[1:] if value[:1] in "+-" else value
-        if body.isdigit():
-            return int(value)
-    raise CliInputError(f"expected an integer or decimal string, got {value!r}")
+        if body.isdecimal():  # the digits int() reads, so only the digit limit can refuse them
+            try:
+                return int(value)
+            except ValueError as exc:
+                raise ValueError(f"integer entry exceeds the {sys.get_int_max_str_digits()}-digit"
+                                 " decimal input limit") from exc
+    raise ValueError(f"expected an integer or decimal string, got {value!r}")
 
 
 def _encode_row(values: Sequence[int]) -> list:
@@ -94,38 +98,34 @@ def element_to_document(g: JacobiElement) -> dict:
 
 def element_from_document(doc: Any) -> JacobiElement:
     if not isinstance(doc, dict):
-        raise CliInputError("element document must be a JSON object")
+        raise ValueError("element document must be a JSON object")
     missing = {"r", "modulus", "x", "A"} - set(doc)
     if missing:
-        raise CliInputError(f"element document lacks keys: {sorted(missing)}")
+        raise ValueError(f"element document lacks keys: {sorted(missing)}")
     r = _decode_int(doc["r"])
     m = _decode_int(doc["modulus"])
     if r < 1:
-        raise CliInputError("r must be a positive integer")
+        raise ValueError("r must be a positive integer")
     if r > ELEMENT_RANK_LIMIT:
-        raise CliInputError(f"r must lie in 1..{ELEMENT_RANK_LIMIT}")
+        raise ValueError(f"r must lie in 1..{ELEMENT_RANK_LIMIT}")
     if m < 0:
-        raise CliInputError("modulus must be non-negative")
+        raise ValueError("modulus must be non-negative")
     x_raw, a_raw = doc["x"], doc["A"]
     if not isinstance(x_raw, list) or len(x_raw) != 2 * r:
-        raise CliInputError("x must be a list of 2r entries")
+        raise ValueError("x must be a list of 2r entries")
     coords = _decode_row(x_raw)
     if m and not (0 <= min(coords) and max(coords) < m):
-        raise CliInputError("x entries must lie in [0, modulus)")
+        raise ValueError("x entries must lie in [0, modulus)")
     if not isinstance(a_raw, list) or len(a_raw) != 2 * r or any(
             not isinstance(row, list) or len(row) != 2 * r for row in a_raw):
-        raise CliInputError("A must be a 2r x 2r matrix")
-    rows = tuple(map(_decode_row, a_raw))
-    try:
-        a = SymplecticMatrix(rows)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+        raise ValueError("A must be a 2r x 2r matrix")
+    a = SymplecticMatrix(tuple(map(_decode_row, a_raw)))
     return JacobiElement(Covector(coords, m), a)
 
 
 def _parse_psi(bits: str, r: int) -> QuadraticRefinement:
     if len(bits) != 2 * r or any(ch not in "01" for ch in bits):
-        raise CliInputError(f"--psi must be a string of 2r = {2 * r} bits")
+        raise ValueError(f"--psi must be a string of 2r = {2 * r} bits")
     return QuadraticRefinement(tuple(int(ch) for ch in bits))
 
 
@@ -151,8 +151,6 @@ def _bits(values) -> str:
 
 def _cmd_orbits(args) -> tuple[int, str]:
     r = args.r
-    if not 1 <= r <= DECOMPOSITION_RANK_LIMIT:
-        raise CliInputError(f"--r must lie in 1..{DECOMPOSITION_RANK_LIMIT}")
     rep = orbit_decomposition(r)
     exp = expected_orbit_sizes(r)
     labels = tuple(c.arf_label for c in rep.orbits)
@@ -200,8 +198,6 @@ def _verdict_line(flavor: str, v: SplitVerdict, modulus_w: int, checked_w: int) 
 
 def _cmd_split(args) -> tuple[int, str]:
     r = args.r
-    if not 1 <= r <= SPLIT_RANK_LIMIT:
-        raise CliInputError(f"--r must lie in 1..{SPLIT_RANK_LIMIT}")
     verdict = splitting_theorem_verdict(args.p, r, homotopy_modulus=args.modulus)
     agree = verdict.smooth.splits == verdict.homotopy.splits
     results = {
@@ -231,16 +227,16 @@ def _load_document(path: str) -> Any:
     try:
         payload = Path(path).read_text()
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(payload)
     except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     except ValueError as exc:  # an integer literal past the int-string digit limit
-        raise CliInputError(f"{path}: integer literal exceeds the {sys.get_int_max_str_digits()}-digit"
-                            " decimal input limit") from exc
+        raise ValueError(f"{path}: integer literal exceeds the {sys.get_int_max_str_digits()}-digit"
+                         " decimal input limit") from exc
     except RecursionError as exc:
-        raise CliInputError(f"{path}: JSON nested too deeply") from exc
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _element_result(args, out: JacobiElement, named_elements) -> tuple[int, str]:
@@ -257,8 +253,6 @@ def _element_result(args, out: JacobiElement, named_elements) -> tuple[int, str]
 def _cmd_mul(args) -> tuple[int, str]:
     g = element_from_document(_load_document(args.lhs))
     h = element_from_document(_load_document(args.rhs))
-    if g.rank != h.rank or g.modulus != h.modulus:
-        raise CliInputError("operands must share rank and modulus")
     out = jmul(g, h)
     return _element_result(args, out, (("lhs", g), ("rhs", h), ("product", out)))
 
@@ -270,10 +264,6 @@ def _cmd_inv(args) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    if not 1 <= args.r <= VERIFY_RANK_LIMIT:
-        raise CliInputError(f"--r must lie in 1..{VERIFY_RANK_LIMIT}")
-    if args.samples < 1:
-        raise CliInputError("--samples must be positive")
     suites = run_suites(args.r, args.samples, args.seed, negative_control=args.negative_control)
     all_ok = all(s.ok for s in suites)
     results = {
@@ -296,7 +286,7 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 def _cmd_coeff(args) -> tuple[int, str]:
     if args.jmax < 1:
-        raise CliInputError("--jmax must be at least 1")
+        raise ValueError("--jmax must be at least 1")
     rows = []
     for j in range(1, args.jmax + 1):
         a, c, f = pontryagin_parts(j)
@@ -375,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, text = _HANDLERS[args.command](args)
-    except ValueError as exc:  # CliInputError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if text:

@@ -154,9 +154,7 @@ def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> S
     fixed at rank 1 and at no higher rank, and the witness is its difference
     from the base.  Ranks above SPLIT_RANK_LIMIT are refused.
     """
-    r = _check_rank(r)
-    if r > SPLIT_RANK_LIMIT:
-        raise ValueError(f"rank {r} exceeds the splitting limit {SPLIT_RANK_LIMIT}")
+    r = _check_rank(r, SPLIT_RANK_LIMIT)
     _check_split_modulus(modulus)
     base = default_base_refinement(r) if psi is None else psi
     if base.rank != r:

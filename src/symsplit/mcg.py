@@ -34,22 +34,25 @@ class ManifoldParams:
     def __post_init__(self) -> None:
         if self.p not in COEFFICIENT_ORDER:
             raise ValueError("supported middle dimensions are 3 and 7")
-        _check_rank(self.r)
+        object.__setattr__(self, "r", _check_rank(self.r))
 
     @property
     def c(self) -> int:
         return COEFFICIENT_ORDER[self.p]
 
 
-def _check_homotopy_modulus(modulus: int) -> None:
-    """The homotopy flavor needs a positive multiple of 4; raise ValueError otherwise.
+def _homotopy_modulus(params: ManifoldParams, modulus: Optional[int] = None) -> int:
+    """The homotopy modulus: twice the coefficient order unless given, checked and returned.
 
-    Negative moduli and moduli not divisible by 4 get the splitting decision's
-    own message; 0 is refused because it is the smooth model's modulus.
+    It must be a positive multiple of 4.  Negative moduli and moduli not
+    divisible by 4 get the splitting decision's own message; 0 is refused
+    because it is the smooth model's modulus.
     """
-    _check_split_modulus(modulus)
-    if modulus == 0:
+    m = 2 * params.c if modulus is None else modulus
+    _check_split_modulus(m)
+    if m == 0:
         raise ValueError("the homotopy modulus must be positive; 0 is the smooth model's modulus")
+    return m
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,7 @@ def aut_model(p: int, r: int) -> MCGModel:
 def homotopy_model(p: int, r: int, modulus: Optional[int] = None) -> MCGModel:
     """Homotopy-flavor model; modulus defaults to twice the coefficient order."""
     params = ManifoldParams(p, r)
-    m = 2 * params.c if modulus is None else modulus
-    _check_homotopy_modulus(m)
-    return MCGModel(params, m, QuadraticRefinement.zero(r))
+    return MCGModel(params, _homotopy_modulus(params, modulus), QuadraticRefinement.zero(r))
 
 
 def dehn_twist(model: MCGModel, i: int, kind: str, alpha: int) -> JacobiElement:
@@ -122,7 +123,7 @@ def to_homotopy(model: MCGModel, g: JacobiElement, target: Optional[MCGModel] = 
     if not model.contains(g):
         raise ValueError("element is not a member of the smooth model")
     if target is None:
-        target = replace(model, modulus=2 * model.params.c)
+        target = replace(model, modulus=_homotopy_modulus(model.params))
     if target.flavor != HOMOTOPY or (target.params, target.base) != (model.params, model.base):
         raise ValueError("target must be a homotopy model with the same parameters and base")
     return reduce_modulus(g, target.modulus)
@@ -162,8 +163,6 @@ def splitting_theorem_verdict(p: int, r: int,
     with the homotopy modulus in place of 0.  The homotopy modulus is checked
     as the homotopy model checks it, so it must be positive.
     """
-    params = ManifoldParams(p, r)
-    m = 2 * params.c if homotopy_modulus is None else homotopy_modulus
-    _check_homotopy_modulus(m)
+    m = _homotopy_modulus(ManifoldParams(p, r), homotopy_modulus)
     smooth = splits(r, 0)
-    return SplittingTheoremVerdict(p, r, smooth, replace(smooth, modulus=m))
+    return SplittingTheoremVerdict(p, smooth.rank, smooth, replace(smooth, modulus=m))

@@ -189,9 +189,7 @@ def expected_orbit_sizes(r: int) -> tuple[int, int]:
 
 def enumerate_refinements(r: int) -> list[QuadraticRefinement]:
     """All 2^(2r) refinements in lexicographic basis-value order."""
-    r = _check_rank(r)
-    if r > ENUMERATION_RANK_LIMIT:
-        raise ValueError(f"rank {r} exceeds the enumeration limit {ENUMERATION_RANK_LIMIT}")
+    r = _check_rank(r, ENUMERATION_RANK_LIMIT)
     return [QuadraticRefinement._trusted(2 * r, s) for s in range(1 << 2 * r)]
 
 
@@ -303,8 +301,7 @@ def orbit_of(psi: QuadraticRefinement) -> list[QuadraticRefinement]:
     members are its set bits in increasing order, which is lexicographic
     order.  The list holds about 2^(2r-1) refinements, hence the rank limit.
     """
-    if psi.rank > ENUMERATION_RANK_LIMIT:
-        raise ValueError(f"rank {psi.rank} exceeds the orbit limit {ENUMERATION_RANK_LIMIT}")
+    _check_rank(psi.rank, ENUMERATION_RANK_LIMIT)
     n = psi.nbits
     orbit = _orbit_bitset(psi.state, n)
     return [QuadraticRefinement._trusted(n, s)
@@ -337,9 +334,7 @@ def orbit_decomposition(r: int) -> OrbitReport:
     Each orbit is closed from the least state not yet seen, which is therefore
     its lexicographically least member and its representative.
     """
-    r = _check_rank(r)
-    if r > DECOMPOSITION_RANK_LIMIT:
-        raise ValueError(f"rank {r} exceeds the decomposition limit {DECOMPOSITION_RANK_LIMIT}")
+    r = _check_rank(r, DECOMPOSITION_RANK_LIMIT)
     n = 2 * r
     everything = (1 << (1 << n)) - 1
     seen = 0

@@ -34,18 +34,23 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 def _as_int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
-def _check_rank(r: int) -> int:
-    r = int(r)
-    if r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r}")
-    return r
+def _check_rank(r: int, limit: Optional[int] = None) -> int:
+    """Return r as an int; raise ValueError unless it is an integer in 1..limit (no upper bound if None).
+
+    This is the one guard on every rank limit, so each limit has one message.
+    """
+    n = int(r)
+    if n != r or n < 1 or (limit is not None and n > limit):
+        raise ValueError(f"rank must be a positive integer, got {r!r}" if limit is None
+                         else f"rank must lie in 1..{limit}, got {r!r}")
+    return n
 
 
 def _matmul(a, b):

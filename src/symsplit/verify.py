@@ -13,7 +13,8 @@ from functools import partial
 from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
 from .quadratic import QuadraticRefinement, qdifference, qtranslate
-from .symplectic import Covector, SymplecticMatrix, Vector, neg_identity, random_symplectic_word, transvection
+from .symplectic import (Covector, SymplecticMatrix, Vector, _check_rank, neg_identity,
+                         random_symplectic_word, transvection)
 
 SUITE_MODULI = (0, 4, 24, 240)
 VERIFY_RANK_LIMIT = 8
@@ -166,8 +167,7 @@ def _negative_control_suite(r: int) -> SuiteResult:
 
 
 def run_suites(r: int, samples: int, seed: int, negative_control: bool = False) -> tuple[SuiteResult, ...]:
-    if not 1 <= r <= VERIFY_RANK_LIMIT:
-        raise ValueError(f"rank must lie in 1..{VERIFY_RANK_LIMIT}")
+    r = _check_rank(r, VERIFY_RANK_LIMIT)
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = random.Random(seed)

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symsplit.cli import ELEMENT_RANK_LIMIT, element_from_document, element_to_document, main
-from symsplit.jacobi import JacobiElement, jmul
+from symsplit.jacobi import JacobiElement, jacobi_identity, jmul, splits
+from symsplit.quadratic import orbit_decomposition
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
+from symsplit.verify import run_suites
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -317,6 +319,7 @@ def test_int64_boundary_entries(tmp_path, capsys, k):
     (True, "expected an integer"),
     (1.5, "expected an integer or decimal string, got 1.5"),
     ("0x1", "expected an integer or decimal string, got '0x1'"),
+    ("\u00b2", "expected an integer or decimal string, got '\u00b2'"),  # a digit, but not a decimal one
 ])
 def test_row_mixing_ints_with_non_integers(tmp_path, capsys, bad, message):
     path = tmp_path / "doc.json"
@@ -372,6 +375,11 @@ def test_result_past_decimal_digit_limit_is_an_input_error(tmp_path, capsys):
     assert _run(capsys, "inv", "--lhs", str(path)) == (
         2, "", f"error: {path}: integer literal exceeds the {sys.get_int_max_str_digits()}-digit"
                " decimal input limit\n")
+    # so is a decimal-string entry past the limit
+    doc = {"r": 1, "modulus": 0, "x": [0, 0], "A": [[1, "5" + "0" * 4399], [0, 1]]}
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, "inv", "--lhs", str(path)) == (
+        2, "", f"error: integer entry exceeds the {sys.get_int_max_str_digits()}-digit decimal input limit\n")
 
 
 def test_verify_table_and_exit_codes(capsys):
@@ -423,6 +431,32 @@ def test_verify_guards(capsys):
     assert code == 2 and out == "" and "1..8" in err
     code, _, err = _run(capsys, "verify", "--r", "1", "--samples", "0", "--seed", "1")
     assert code == 2 and "positive" in err
+
+
+def _operands_of_two_ranks(tmp_path):
+    g, h = jacobi_identity(1), jacobi_identity(2)
+    argv = ("mul", "--lhs", _write_element(tmp_path / "g.json", g), "--rhs", _write_element(tmp_path / "h.json", h))
+    return argv, lambda: jmul(g, h), "operands must share rank and modulus"
+
+
+@pytest.mark.parametrize("case", [
+    lambda _: (("orbits", "--r", "11"), lambda: orbit_decomposition(11), "rank must lie in 1..10, got 11"),
+    lambda _: (("split", "--p", "3", "--r", "32"), lambda: splits(32, 0), "rank must lie in 1..31, got 32"),
+    lambda _: (("verify", "--r", "9", "--samples", "1", "--seed", "0"), lambda: run_suites(9, 1, 0),
+               "rank must lie in 1..8, got 9"),
+    lambda _: (("verify", "--r", "1", "--samples", "0", "--seed", "0"), lambda: run_suites(1, 0, 0),
+               "samples must be positive"),
+    _operands_of_two_ranks,
+], ids=["orbits-rank", "split-rank", "verify-rank", "verify-samples", "mul-operands"])
+def test_cli_error_is_the_library_error(tmp_path, capsys, case):
+    # each bound has one guard, in the library; the CLI prints its message unchanged
+    argv, call, message = case(tmp_path)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+    if argv[0] != "mul":
+        assert _run(capsys, *argv, "--format", "json") == (2, "", f"error: {message}\n")
 
 
 def test_coeff_table_and_json(capsys):

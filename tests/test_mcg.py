@@ -22,7 +22,7 @@ from symsplit.mcg import (
     splitting_theorem_verdict,
     to_homotopy,
 )
-from symsplit.quadratic import QuadraticRefinement
+from symsplit.quadratic import QuadraticRefinement, orbit_decomposition
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
 
 
@@ -215,6 +215,18 @@ def test_splitting_theorem_rejects_modulus_like_splits():
     with pytest.raises(ValueError) as from_verdict:
         splitting_theorem_verdict(3, 1, homotopy_modulus=-4)
     assert str(from_verdict.value) == str(from_splits.value)
+
+
+def test_non_integral_rank_is_refused():
+    # a fractional rank used to be truncated: orbit_decomposition(2.5) reported rank 2,
+    # splits(1.9, 0) split at rank 1, and homotopy_model(3, 1.5) failed on the base's rank
+    for call in (lambda: orbit_decomposition(2.5), lambda: splits(1.9, 0),
+                 lambda: ManifoldParams(3, 1.5), lambda: homotopy_model(3, 1.5)):
+        with pytest.raises(ValueError, match=r"^rank must (be a positive integer|lie in 1\.\.\d+), got \d\.\d$"):
+            call()
+    assert type(ManifoldParams(3, 2).r) is int and type(ManifoldParams(3, 2.0).r) is int
+    assert ManifoldParams(3, 2.0) == ManifoldParams(3, 2)
+    assert type(splitting_theorem_verdict(3, 2.0).r) is int
 
 
 def test_homotopy_modulus_has_one_validator():

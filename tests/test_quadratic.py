@@ -285,11 +285,11 @@ def test_group_fixed_classification_rank_one_and_two():
 
 def test_rank_limits():
     # listing stops at 9 (2^20 refinement objects at r = 10); decomposition builds only representatives
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rank must lie in 1\.\.10, got 11$"):
         orbit_decomposition(11)
-    with pytest.raises(ValueError, match="enumeration limit 9"):
+    with pytest.raises(ValueError, match=r"^rank must lie in 1\.\.9, got 10$"):
         enumerate_refinements(10)
-    with pytest.raises(ValueError, match="orbit limit 9"):
+    with pytest.raises(ValueError, match=r"^rank must lie in 1\.\.9, got 10$"):
         orbit_of(QuadraticRefinement.zero(10))
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,15 +16,6 @@ def _run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=120)
-
-
-def test_splitting_survey_runs():
-    proc = _run_script("splitting_survey.py", "--max-rank", "3")
-    assert proc.returncode == 0 and proc.stderr == ""
-    lines = proc.stdout.splitlines()
-    assert lines.count("  r=1: smooth splits, witness 00; homotopy splits, witness 00; agree yes") == 2
-    assert sum("r=3: smooth no section among 64 translates" in line for line in lines) == 2
-    assert "NO" not in proc.stdout
 
 
 def test_orbit_census_runs():
@@ -58,8 +50,20 @@ def test_orbit_census_top_rank():
     assert "--max-rank must lie in 1..10" in proc.stderr
 
 
-@pytest.mark.parametrize("name", ["splitting_survey.py", "orbit_census.py"])
+@pytest.mark.parametrize("name", ["orbit_census.py"])
 def test_script_rank_guard(name):
     proc = _run_script(name, "--max-rank", "0")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "--max-rank must lie in 1.." in proc.stderr
+
+
+def test_readme_script_lines_run():
+    # every `python3 scripts/...` line in a README code block names a script that runs
+    commands = [shlex.split(line, comments=True)
+                for block in re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+                for line in block.splitlines() if line.startswith("python3 scripts/")]
+    assert commands
+    for command in commands:
+        assert command[0] == "python3", command
+        proc = _run_script(command[1].removeprefix("scripts/"), *command[2:])
+        assert proc.returncode == 0 and proc.stderr == "", command
