@@ -293,10 +293,11 @@ def _cmd_coeff(args) -> tuple[int, str]:
         rows.append({"j": j, "a": a, "c": c, "odd_factorial": _encode_int(f),
                      "coefficient": _encode_int(a * c * f)})
     results = {"jmax": args.jmax, "rows": rows}
+    width = max(16, *(len(str(row["odd_factorial"])) for row in rows))
     lines = [f"coeff  jmax={args.jmax}  version={__version__}",
-             "j    a  c  (2j-1)!          coefficient"]
+             f"j    a  c  {'(2j-1)!':<{width}} coefficient"]
     for row in rows:
-        lines.append(f"{row['j']:<4} {row['a']}  {row['c']}  {row['odd_factorial']!s:<16} {row['coefficient']}")
+        lines.append(f"{row['j']:<4} {row['a']}  {row['c']}  {row['odd_factorial']!s:<{width}} {row['coefficient']}")
     return 0, _render(_report("coeff", {"jmax": args.jmax}, results), args.format, lines)
 
 

@@ -161,8 +161,10 @@ def splitting_theorem_verdict(p: int, r: int,
     refinement has a group-fixed translate, a question about mod-2 data alone.
     So one solve decides both flavors: the homotopy verdict is the smooth one
     with the homotopy modulus in place of 0.  The homotopy modulus is checked
-    as the homotopy model checks it, so it must be positive.
+    as the homotopy model checks it, so it must be positive.  The rank is
+    checked first, by `splits`, so every refused rank gets the splitting
+    limit's message.
     """
-    m = _homotopy_modulus(ManifoldParams(p, r), homotopy_modulus)
     smooth = splits(r, 0)
+    m = _homotopy_modulus(ManifoldParams(p, smooth.rank), homotopy_modulus)
     return SplittingTheoremVerdict(p, smooth.rank, smooth, replace(smooth, modulus=m))

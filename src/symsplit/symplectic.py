@@ -46,7 +46,10 @@ def _check_rank(r: int, limit: Optional[int] = None) -> int:
 
     This is the one guard on every rank limit, so each limit has one message.
     """
-    n = int(r)
+    try:
+        n = int(r)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf, ...: refused below
+        n = 0
     if n != r or n < 1 or (limit is not None and n > limit):
         raise ValueError(f"rank must be a positive integer, got {r!r}" if limit is None
                          else f"rank must lie in 1..{limit}, got {r!r}")

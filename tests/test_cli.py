@@ -442,12 +442,13 @@ def _operands_of_two_ranks(tmp_path):
 @pytest.mark.parametrize("case", [
     lambda _: (("orbits", "--r", "11"), lambda: orbit_decomposition(11), "rank must lie in 1..10, got 11"),
     lambda _: (("split", "--p", "3", "--r", "32"), lambda: splits(32, 0), "rank must lie in 1..31, got 32"),
+    lambda _: (("split", "--p", "3", "--r", "0"), lambda: splits(0, 0), "rank must lie in 1..31, got 0"),
     lambda _: (("verify", "--r", "9", "--samples", "1", "--seed", "0"), lambda: run_suites(9, 1, 0),
                "rank must lie in 1..8, got 9"),
     lambda _: (("verify", "--r", "1", "--samples", "0", "--seed", "0"), lambda: run_suites(1, 0, 0),
                "samples must be positive"),
     _operands_of_two_ranks,
-], ids=["orbits-rank", "split-rank", "verify-rank", "verify-samples", "mul-operands"])
+], ids=["orbits-rank", "split-rank", "split-rank-zero", "verify-rank", "verify-samples", "mul-operands"])
 def test_cli_error_is_the_library_error(tmp_path, capsys, case):
     # each bound has one guard, in the library; the CLI prints its message unchanged
     argv, call, message = case(tmp_path)
@@ -472,6 +473,16 @@ def test_coeff_table_and_json(capsys):
     assert rows[4] == {"j": 5, "a": 2, "c": 1, "odd_factorial": 362880, "coefficient": 725760}
     code, _, err = _run(capsys, "coeff", "--jmax", "0")
     assert code == 2 and "at least 1" in err
+
+
+@pytest.mark.parametrize("jmax", [4, 10, 12])
+def test_coeff_columns_line_up(capsys, jmax):
+    # (2j-1)! has 18 digits from j = 10 on, past the column's minimum width of 16
+    code, out, err = _run(capsys, "coeff", "--jmax", str(jmax))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == jmax + 2
+    _assert_columns_line_up(lines[1], lines[2:], left={0, 1, 2, 3, 4})
 
 
 def test_argparse_errors_and_version(capsys):

@@ -224,6 +224,12 @@ def test_non_integral_rank_is_refused():
                  lambda: ManifoldParams(3, 1.5), lambda: homotopy_model(3, 1.5)):
         with pytest.raises(ValueError, match=r"^rank must (be a positive integer|lie in 1\.\.\d+), got \d\.\d$"):
             call()
+    # a rank int() cannot convert gets the rank message too, not OverflowError or TypeError
+    for bad in (float("inf"), float("nan"), None):
+        for call in (lambda: orbit_decomposition(bad), lambda: splits(bad, 0),
+                     lambda: ManifoldParams(3, bad), lambda: splitting_theorem_verdict(3, bad)):
+            with pytest.raises(ValueError, match=rf"^rank must (be a positive integer|lie in 1\.\.\d+), got {bad}$"):
+                call()
     assert type(ManifoldParams(3, 2).r) is int and type(ManifoldParams(3, 2.0).r) is int
     assert ManifoldParams(3, 2.0) == ManifoldParams(3, 2)
     assert type(splitting_theorem_verdict(3, 2.0).r) is int

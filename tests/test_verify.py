@@ -91,3 +91,39 @@ def test_torsor_suite_fails_when_a_unit_translate_is_lost(monkeypatch, r):
     monkeypatch.setattr(verify, "qtranslate", lossy)
     torsor = {s.name: s for s in run_suites(r, samples=4, seed=3)}["torsor"]
     assert (torsor.passed, torsor.total) == (4, 5)
+
+
+@pytest.mark.parametrize("negative_control", [False, True])
+@pytest.mark.parametrize("samples", [1, 5])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_suite_totals_follow_closed_forms(r, samples, negative_control):
+    # each total is the number of laws a suite checks per sample, times the samples:
+    # one law per sample, plus the torsor's one full-image rank check; two laws
+    # (the -Id constraint and the principal cocycle at -Id) per minus_id sample;
+    # associativity, two-sided identity, inverse and closure per group_axioms
+    # sample; membership, multiplicativity and undoing per reframe sample; one
+    # homomorphism check per section sample at r = 1 and two non-splitting
+    # verdicts (moduli 0 and 4) above; one planted failure in the control
+    s = samples
+    want = {"cocycle_law": s, "torsor": s + 1, "additivity": s, "minus_id": 2 * s,
+            "group_axioms": 4 * s, "reframe": 3 * s, "section": s if r == 1 else 2}
+    if negative_control:
+        want["negative_control"] = 1
+    suites = run_suites(r, samples, seed=7, negative_control=negative_control)
+    assert {x.name: x.total for x in suites} == want
+    assert [x.name for x in suites] == list(want)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_failed_check_counts_against_its_suite(monkeypatch, r):
+    # membership is checked once per group_axioms sample, once per reframe
+    # sample and once per r = 1 section sample; refusing it fails exactly those
+    monkeypatch.setattr(verify, "gamma_psi_member", lambda g, psi: False)
+    s = 5
+    suites = {x.name: x for x in run_suites(r, s, seed=7, negative_control=True)}
+    assert (suites["group_axioms"].passed, suites["group_axioms"].total) == (3 * s, 4 * s)
+    assert (suites["reframe"].passed, suites["reframe"].total) == (2 * s, 3 * s)
+    if r == 1:
+        assert (suites["section"].passed, suites["section"].total) == (0, s)
+    failing = {"group_axioms", "reframe", "negative_control"} | ({"section"} if r == 1 else set())
+    assert {name for name, x in suites.items() if not x.ok} == failing
