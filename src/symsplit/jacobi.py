@@ -14,28 +14,36 @@ in O(r) steps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cocycles import principal_at
 from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
-from .symplectic import Covector, SymplecticMatrix, _check_rank, random_symplectic_word
+from .symplectic import (Covector, SymplecticMatrix, _Value, _check_rank, _setattr,
+                         random_symplectic_word)
 
 # A verdict without a witness reports 4^r candidates; 4^31 is the largest such
 # count that is still a signed 64-bit JSON integer.  The decision itself is O(r).
 SPLIT_RANK_LIMIT = 31
 
 
-@dataclass(frozen=True)
-class JacobiElement:
+class JacobiElement(_Value):
     """Pair (x, A): a covector together with a symplectic matrix of equal rank."""
 
-    x: Covector
-    a: SymplecticMatrix
+    __slots__ = ("x", "a")
 
-    def __post_init__(self) -> None:
-        if self.x.rank != self.a.rank:
+    def __init__(self, x: Covector, a: SymplecticMatrix) -> None:
+        if len(x.coords) != len(a.rows):
             raise ValueError("covector and matrix ranks differ")
+        _setattr(self, "x", x)
+        _setattr(self, "a", a)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x == other.x and self.a == other.a
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.a))
 
     @property
     def rank(self) -> int:
@@ -109,8 +117,7 @@ def default_base_refinement(r: int) -> QuadraticRefinement:
     return QuadraticRefinement.arf_one(1) if r == 1 else QuadraticRefinement.zero(r)
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
+class SplitVerdict(_Value):
     """Outcome of the splitting decision at one rank and modulus.
 
     When `splits` is true, `witness` is the one mod-2 translation making the
@@ -121,13 +128,19 @@ class SplitVerdict:
     candidates would check.
     """
 
-    rank: int
-    modulus: int
-    base: QuadraticRefinement
-    splits: bool
-    witness: Optional[Covector]
-    fixed_refinement: Optional[QuadraticRefinement]
-    candidates_checked: int
+    __slots__ = ("rank", "modulus", "base", "splits", "witness", "fixed_refinement",
+                 "candidates_checked")
+
+    def __init__(self, rank: int, modulus: int, base: QuadraticRefinement, splits: bool,
+                 witness: Optional[Covector], fixed_refinement: Optional[QuadraticRefinement],
+                 candidates_checked: int) -> None:
+        _setattr(self, "rank", rank)
+        _setattr(self, "modulus", modulus)
+        _setattr(self, "base", base)
+        _setattr(self, "splits", splits)
+        _setattr(self, "witness", witness)
+        _setattr(self, "fixed_refinement", fixed_refinement)
+        _setattr(self, "candidates_checked", candidates_checked)
 
     def section(self) -> Callable[[SymplecticMatrix], JacobiElement]:
         """Homomorphic section A -> (x.A - x, A), where x is the witness's 0/1 lift."""
@@ -176,5 +189,5 @@ def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,
         noise = [rng.randint(-9, 9) for _ in range(n)]
     else:
         noise = [rng.randrange(modulus) for _ in range(n)]
-    coords = tuple(b + 2 * t for b, t in zip(xbar.coords, noise))
+    coords = tuple([b + 2 * t for b, t in zip(xbar.coords, noise)])
     return JacobiElement(Covector(coords, modulus), a)

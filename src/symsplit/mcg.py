@@ -10,13 +10,12 @@ and the splitting question is decided for both flavors by one solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .jacobi import (JacobiElement, SplitVerdict, _check_split_modulus, gamma_psi_member,
                      jacobi_identity, reduce_modulus, splits)
 from .quadratic import QuadraticRefinement
-from .symplectic import Covector, SymplecticMatrix, _check_rank
+from .symplectic import Covector, SymplecticMatrix, _Value, _check_rank, _integral, _setattr
 
 COEFFICIENT_ORDER = {3: 12, 7: 120}
 
@@ -24,17 +23,16 @@ SMOOTH = "smooth"
 HOMOTOPY = "homotopy"
 
 
-@dataclass(frozen=True)
-class ManifoldParams:
+class ManifoldParams(_Value):
     """Middle dimension p (3 or 7) and the number r of product-of-spheres summands."""
 
-    p: int
-    r: int
+    __slots__ = ("p", "r")
 
-    def __post_init__(self) -> None:
-        if self.p not in COEFFICIENT_ORDER:
+    def __init__(self, p: int, r: int) -> None:
+        if p not in COEFFICIENT_ORDER:
             raise ValueError("supported middle dimensions are 3 and 7")
-        object.__setattr__(self, "r", _check_rank(self.r))
+        _setattr(self, "p", p)
+        _setattr(self, "r", _check_rank(r))
 
     @property
     def c(self) -> int:
@@ -55,18 +53,18 @@ def _homotopy_modulus(params: ManifoldParams, modulus: Optional[int] = None) -> 
     return m
 
 
-@dataclass(frozen=True)
-class MCGModel:
+class MCGModel(_Value):
     """The smooth model over integer covectors (modulus 0) or a homotopy model (modulus > 0)."""
 
-    params: ManifoldParams
-    modulus: int
-    base: QuadraticRefinement
+    __slots__ = ("params", "modulus", "base")
 
-    def __post_init__(self) -> None:
-        _check_split_modulus(self.modulus)
-        if self.base.rank != self.params.r:
+    def __init__(self, params: ManifoldParams, modulus: int, base: QuadraticRefinement) -> None:
+        _check_split_modulus(modulus)
+        if base.rank != params.r:
             raise ValueError("base refinement rank mismatch")
+        _setattr(self, "params", params)
+        _setattr(self, "modulus", modulus)
+        _setattr(self, "base", base)
 
     @property
     def flavor(self) -> str:
@@ -123,7 +121,7 @@ def to_homotopy(model: MCGModel, g: JacobiElement, target: Optional[MCGModel] = 
     if not model.contains(g):
         raise ValueError("element is not a member of the smooth model")
     if target is None:
-        target = replace(model, modulus=_homotopy_modulus(model.params))
+        target = MCGModel(model.params, _homotopy_modulus(model.params), model.base)
     if target.flavor != HOMOTOPY or (target.params, target.base) != (model.params, model.base):
         raise ValueError("target must be a homotopy model with the same parameters and base")
     return reduce_modulus(g, target.modulus)
@@ -131,9 +129,10 @@ def to_homotopy(model: MCGModel, g: JacobiElement, target: Optional[MCGModel] = 
 
 def pontryagin_parts(j: int) -> tuple[int, int, int]:
     """The three factors of the twist coefficient: a_j, c_j, (2j-1)!."""
-    j = int(j)
-    if j < 1:
+    n = _integral(j)
+    if n is None or n < 1:  # 2.5, nan and inf too, not truncated
         raise ValueError("the index must be a positive integer")
+    j = n
     a = 2 if j % 2 else 1  # (3 - (-1)^j) / 2
     c = 2 if j <= 2 else 1
     return a, c, math.factorial(2 * j - 1)
@@ -145,12 +144,14 @@ def pontryagin_coefficient(j: int) -> int:
     return a * c * f
 
 
-@dataclass(frozen=True)
-class SplittingTheoremVerdict:
-    p: int
-    r: int
-    smooth: SplitVerdict
-    homotopy: SplitVerdict
+class SplittingTheoremVerdict(_Value):
+    __slots__ = ("p", "r", "smooth", "homotopy")
+
+    def __init__(self, p: int, r: int, smooth: SplitVerdict, homotopy: SplitVerdict) -> None:
+        _setattr(self, "p", p)
+        _setattr(self, "r", r)
+        _setattr(self, "smooth", smooth)
+        _setattr(self, "homotopy", homotopy)
 
 
 def splitting_theorem_verdict(p: int, r: int,
@@ -167,4 +168,6 @@ def splitting_theorem_verdict(p: int, r: int,
     """
     smooth = splits(r, 0)
     m = _homotopy_modulus(ManifoldParams(p, smooth.rank), homotopy_modulus)
-    return SplittingTheoremVerdict(p, smooth.rank, smooth, replace(smooth, modulus=m))
+    homotopy = SplitVerdict(smooth.rank, m, smooth.base, smooth.splits, smooth.witness,
+                            smooth.fixed_refinement, smooth.candidates_checked)
+    return SplittingTheoremVerdict(p, smooth.rank, smooth, homotopy)

@@ -40,12 +40,12 @@ public constructor's per-value coercion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import and_
 
-from .symplectic import SymplecticMatrix, Covector, Vector, _check_rank
+from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _as_int_tuple, _check_rank,
+                         _setattr)
 
 # enumerate_refinements and orbit_of build one object per listed refinement: at
 # r = 10 that is 2^20 of them, about 1.4 s and 140 MB, so listing stops at 9.
@@ -55,31 +55,35 @@ ENUMERATION_RANK_LIMIT = 9
 DECOMPOSITION_RANK_LIMIT = 10
 
 
-@dataclass(frozen=True, init=False)
-class QuadraticRefinement:
+class QuadraticRefinement(_Value):
     """Refinement stored as the packed state of its values on (u1, v1, ..., ur, vr).
 
     Bit nbits - 1 - i of state is the value at basis vector i.  The public
-    constructor takes the nbits values and keeps their parities.
+    constructor takes the nbits values, which must be integers, and keeps
+    their parities.
     """
 
+    __slots__ = ("nbits", "state")
     nbits: int
     state: int
 
     def __init__(self, basis_values) -> None:
-        values = [int(b) % 2 for b in basis_values]
+        values = _as_int_tuple(basis_values)
         if not values or len(values) % 2:
             raise ValueError("need a positive even number of basis values")
-        object.__setattr__(self, "nbits", len(values))
-        object.__setattr__(self, "state", _state_of(values))
+        _setattr(self, "nbits", len(values))
+        _setattr(self, "state", _state_of(values))
 
     @classmethod
     def _trusted(cls, nbits: int, state: int) -> "QuadraticRefinement":
         """Wrap a state below 2^nbits, nbits positive and even; no check."""
         psi = object.__new__(cls)
-        object.__setattr__(psi, "nbits", nbits)
-        object.__setattr__(psi, "state", state)
+        _setattr(psi, "nbits", nbits)
+        _setattr(psi, "state", state)
         return psi
+
+    def _init_args(self) -> tuple:
+        return (self.basis_values,)
 
     @property
     def basis_values(self) -> tuple[int, ...]:
@@ -313,19 +317,23 @@ def is_group_fixed(psi: QuadraticRefinement) -> bool:
     return all(((psi.state & v).bit_count() ^ par) & 1 for v, par, _ in _generators(psi.nbits))
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    arf_label: int
-    size: int
-    representative: QuadraticRefinement
+class OrbitClass(_Value):
+    __slots__ = ("arf_label", "size", "representative")
+
+    def __init__(self, arf_label: int, size: int, representative: QuadraticRefinement) -> None:
+        _setattr(self, "arf_label", arf_label)
+        _setattr(self, "size", size)
+        _setattr(self, "representative", representative)
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(_Value):
     """Orbit decomposition data; two classes are expected, one per Arf value."""
 
-    rank: int
-    orbits: tuple[OrbitClass, ...]
+    __slots__ = ("rank", "orbits")
+
+    def __init__(self, rank: int, orbits: tuple[OrbitClass, ...]) -> None:
+        _setattr(self, "rank", rank)
+        _setattr(self, "orbits", orbits)
 
 
 def orbit_decomposition(r: int) -> OrbitReport:

@@ -12,16 +12,31 @@ the form iff phi(col_i, col_j) = J_ij for every pair of columns i < j
 the signed transpose -J A^T J, and its postcondition is the same pairing
 check on the rows: A (-J A^T J) = I iff A J A^T = J, since J^-1 = -J.  So
 the inverse is verified exactly at half the cost of multiplying back.
-Matrices from outside are coerced, shape-checked and form-checked on
-construction; products and inverses of matrices already validated skip both.
-Likewise a covector from outside is coerced and shape-checked, while the
-action, sums, differences, negation and reduction of covectors already
+Matrices from outside are coerced to ints, shape-checked and form-checked
+on construction; products and inverses of matrices already validated skip
+both.  Likewise a covector from outside is coerced and shape-checked, while
+the action, sums, differences, negation and reduction of covectors already
 validated skip that (entries are still reduced into [0, m) for a modulus m).
+Coercion refuses a value that is not integral, such as 2.5, inf or nan,
+rather than truncating it.
+
+The value classes here and in the other modules derive from `_Value`, a
+`__slots__` base that gives what frozen dataclasses gave (equality within
+one class, hash, repr, immutability, copying and pickling) without importing
+`dataclasses`, which with `inspect` and its own code generation added about
+30 ms to every CLI start.
 
 Seeded words are built by column updates, not matrix products: column j of
 A T_v is A e_j + phi(v, e_j) A v, and every candidate direction has at most
 two nonzero coordinates, so a step reads two columns and rewrites at most
 two, O(r) work instead of a (2r)^3 product.
+
+On the per-call paths (coercion, products, inverses, covector arithmetic)
+tuples are built from a list, not from a generator expression or a bare
+`map`: that is faster for these short rows, and the tuple is allocated at its
+final size.  One built from an iterator without a length is resized, and when
+freed it joins the interpreter's free list of its final size, which then
+grows by one tuple per build up to a cap of 2000.
 
 There is no separate mod-2 type.  Mod-2 data is read as the parities of these
 integer objects (`Covector.reduce_to(2)` for covectors); the refinement code
@@ -31,14 +46,84 @@ in `quadratic` packs those parities into 2r-bit ints internally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Optional, Sequence, Union
+
+_setattr = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value classes, whose fields are their `__slots__`.
+
+    Objects are equal only to objects of their own class with an equal field
+    tuple, hash as that tuple, and print as `Name(field=value, ...)`.
+    Assigning or deleting a field raises AttributeError, so constructors set
+    fields with `object.__setattr__`.  `copy`, `deepcopy` and `pickle` rebuild
+    an object by calling its class on `_init_args()`, by default the field
+    values in order.  A class on a per-call path may define `__eq__` and
+    `__hash__` with inline field reads, two to three times as fast as these
+    generic ones (defining `__eq__` alone would clear the inherited hash).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = cls.__slots__
+        cls._key = attrgetter(*cls._fields)  # with one field, the value rather than a 1-tuple
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        key = self._key(self)
+        return hash(key if len(self._fields) > 1 else (key,))
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _init_args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return self.__class__, self._init_args()
+
+
+def _integral(x) -> Optional[int]:
+    """x as an int if int(x) == x (3, 3.0, True), else None (2.5, inf, nan, "3", None)."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == x else None
 
 
 def _as_int_tuple(values: Iterable[int]) -> tuple[int, ...]:
-    return tuple(map(int, values))
+    """The values as a tuple of ints; ValueError if one is not integral (2.5, inf, nan, "3").
+
+    int() returns an int entry itself, so for a row of ints the check is one
+    C-level comparison of two tuples of identical objects.
+    """
+    values = tuple(values)
+    try:
+        ints = tuple([*map(int, values)])
+    except (ValueError, OverflowError):  # "a", nan, inf
+        ints = None
+    if ints != values:
+        bad = next(v for v in values if _integral(v) is None)
+        raise ValueError(f"entries must be integers, got {bad!r}")
+    return ints
 
 
 def _check_rank(r: int, limit: Optional[int] = None) -> int:
@@ -46,11 +131,8 @@ def _check_rank(r: int, limit: Optional[int] = None) -> int:
 
     This is the one guard on every rank limit, so each limit has one message.
     """
-    try:
-        n = int(r)
-    except (TypeError, ValueError, OverflowError):  # None, nan, inf, ...: refused below
-        n = 0
-    if n != r or n < 1 or (limit is not None and n > limit):
+    n = _integral(r)
+    if n is None or n < 1 or (limit is not None and n > limit):
         raise ValueError(f"rank must be a positive integer, got {r!r}" if limit is None
                          else f"rank must lie in 1..{limit}, got {r!r}")
     return n
@@ -58,7 +140,7 @@ def _check_rank(r: int, limit: Optional[int] = None) -> int:
 
 def _matmul(a, b):
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _transpose(rows):
@@ -70,17 +152,17 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(_Value):
     """Integer column vector in the ordered hyperbolic basis."""
 
+    __slots__ = ("coords",)
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coords = _as_int_tuple(self.coords)
+    def __init__(self, coords: Iterable[int]) -> None:
+        coords = _as_int_tuple(coords)
         if not coords or len(coords) % 2:
             raise ValueError("a vector needs a positive even number of coordinates")
-        object.__setattr__(self, "coords", coords)
+        _setattr(self, "coords", coords)
 
     @property
     def rank(self) -> int:
@@ -134,24 +216,28 @@ def phi_eval(v: Vector, w: Vector) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(_Value):
     """Row functional with coefficients in Z (modulus 0) or Z/modulus."""
 
+    __slots__ = ("coords", "modulus")
     coords: tuple[int, ...]
-    modulus: int = 0
+    modulus: int
 
-    def __post_init__(self) -> None:
-        m = int(self.modulus)
+    def __init__(self, coords: Iterable[int], modulus: int = 0) -> None:
+        self.__post_init__(coords, modulus)
+
+    def __post_init__(self, coords: Iterable[int], modulus: int) -> None:
+        """Coerce, check and store the fields; perfbench traces it as `symplectic.construct`."""
+        m = int(modulus)
         if m < 0:
             raise ValueError("modulus must be non-negative")
-        coords = _as_int_tuple(self.coords)
+        coords = _as_int_tuple(coords)
         if not coords or len(coords) % 2:
             raise ValueError("a covector needs a positive even number of coordinates")
         if m:
-            coords = tuple(c % m for c in coords)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "modulus", m)
+            coords = tuple([c % m for c in coords])
+        _setattr(self, "coords", coords)
+        _setattr(self, "modulus", m)
 
     @classmethod
     def _trusted(cls, coords: tuple[int, ...], modulus: int) -> "Covector":
@@ -160,9 +246,17 @@ class Covector:
         Coordinates are still reduced into [0, modulus) when modulus > 0.
         """
         x = object.__new__(cls)
-        object.__setattr__(x, "coords", tuple(c % modulus for c in coords) if modulus else coords)
-        object.__setattr__(x, "modulus", modulus)
+        _setattr(x, "coords", tuple([c % modulus for c in coords]) if modulus else coords)
+        _setattr(x, "modulus", modulus)
         return x
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords and self.modulus == other.modulus
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.modulus))
 
     @property
     def rank(self) -> int:
@@ -187,14 +281,14 @@ class Covector:
 
     def __add__(self, other: "Covector") -> "Covector":
         self._compatible(other)
-        return Covector._trusted(tuple(a + b for a, b in zip(self.coords, other.coords)), self.modulus)
+        return Covector._trusted(tuple([*map(add, self.coords, other.coords)]), self.modulus)
 
     def __sub__(self, other: "Covector") -> "Covector":
         self._compatible(other)
-        return Covector._trusted(tuple(a - b for a, b in zip(self.coords, other.coords)), self.modulus)
+        return Covector._trusted(tuple([*map(sub, self.coords, other.coords)]), self.modulus)
 
     def __neg__(self) -> "Covector":
-        return Covector._trusted(tuple(-a for a in self.coords), self.modulus)
+        return Covector._trusted(tuple([*map(neg, self.coords)]), self.modulus)
 
     def evaluate(self, v: Vector) -> int:
         """Pairing with a vector, reduced into the covector's coefficient ring."""
@@ -210,8 +304,9 @@ class Covector:
         rows = a.rows
         if len(rows) != len(self.coords):
             raise ValueError("rank mismatch")
-        coords = tuple(sum(map(mul, self.coords, col)) for col in zip(*rows))
-        return Covector._trusted(coords, self.modulus)
+        coords = self.coords
+        return Covector._trusted(tuple([sum(map(mul, coords, col)) for col in zip(*rows)]),
+                                 self.modulus)
 
     def reduce_to(self, m: int) -> "Covector":
         m = int(m)
@@ -257,8 +352,8 @@ def _preserves_form(rows) -> bool:
 def _signed_transpose(rows) -> tuple[tuple[int, ...], ...]:
     """-J A^T J: entry (i, j) is +-A[j^1][i^1], with sign + when i + j is even."""
     n = len(rows)
-    return tuple(tuple(rows[j ^ 1][i ^ 1] if not (i + j) & 1 else -rows[j ^ 1][i ^ 1]
-                       for j in range(n)) for i in range(n))
+    return tuple([tuple([rows[j ^ 1][i ^ 1] if not (i + j) & 1 else -rows[j ^ 1][i ^ 1]
+                         for j in range(n)]) for i in range(n)])
 
 
 def is_symplectic(matrix: Union["SymplecticMatrix", Sequence[Sequence[int]]]) -> bool:
@@ -266,34 +361,46 @@ def is_symplectic(matrix: Union["SymplecticMatrix", Sequence[Sequence[int]]]) ->
     if isinstance(matrix, SymplecticMatrix):
         rows = matrix.rows
     else:
-        rows = tuple(_as_int_tuple(row) for row in matrix)
+        rows = tuple([*map(_as_int_tuple, matrix)])
     n = len(rows)
     if n == 0 or n % 2 or any(len(row) != n for row in rows):
         raise ValueError("expected a square integer matrix of even dimension")
     return _preserves_form(rows)
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
+class SymplecticMatrix(_Value):
     """Integer matrix preserving the hyperbolic form; validated on construction."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(_as_int_tuple(row) for row in self.rows)
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        self.__post_init__(rows)
+
+    def __post_init__(self, rows: Iterable[Iterable[int]]) -> None:
+        """Coerce, check and store the rows; perfbench traces it as `symplectic.construct`."""
+        rows = tuple([*map(_as_int_tuple, rows)])
         n = len(rows)
         if n == 0 or n % 2 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square of even dimension")
-        object.__setattr__(self, "rows", rows)
         if not _preserves_form(rows):
             raise ValueError("matrix does not preserve the hyperbolic form")
+        _setattr(self, "rows", rows)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "SymplecticMatrix":
         """Wrap rows known to be a form-preserving tuple of int tuples; no coercion, no check."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", rows)
+        _setattr(matrix, "rows", rows)
         return matrix
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @property
     def rank(self) -> int:

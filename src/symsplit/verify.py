@@ -10,7 +10,6 @@ the samples of every later suite (and the `verify` goldens).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import cycle, islice
 from typing import Iterator
@@ -18,18 +17,20 @@ from typing import Iterator
 from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
 from .quadratic import QuadraticRefinement, qdifference, qtranslate
-from .symplectic import (Covector, SymplecticMatrix, Vector, _check_rank, neg_identity,
-                         random_symplectic_word, transvection)
+from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_rank, _setattr,
+                         neg_identity, random_symplectic_word, transvection)
 
 SUITE_MODULI = (0, 4, 24, 240)
 VERIFY_RANK_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: int
-    total: int
+class SuiteResult(_Value):
+    __slots__ = ("name", "passed", "total")
+
+    def __init__(self, name: str, passed: int, total: int) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "passed", passed)
+        _setattr(self, "total", total)
 
     @property
     def ok(self) -> bool:

@@ -500,6 +500,15 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["results"]["pass"] is True
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every CLI call starts a fresh interpreter and pays for each module the package imports;
+    # dataclasses alone (with inspect, ast, dis and tokenize) cost about 13 ms of that
+    code = "import sys, symsplit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, monkeypatch):
     # fixed width, so argparse wraps usage text the same in and out of process
     monkeypatch.setenv("COLUMNS", "80")

@@ -167,8 +167,13 @@ def test_pontryagin_parts_and_coefficients():
     for j in range(5, 9):
         a, c, f = pontryagin_parts(j)
         assert a == (2 if j % 2 else 1) and c == 1 and f == math.factorial(2 * j - 1)
-    with pytest.raises(ValueError):
-        pontryagin_parts(0)
+    # a non-integral index is refused like j < 1, not truncated (2.5 used to give the j = 2 parts)
+    for bad in (0, -1, 2.5, 2.9, float("inf"), float("-inf"), float("nan"), "2", None):
+        with pytest.raises(ValueError, match=r"^the index must be a positive integer$"):
+            pontryagin_parts(bad)
+        with pytest.raises(ValueError, match=r"^the index must be a positive integer$"):
+            pontryagin_coefficient(bad)
+    assert pontryagin_parts(2.0) == pontryagin_parts(2) and pontryagin_coefficient(3.0) == 240
 
 
 @pytest.mark.parametrize("p", [3, 7])

@@ -83,6 +83,11 @@ def test_refinement_validation_and_classmethods():
     with pytest.raises(ValueError):
         QuadraticRefinement((1, 0, 1))
     assert QuadraticRefinement((2, 3)).basis_values == (0, 1)
+    # non-integral values are refused, not truncated to a parity (2.5 used to count as 0)
+    for bad in (2.5, 1.5, float("inf"), float("nan"), "1"):
+        with pytest.raises(ValueError, match=r"^entries must be integers, got "):
+            QuadraticRefinement((0, bad))
+    assert QuadraticRefinement((3.0, True)).basis_values == (1, 1)
     assert QuadraticRefinement.zero(2).basis_values == (0, 0, 0, 0)
     assert QuadraticRefinement.arf_one(2).basis_values == (0, 0, 1, 1)
     assert arf(QuadraticRefinement.arf_one(3)) == 1

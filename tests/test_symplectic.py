@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -394,3 +395,21 @@ def test_public_covector_construction_still_coerces_and_checks():
         Covector(("a", 0))
     with pytest.raises(TypeError):
         Covector((None, 0))
+
+
+def test_non_integral_entries_are_refused():
+    # int() used to truncate them: a 1.7 entry made this shear the identity, 2.5 became 2
+    bad_values = (1.7, 2.5, -0.5, float("inf"), float("-inf"), float("nan"), "3")
+    for bad in bad_values:
+        message = rf"^entries must be integers, got {re.escape(repr(bad))}$"
+        for call in (lambda: SymplecticMatrix(((bad, 0), (0, 1))),
+                     lambda: SymplecticMatrix(((1, 0), (bad, 1))),
+                     lambda: is_symplectic(((1, bad), (0, 1))),
+                     lambda: Covector((bad, 1)), lambda: Covector((0, bad), 24),
+                     lambda: Vector((1, bad))):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # integral values of other numeric types are still read as ints
+    shear = SymplecticMatrix(((1.0, True), (0, 1)))
+    assert shear.rows == ((1, 1), (0, 1)) and all(type(v) is int for row in shear.rows for v in row)
+    assert Vector((2.0, -0.0)).coords == (2, 0)
