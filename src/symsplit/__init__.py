@@ -22,7 +22,6 @@ from .quadratic import (
     enumerate_refinements,
     expected_orbit_sizes,
     orbit_decomposition,
-    orbit_of,
     qact,
     qdifference,
     qeval,

@@ -32,7 +32,7 @@ from .jacobi import SPLIT_RANK_LIMIT, JacobiElement, SplitVerdict, gamma_psi_mem
 from .mcg import pontryagin_parts, splitting_theorem_verdict
 from .quadratic import (DECOMPOSITION_RANK_LIMIT, QuadraticRefinement, expected_orbit_sizes,
                         orbit_decomposition)
-from .symplectic import Covector, SymplecticMatrix
+from .symplectic import Covector, SymplecticMatrix, _check_rank
 from .verify import VERIFY_RANK_LIMIT, run_suites
 
 _INT64_MIN = -(1 << 63)
@@ -102,12 +102,8 @@ def element_from_document(doc: Any) -> JacobiElement:
     missing = {"r", "modulus", "x", "A"} - set(doc)
     if missing:
         raise ValueError(f"element document lacks keys: {sorted(missing)}")
-    r = _decode_int(doc["r"])
-    m = _decode_int(doc["modulus"])
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    if r > ELEMENT_RANK_LIMIT:
-        raise ValueError(f"r must lie in 1..{ELEMENT_RANK_LIMIT}")
+    r, m = _decode_int(doc["r"]), _decode_int(doc["modulus"])
+    _check_rank(r, ELEMENT_RANK_LIMIT)
     if m < 0:
         raise ValueError("modulus must be non-negative")
     x_raw, a_raw = doc["x"], doc["A"]
@@ -126,7 +122,7 @@ def element_from_document(doc: Any) -> JacobiElement:
 def _parse_psi(bits: str, r: int) -> QuadraticRefinement:
     if len(bits) != 2 * r or any(ch not in "01" for ch in bits):
         raise ValueError(f"--psi must be a string of 2r = {2 * r} bits")
-    return QuadraticRefinement(tuple(int(ch) for ch in bits))
+    return QuadraticRefinement._trusted(2 * r, int(bits, 2))  # bit 2r-1-i is value i
 
 
 def _report(command: str, parameters: dict, results: dict, seed: Optional[int] = None) -> dict:

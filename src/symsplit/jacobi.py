@@ -131,17 +131,6 @@ class SplitVerdict(_Value):
     __slots__ = ("rank", "modulus", "base", "splits", "witness", "fixed_refinement",
                  "candidates_checked")
 
-    def __init__(self, rank: int, modulus: int, base: QuadraticRefinement, splits: bool,
-                 witness: Optional[Covector], fixed_refinement: Optional[QuadraticRefinement],
-                 candidates_checked: int) -> None:
-        _setattr(self, "rank", rank)
-        _setattr(self, "modulus", modulus)
-        _setattr(self, "base", base)
-        _setattr(self, "splits", splits)
-        _setattr(self, "witness", witness)
-        _setattr(self, "fixed_refinement", fixed_refinement)
-        _setattr(self, "candidates_checked", candidates_checked)
-
     def section(self) -> Callable[[SymplecticMatrix], JacobiElement]:
         """Homomorphic section A -> (x.A - x, A), where x is the witness's 0/1 lift."""
         if not self.splits or self.witness is None:

@@ -147,12 +147,6 @@ def pontryagin_coefficient(j: int) -> int:
 class SplittingTheoremVerdict(_Value):
     __slots__ = ("p", "r", "smooth", "homotopy")
 
-    def __init__(self, p: int, r: int, smooth: SplitVerdict, homotopy: SplitVerdict) -> None:
-        _setattr(self, "p", p)
-        _setattr(self, "r", r)
-        _setattr(self, "smooth", smooth)
-        _setattr(self, "homotopy", homotopy)
-
 
 def splitting_theorem_verdict(p: int, r: int,
                               homotopy_modulus: Optional[int] = None) -> SplittingTheoremVerdict:

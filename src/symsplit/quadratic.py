@@ -47,8 +47,8 @@ from operator import and_
 from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _as_int_tuple, _check_rank,
                          _setattr)
 
-# enumerate_refinements and orbit_of build one object per listed refinement: at
-# r = 10 that is 2^20 of them, about 1.4 s and 140 MB, so listing stops at 9.
+# enumerate_refinements builds one object per refinement: at r = 10 that is
+# 2^20 of them, about 1.4 s and 140 MB, so listing stops at 9.
 # orbit_decomposition keeps each orbit as one 4^r-bit int and builds only the
 # representatives; at r = 10 it takes about 0.05 s.
 ENUMERATION_RANK_LIMIT = 9
@@ -298,20 +298,6 @@ def _orbit_bitset(start: int, nbits: int) -> int:
             return orbit
 
 
-def orbit_of(psi: QuadraticRefinement) -> list[QuadraticRefinement]:
-    """Orbit of psi under the symplectic group, sorted by basis values.
-
-    The orbit is closed as one 4^r-bit set (see `_orbit_bitset`), and its
-    members are its set bits in increasing order, which is lexicographic
-    order.  The list holds about 2^(2r-1) refinements, hence the rank limit.
-    """
-    _check_rank(psi.rank, ENUMERATION_RANK_LIMIT)
-    n = psi.nbits
-    orbit = _orbit_bitset(psi.state, n)
-    return [QuadraticRefinement._trusted(n, s)
-            for s, bit in enumerate(bin(orbit)[:1:-1]) if bit == "1"]  # char s is bit s
-
-
 def is_group_fixed(psi: QuadraticRefinement) -> bool:
     """Whether every generating transvection fixes psi, i.e. psi(v) = 1 at each generator v."""
     return all(((psi.state & v).bit_count() ^ par) & 1 for v, par, _ in _generators(psi.nbits))
@@ -320,20 +306,11 @@ def is_group_fixed(psi: QuadraticRefinement) -> bool:
 class OrbitClass(_Value):
     __slots__ = ("arf_label", "size", "representative")
 
-    def __init__(self, arf_label: int, size: int, representative: QuadraticRefinement) -> None:
-        _setattr(self, "arf_label", arf_label)
-        _setattr(self, "size", size)
-        _setattr(self, "representative", representative)
-
 
 class OrbitReport(_Value):
     """Orbit decomposition data; two classes are expected, one per Arf value."""
 
     __slots__ = ("rank", "orbits")
-
-    def __init__(self, rank: int, orbits: tuple[OrbitClass, ...]) -> None:
-        _setattr(self, "rank", rank)
-        _setattr(self, "orbits", orbits)
 
 
 def orbit_decomposition(r: int) -> OrbitReport:

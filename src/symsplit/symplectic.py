@@ -24,7 +24,9 @@ The value classes here and in the other modules derive from `_Value`, a
 `__slots__` base that gives what frozen dataclasses gave (equality within
 one class, hash, repr, immutability, copying and pickling) without importing
 `dataclasses`, which with `inspect` and its own code generation added about
-30 ms to every CLI start.
+30 ms to every CLI start.  Its one positional constructor stores the fields
+in `__slots__` order; only the classes that coerce or check their input
+define their own.
 
 Seeded words are built by column updates, not matrix products: column j of
 A T_v is A e_j + phi(v, e_j) A v, and every candidate direction has at most
@@ -56,14 +58,17 @@ _setattr = object.__setattr__
 class _Value:
     """Base of the package's immutable value classes, whose fields are their `__slots__`.
 
-    Objects are equal only to objects of their own class with an equal field
-    tuple, hash as that tuple, and print as `Name(field=value, ...)`.
-    Assigning or deleting a field raises AttributeError, so constructors set
-    fields with `object.__setattr__`.  `copy`, `deepcopy` and `pickle` rebuild
-    an object by calling its class on `_init_args()`, by default the field
-    values in order.  A class on a per-call path may define `__eq__` and
-    `__hash__` with inline field reads, two to three times as fast as these
-    generic ones (defining `__eq__` alone would clear the inherited hash).
+    `Name(*values)` stores the values in `__slots__` order and raises
+    TypeError unless there is one per field; a class that coerces or checks
+    its input defines its own `__init__`.  Objects are equal only to objects
+    of their own class with an equal field tuple, hash as that tuple, and
+    print as `Name(field=value, ...)`.  Assigning or deleting a field raises
+    AttributeError, so constructors set fields with `object.__setattr__`.
+    `copy`, `deepcopy` and `pickle` rebuild an object by calling its class on
+    `_init_args()`, by default the field values in order.  A class on a
+    per-call path may define `__eq__` and `__hash__` with inline field reads,
+    two to three times as fast as these generic ones (defining `__eq__` alone
+    would clear the inherited hash).
     """
 
     __slots__ = ()
@@ -72,6 +77,13 @@ class _Value:
         super().__init_subclass__()
         cls._fields = cls.__slots__
         cls._key = attrgetter(*cls._fields)  # with one field, the value rather than a 1-tuple
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self._fields)} values,"
+                            f" got {len(values)}")
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -167,10 +179,6 @@ class Vector(_Value):
     @property
     def rank(self) -> int:
         return len(self.coords) // 2
-
-    @classmethod
-    def zero(cls, r: int) -> "Vector":
-        return cls((0,) * (2 * _check_rank(r)))
 
     @classmethod
     def unit(cls, r: int, j: int) -> "Vector":
@@ -406,10 +414,6 @@ class SymplecticMatrix(_Value):
     def rank(self) -> int:
         return len(self.rows) // 2
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     @classmethod
     def identity(cls, r: int) -> "SymplecticMatrix":
         return cls._trusted(_identity_rows(2 * _check_rank(r)))
@@ -417,7 +421,7 @@ class SymplecticMatrix(_Value):
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if not isinstance(other, SymplecticMatrix):
             return NotImplemented
-        if self.dim != other.dim:
+        if len(self.rows) != len(other.rows):
             raise ValueError("rank mismatch")
         # products of form-preserving matrices preserve the form
         return SymplecticMatrix._trusted(_matmul(self.rows, other.rows))
@@ -457,9 +461,8 @@ def transvection(v: Vector) -> SymplecticMatrix:
 
 
 def neg_identity(r: int) -> SymplecticMatrix:
-    n = 2 * _check_rank(r)
-    rows = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
-    return SymplecticMatrix._trusted(rows)
+    rows = _identity_rows(2 * _check_rank(r))
+    return SymplecticMatrix._trusted(tuple([tuple([*map(neg, row)]) for row in rows]))
 
 
 @lru_cache(maxsize=None)

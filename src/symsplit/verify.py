@@ -17,8 +17,8 @@ from typing import Iterator
 from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
 from .quadratic import QuadraticRefinement, qdifference, qtranslate
-from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_rank, _setattr,
-                         neg_identity, random_symplectic_word, transvection)
+from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_rank, neg_identity,
+                         random_symplectic_word, transvection)
 
 SUITE_MODULI = (0, 4, 24, 240)
 VERIFY_RANK_LIMIT = 8
@@ -26,11 +26,6 @@ VERIFY_RANK_LIMIT = 8
 
 class SuiteResult(_Value):
     __slots__ = ("name", "passed", "total")
-
-    def __init__(self, name: str, passed: int, total: int) -> None:
-        _setattr(self, "name", name)
-        _setattr(self, "passed", passed)
-        _setattr(self, "total", total)
 
     @property
     def ok(self) -> bool:

@@ -8,14 +8,16 @@ import re
 import shlex
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symsplit.cli import ELEMENT_RANK_LIMIT, element_from_document, element_to_document, main
+from symsplit.cli import (ELEMENT_RANK_LIMIT, _parse_psi, element_from_document, element_to_document,
+                          main)
 from symsplit.jacobi import JacobiElement, jacobi_identity, jmul, splits
-from symsplit.quadratic import orbit_decomposition
+from symsplit.quadratic import QuadraticRefinement, orbit_decomposition
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
 from symsplit.verify import run_suites
 
@@ -262,7 +264,7 @@ def test_mul_input_errors(tmp_path, capsys):
 def test_document_validation(tmp_path, capsys):
     cases = [
         ({"r": 1, "modulus": 0, "x": [0, 0]}, "lacks keys"),
-        ({"r": 0, "modulus": 0, "x": [], "A": []}, "positive"),
+        ({"r": 0, "modulus": 0, "x": [], "A": []}, "rank must lie in 1..50, got 0"),
         ({"r": 1, "modulus": -2, "x": [0, 0], "A": [[1, 0], [0, 1]]}, "non-negative"),
         ({"r": 1, "modulus": 0, "x": [0], "A": [[1, 0], [0, 1]]}, "2r entries"),
         ({"r": 1, "modulus": 4, "x": [4, 0], "A": [[1, 0], [0, 1]]}, "[0, modulus)"),
@@ -338,11 +340,17 @@ def test_element_rank_guard(tmp_path, capsys):
     path.write_text(json.dumps(_identity_document(ELEMENT_RANK_LIMIT)))
     assert _run(capsys, "inv", "--lhs", str(path)) == (
         0, json.dumps(_identity_document(ELEMENT_RANK_LIMIT), sort_keys=True) + "\n", "")
-    message = f"error: r must lie in 1..{ELEMENT_RANK_LIMIT}\n"
     for doc in (_identity_document(ELEMENT_RANK_LIMIT + 1), {"r": 10 ** 30, "modulus": 0, "x": [], "A": []}):
+        message = f"error: rank must lie in 1..{ELEMENT_RANK_LIMIT}, got {doc['r']}\n"
         path.write_text(json.dumps(doc))
         assert _run(capsys, "inv", "--lhs", str(path)) == (2, "", message)
         assert _run(capsys, "mul", "--lhs", str(path), "--rhs", str(path)) == (2, "", message)
+
+
+def test_psi_bits_read_as_the_packed_state():
+    for r in (1, 2, 3):
+        for bits in map("".join, product("01", repeat=2 * r)):
+            assert _parse_psi(bits, r) == QuadraticRefinement(tuple(map(int, bits))), bits
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):

@@ -55,7 +55,7 @@ def test_phi_antisymmetric_and_bilinear(vecs, a, b):
 
 
 def test_transvection_zero_vector_is_identity():
-    assert transvection(Vector.zero(2)) == SymplecticMatrix.identity(2)
+    assert transvection(Vector((0, 0, 0, 0))) == SymplecticMatrix.identity(2)
 
 
 def test_transvection_hand_expanded_matrices():

@@ -118,3 +118,16 @@ def test_copies_and_pickles_are_equal(cls):
         assert type(other) is cls and other == obj and hash(other) == hash(obj)
         assert repr(other) == repr(obj)
 
+
+@pytest.mark.parametrize("cls", [OrbitClass, OrbitReport, SplitVerdict, SplittingTheoremVerdict,
+                                 SuiteResult], ids=lambda cls: cls.__name__)
+def test_field_only_classes_take_one_value_per_field(cls):
+    # these classes use the base's positional constructor, which stores the values in slot order
+    assert "__init__" not in vars(cls)
+    obj = CASES[cls][0]()
+    fields = _fields(obj)
+    assert cls(*fields) == obj
+    for values in (fields[:-1], fields + (None,)):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__} takes {len(fields)} values,"
+                                            rf" got {len(values)}$"):
+            cls(*values)
