@@ -33,6 +33,16 @@ A T_v is A e_j + phi(v, e_j) A v, and every candidate direction has at most
 two nonzero coordinates, so a step reads two columns and rewrites at most
 two, O(r) work instead of a (2r)^3 product.
 
+A product AB is built row by row, each row of A taking one of two paths by
+its own zero count.  A row with at least a quarter of its entries zero
+(`4 * row.count(0) >= len(row)`) gives the sum of A_ik B_k over its nonzero
+entries, B's rows combined by C-level maps; an entry 1 adds B_k as it is,
+so a product by the identity reuses B's row tuples.  The identity, J and
+the seeded words have one to three nonzero entries in most rows.  Every
+other row takes dot products with B's columns, B being transposed once, on
+the first such row: combining rows for every row was 1.4 to 1.8 times
+slower on the dense small-entry products of the `arith` benchmark.
+
 On the per-call paths (coercion, products, inverses, covector arithmetic)
 tuples are built from a list, not from a generator expression or a bare
 `map`: that is faster for these short rows, and the tuple is allocated at its
@@ -49,6 +59,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import compress, repeat
 from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -151,8 +162,30 @@ def _check_rank(r: int, limit: Optional[int] = None) -> int:
 
 
 def _matmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+    """AB for integer matrices given as tuples of rows, as a tuple of row tuples.
+
+    A row of A with at least a quarter of its entries zero is combined from
+    B's rows, and one that is 1 at k and 0 elsewhere gives B's row k itself,
+    not a copy; any other row takes dot products with B's columns (see the
+    module docstring).
+    """
+    cols = None
+    out = []
+    for row in a:
+        if 4 * row.count(0) < len(row):
+            if cols is None:
+                cols = tuple(zip(*b))
+            out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+            continue
+        acc = None
+        for x, brow in zip(compress(row, row), compress(b, row)):
+            term = brow if x == 1 else map(mul, repeat(x), brow)
+            acc = term if acc is None else map(add, acc, term)
+        if acc is None:
+            out.append((0,) * len(b[0]))
+        else:
+            out.append(acc if acc.__class__ is tuple else tuple([*acc]))
+    return tuple(out)
 
 
 def _transpose(rows):
@@ -203,14 +236,15 @@ class Vector(_Value):
 
     def __add__(self, other: "Vector") -> "Vector":
         self._same_rank(other)
-        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Vector(tuple([*map(add, self.coords, other.coords)]))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._same_rank(other)
-        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Vector(tuple([*map(sub, self.coords, other.coords)]))
 
     def __rmul__(self, k: int) -> "Vector":
-        return Vector(tuple(int(k) * a for a in self.coords))
+        k = int(k)
+        return Vector(tuple([k * a for a in self.coords]))
 
 
 def phi_eval(v: Vector, w: Vector) -> int:

@@ -22,6 +22,9 @@ from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_rank
 
 SUITE_MODULI = (0, 4, 24, 240)
 VERIFY_RANK_LIMIT = 8
+# The largest round count that keeps run_suites(8, samples, seed) within about 1 s;
+# the measurement is in README.
+VERIFY_SAMPLES_LIMIT = 300
 
 
 class SuiteResult(_Value):
@@ -33,14 +36,14 @@ class SuiteResult(_Value):
 
 
 def _random_refinement(r: int, rng: random.Random) -> QuadraticRefinement:
-    return QuadraticRefinement(tuple(rng.randint(0, 1) for _ in range(2 * r)))
+    return QuadraticRefinement(tuple([rng.randint(0, 1) for _ in range(2 * r)]))
 
 
 def _random_covector(r: int, modulus: int, rng: random.Random) -> Covector:
     if modulus == 0:
-        coords = tuple(rng.randint(-99, 99) for _ in range(2 * r))
+        coords = tuple([rng.randint(-99, 99) for _ in range(2 * r)])
     else:
-        coords = tuple(rng.randrange(modulus) for _ in range(2 * r))
+        coords = tuple([rng.randrange(modulus) for _ in range(2 * r)])
     return Covector(coords, modulus)
 
 
@@ -156,6 +159,8 @@ def run_suites(r: int, samples: int, seed: int, negative_control: bool = False) 
     r = _check_rank(r, VERIFY_RANK_LIMIT)
     if samples < 1:
         raise ValueError("samples must be positive")
+    if samples > VERIFY_SAMPLES_LIMIT:
+        raise ValueError(f"samples must be at most {VERIFY_SAMPLES_LIMIT}, got {samples!r}")
     rng = random.Random(seed)
     suites = _SUITES + ((("negative_control", _negative_control_suite),) if negative_control else ())
     results = []

@@ -14,12 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from symsplit import jacobi, verify
 from symsplit.cli import (ELEMENT_RANK_LIMIT, _parse_psi, element_from_document, element_to_document,
                           main)
 from symsplit.jacobi import JacobiElement, jacobi_identity, jmul, splits
 from symsplit.quadratic import QuadraticRefinement, orbit_decomposition
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
-from symsplit.verify import run_suites
+from symsplit.verify import VERIFY_SAMPLES_LIMIT, run_suites
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -441,6 +442,28 @@ def test_verify_guards(capsys):
     assert code == 2 and "positive" in err
 
 
+def test_verify_samples_limit(capsys, monkeypatch):
+    # the limit runs; one past it exits 2 before any word is drawn
+    assert VERIFY_SAMPLES_LIMIT >= 200  # the README example runs --samples 200
+    code, out, err = _run(capsys, "verify", "--r", "1", "--samples", str(VERIFY_SAMPLES_LIMIT), "--seed", "3")
+    assert code == 0 and err == "" and out.splitlines()[-1] == "all suites: PASS"
+    draws = []
+    word = verify.random_symplectic_word
+
+    def counting_word(*args):
+        draws.append(args)
+        return word(*args)
+
+    monkeypatch.setattr(verify, "random_symplectic_word", counting_word)
+    monkeypatch.setattr(jacobi, "random_symplectic_word", counting_word)
+    code, out, err = _run(capsys, "verify", "--r", "8", "--samples", str(VERIFY_SAMPLES_LIMIT + 1),
+                          "--seed", "3")
+    assert (code, out) == (2, "") and "at most" in err
+    assert draws == []
+    assert _run(capsys, "verify", "--r", "8", "--samples", "1", "--seed", "3")[0] == 0
+    assert draws  # the counter sees the words an accepted call draws
+
+
 def _operands_of_two_ranks(tmp_path):
     g, h = jacobi_identity(1), jacobi_identity(2)
     argv = ("mul", "--lhs", _write_element(tmp_path / "g.json", g), "--rhs", _write_element(tmp_path / "h.json", h))
@@ -455,8 +478,12 @@ def _operands_of_two_ranks(tmp_path):
                "rank must lie in 1..8, got 9"),
     lambda _: (("verify", "--r", "1", "--samples", "0", "--seed", "0"), lambda: run_suites(1, 0, 0),
                "samples must be positive"),
+    lambda _: (("verify", "--r", "8", "--samples", str(VERIFY_SAMPLES_LIMIT + 1), "--seed", "0"),
+               lambda: run_suites(8, VERIFY_SAMPLES_LIMIT + 1, 0),
+               f"samples must be at most {VERIFY_SAMPLES_LIMIT}, got {VERIFY_SAMPLES_LIMIT + 1}"),
     _operands_of_two_ranks,
-], ids=["orbits-rank", "split-rank", "split-rank-zero", "verify-rank", "verify-samples", "mul-operands"])
+], ids=["orbits-rank", "split-rank", "split-rank-zero", "verify-rank", "verify-samples",
+        "verify-samples-limit", "mul-operands"])
 def test_cli_error_is_the_library_error(tmp_path, capsys, case):
     # each bound has one guard, in the library; the CLI prints its message unchanged
     argv, call, message = case(tmp_path)
@@ -607,7 +634,8 @@ def _report_argv(draw):
         if draw(st.booleans()):
             argv += ["--modulus", ints(-8, 48)]
     if command == "verify":
-        argv += ["--samples", ints(-1, 3), "--seed", ints(-5, 5)]
+        samples = draw(st.one_of(st.integers(-1, 3), st.just(VERIFY_SAMPLES_LIMIT + 1)))
+        argv += ["--samples", str(samples), "--seed", ints(-5, 5)]
         if draw(st.booleans()):
             argv.append("--negative-control")
     if draw(st.booleans()):
@@ -618,6 +646,8 @@ def _report_argv(draw):
 @settings(max_examples=120, deadline=None)
 @given(argv=_report_argv())
 @example(argv=["split", "--p", "3", "--r", "1", "--modulus", "0"])
+@example(argv=["verify", "--r", "1", "--samples", str(VERIFY_SAMPLES_LIMIT), "--seed", "0"])
+@example(argv=["verify", "--r", "8", "--samples", str(VERIFY_SAMPLES_LIMIT + 1), "--seed", "0"])
 def test_exit_contract_on_report_argv(argv):
     # ROADMAP exit contract: 0 success, 1 property failure (here only the planted
     # negative control), 2 input error; never a traceback

@@ -6,6 +6,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsplit.jacobi import random_member
+from symsplit.quadratic import QuadraticRefinement
 from symsplit.symplectic import (
     Covector,
     SymplecticMatrix,
@@ -274,6 +276,69 @@ def test_internal_results_equal_validated_construction():
             assert c == SymplecticMatrix(c.rows)
             assert type(c.rows) is tuple and all(type(row) is tuple for row in c.rows)
             assert all(type(e) is int for row in c.rows for e in row)
+
+
+def _product_by_loops(a, b):
+    """AB by its definition: entry (i, j) is the sum over k of A_ik B_kj."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for k in range(len(b)):
+                total += a[i][k] * b[k][j]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _rows_by_zero_count(n, counts, rng):
+    """One row of n entries per zero count, the zeros at random places and the other
+    entries drawn from 1, -1 and other values, some past 64 bits."""
+    values = (1, -1, 1, -1, 2, -3, 7, (1 << 70) + 5, -(10 ** 30))
+    rows = []
+    for zeros in counts:
+        nonzero = set(rng.sample(range(n), n - zeros))
+        rows.append(tuple(rng.choice(values) if k in nonzero else 0 for k in range(n)))
+    return tuple(rows)
+
+
+def _product_operands(r, rng):
+    """Square operands of size 2r for the product oracle."""
+    n = 2 * r
+    psi = QuadraticRefinement.zero(r)
+    yield _identity_rows(n)
+    yield _form_matrix(r)
+    yield neg_identity(r).rows
+    for length in (1, 3, 10):
+        yield random_symplectic_word(r, length, rng).rows
+        yield random_member(psi, 0, rng, word_length=length).a.rows
+    yield tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+    yield tuple(tuple(rng.randint(-10 ** 300, 10 ** 300) for _ in range(n)) for _ in range(n))
+    # every zero count from 0 (dense) to n (a zero row), so both sides of the sparse threshold
+    yield _rows_by_zero_count(n, range(n), rng)
+    yield _rows_by_zero_count(n, range(n, 0, -1), rng)
+    # rows with one nonzero entry: 1 (B's row itself), -1 and another value
+    yield tuple(tuple(rng.choice((1, -1, 5)) * (k == (i * 3) % n) for k in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_product_matches_triple_loop_oracle(r):
+    rng = random.Random(59 + r)
+    operands = list(_product_operands(r, rng))
+    for a in operands:
+        for b in operands:
+            got = _matmul(a, b)
+            assert got == _product_by_loops(a, b)
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_product_by_identity_reuses_rows(r):
+    # the sparse path: a row of A whose only nonzero entry is 1 at k is B's row k itself
+    m = random_symplectic_word(r, 12, random.Random(61 + r))
+    product = SymplecticMatrix.identity(r) * m
+    assert all(product.rows[i] is m.rows[i] for i in range(2 * r))
 
 
 def test_public_construction_still_coerces():
