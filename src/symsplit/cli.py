@@ -23,9 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from functools import lru_cache
-from pathlib import Path
-from typing import Any, Optional, Sequence
 
 from . import __version__
 from .jacobi import SPLIT_RANK_LIMIT, JacobiElement, SplitVerdict, gamma_psi_member, jinv, jmul
@@ -56,7 +55,7 @@ def _encode_int(value: int):
                          " decimal output limit") from exc
 
 
-def _decode_int(value: Any) -> int:
+def _decode_int(value: object) -> int:
     if isinstance(value, bool):
         raise ValueError("expected an integer")
     if isinstance(value, int):
@@ -96,7 +95,7 @@ def element_to_document(g: JacobiElement) -> dict:
     }
 
 
-def element_from_document(doc: Any) -> JacobiElement:
+def element_from_document(doc: object) -> JacobiElement:
     if not isinstance(doc, dict):
         raise ValueError("element document must be a JSON object")
     missing = {"r", "modulus", "x", "A"} - set(doc)
@@ -125,7 +124,7 @@ def _parse_psi(bits: str, r: int) -> QuadraticRefinement:
     return QuadraticRefinement._trusted(2 * r, int(bits, 2))  # bit 2r-1-i is value i
 
 
-def _report(command: str, parameters: dict, results: dict, seed: Optional[int] = None) -> dict:
+def _report(command: str, parameters: dict, results: dict, seed: int | None = None) -> dict:
     return {
         "command": command,
         "parameters": parameters,
@@ -188,7 +187,7 @@ def _verdict_dict(v: SplitVerdict) -> dict:
 
 def _verdict_line(flavor: str, v: SplitVerdict, modulus_w: int, checked_w: int) -> str:
     witness = _bits(v.witness.coords) if v.witness is not None else "-"
-    return (f"{flavor:<9} {v.modulus:>{modulus_w}}  {'yes' if v.splits else 'no':<6} "
+    return (f"{flavor:<9} {v.modulus:>{modulus_w}}  {'yes' if v.splits else 'no':<6}  "
             f"{witness:<8} {v.candidates_checked:>{checked_w}}")
 
 
@@ -219,9 +218,10 @@ def _cmd_split(args) -> tuple[int, str]:
     return 0, _render(_report("split", params, results), args.format, lines)
 
 
-def _load_document(path: str) -> Any:
+def _load_document(path: str) -> object:
     try:
-        payload = Path(path).read_text()
+        with open(path) as f:
+            payload = f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
@@ -355,7 +355,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -11,7 +11,7 @@ dict's `__getitem__` as a finite table that promises no law.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .quadratic import QuadraticRefinement, qact, qdifference
 from .symplectic import Covector, SymplecticMatrix, neg_identity

@@ -14,7 +14,7 @@ in O(r) steps.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .cocycles import principal_at
 from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
@@ -36,14 +36,6 @@ class JacobiElement(_Value):
             raise ValueError("covector and matrix ranks differ")
         _setattr(self, "x", x)
         _setattr(self, "a", a)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.x == other.x and self.a == other.a
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.a))
 
     @property
     def rank(self) -> int:
@@ -147,7 +139,7 @@ def _check_split_modulus(modulus: int) -> None:
         raise ValueError("modulus must be 0 or a positive integer divisible by 4")
 
 
-def splits(r: int, modulus: int, psi: Optional[QuadraticRefinement] = None) -> SplitVerdict:
+def splits(r: int, modulus: int, psi: QuadraticRefinement | None = None) -> SplitVerdict:
     """Decide whether the extension splits; exact, in O(r) steps.
 
     Requires modulus 0 (integer covectors) or a multiple of 4, the regime in

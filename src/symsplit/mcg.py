@@ -10,12 +10,12 @@ and the splitting question is decided for both flavors by one solve.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .jacobi import (JacobiElement, SplitVerdict, _check_split_modulus, gamma_psi_member,
                      jacobi_identity, reduce_modulus, splits)
 from .quadratic import QuadraticRefinement
-from .symplectic import Covector, SymplecticMatrix, _Value, _check_rank, _integral, _setattr
+from .symplectic import (Covector, SymplecticMatrix, _Value, _check_index, _check_rank, _integral,
+                         _setattr)
 
 COEFFICIENT_ORDER = {3: 12, 7: 120}
 
@@ -39,7 +39,7 @@ class ManifoldParams(_Value):
         return COEFFICIENT_ORDER[self.p]
 
 
-def _homotopy_modulus(params: ManifoldParams, modulus: Optional[int] = None) -> int:
+def _homotopy_modulus(params: ManifoldParams, modulus: int | None = None) -> int:
     """The homotopy modulus: twice the coefficient order unless given, checked and returned.
 
     It must be a positive multiple of 4.  Negative moduli and moduli not
@@ -87,7 +87,7 @@ def aut_model(p: int, r: int) -> MCGModel:
     return MCGModel(ManifoldParams(p, r), 0, QuadraticRefinement.zero(r))
 
 
-def homotopy_model(p: int, r: int, modulus: Optional[int] = None) -> MCGModel:
+def homotopy_model(p: int, r: int, modulus: int | None = None) -> MCGModel:
     """Homotopy-flavor model; modulus defaults to twice the coefficient order."""
     params = ManifoldParams(p, r)
     return MCGModel(params, _homotopy_modulus(params, modulus), QuadraticRefinement.zero(r))
@@ -102,8 +102,7 @@ def dehn_twist(model: MCGModel, i: int, kind: str, alpha: int) -> JacobiElement:
     r = model.rank
     if kind not in ("u", "v"):
         raise ValueError('twist kind must be "u" or "v"')
-    if not 1 <= i <= r:
-        raise ValueError("pair index out of range")
+    i = _check_index(i, 1, r, "pair index")
     if alpha % 2:
         raise ValueError("twist coefficient must be even")
     pos = 2 * (i - 1) + (1 if kind == "u" else 0)
@@ -111,7 +110,7 @@ def dehn_twist(model: MCGModel, i: int, kind: str, alpha: int) -> JacobiElement:
     return JacobiElement(Covector(coords, model.modulus), SymplecticMatrix.identity(r))
 
 
-def to_homotopy(model: MCGModel, g: JacobiElement, target: Optional[MCGModel] = None) -> JacobiElement:
+def to_homotopy(model: MCGModel, g: JacobiElement, target: MCGModel | None = None) -> JacobiElement:
     """Reduce a smooth-model member into a homotopy model over the same base refinement.
 
     The target defaults to the model with modulus twice the coefficient order.
@@ -149,7 +148,7 @@ class SplittingTheoremVerdict(_Value):
 
 
 def splitting_theorem_verdict(p: int, r: int,
-                              homotopy_modulus: Optional[int] = None) -> SplittingTheoremVerdict:
+                              homotopy_modulus: int | None = None) -> SplittingTheoremVerdict:
     """Decide splitting for the smooth and homotopy models of one manifold.
 
     For modulus 0 or a multiple of 4 the extension splits iff the base

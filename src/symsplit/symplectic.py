@@ -6,7 +6,11 @@ the form takes +1 on each (ui, vi) pair, which keeps its Gram matrix J block
 diagonal.  Matrices act on column vectors from the left; covectors are row
 functionals, acted on the right by composition.
 
-J is a signed permutation, so no kernel multiplies by it.  A matrix preserves
+J is a signed permutation, so no kernel multiplies by it.  The form's signs
+are written once, in `_phi_row(v)`, the row phi(v, -) = (-b_1, a_1, ...,
+-b_r, a_r) of v = (a_1, b_1, ..., a_r, b_r): `phi_eval` and the form check
+take dot products with it, `transvection(v)` is I + v phi(v, -), and the
+word steps read their coefficients from it.  A matrix preserves
 the form iff phi(col_i, col_j) = J_ij for every pair of columns i < j
 (antisymmetry covers the rest).  The inverse of a form-preserving matrix is
 the signed transpose -J A^T J, and its postcondition is the same pairing
@@ -41,7 +45,9 @@ so a product by the identity reuses B's row tuples.  The identity, J and
 the seeded words have one to three nonzero entries in most rows.  Every
 other row takes dot products with B's columns, B being transposed once, on
 the first such row: combining rows for every row was 1.4 to 1.8 times
-slower on the dense small-entry products of the `arith` benchmark.
+slower on the dense small-entry products of the `arith` benchmark.  The
+covector action x.A is the one-row product (x) A through the same kernel, so
+a zero, unit or 0/1 covector is combined from A's rows.
 
 On the per-call paths (coercion, products, inverses, covector arithmetic)
 tuples are built from a list, not from a generator expression or a bare
@@ -58,10 +64,10 @@ in `quadratic` packs those parities into 2r-bit ints internally.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, attrgetter, mul, neg, sub
-from typing import Iterable, Optional, Sequence, Union
 
 _setattr = object.__setattr__
 
@@ -76,10 +82,7 @@ class _Value:
     print as `Name(field=value, ...)`.  Assigning or deleting a field raises
     AttributeError, so constructors set fields with `object.__setattr__`.
     `copy`, `deepcopy` and `pickle` rebuild an object by calling its class on
-    `_init_args()`, by default the field values in order.  A class on a
-    per-call path may define `__eq__` and `__hash__` with inline field reads,
-    two to three times as fast as these generic ones (defining `__eq__` alone
-    would clear the inherited hash).
+    `_init_args()`, by default the field values in order.
     """
 
     __slots__ = ()
@@ -123,7 +126,7 @@ class _Value:
         return self.__class__, self._init_args()
 
 
-def _integral(x) -> Optional[int]:
+def _integral(x) -> int | None:
     """x as an int if int(x) == x (3, 3.0, True), else None (2.5, inf, nan, "3", None)."""
     try:
         n = int(x)
@@ -149,7 +152,7 @@ def _as_int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return ints
 
 
-def _check_rank(r: int, limit: Optional[int] = None) -> int:
+def _check_rank(r: int, limit: int | None = None) -> int:
     """Return r as an int; raise ValueError unless it is an integer in 1..limit (no upper bound if None).
 
     This is the one guard on every rank limit, so each limit has one message.
@@ -158,6 +161,14 @@ def _check_rank(r: int, limit: Optional[int] = None) -> int:
     if n is None or n < 1 or (limit is not None and n > limit):
         raise ValueError(f"rank must be a positive integer, got {r!r}" if limit is None
                          else f"rank must lie in 1..{limit}, got {r!r}")
+    return n
+
+
+def _check_index(i, lo: int, hi: int, what: str) -> int:
+    """Return i as an int; raise ValueError "<what> out of range" unless it is an integer in lo..hi."""
+    n = _integral(i)
+    if n is None or not lo <= n <= hi:
+        raise ValueError(f"{what} out of range")
     return n
 
 
@@ -216,19 +227,18 @@ class Vector(_Value):
     @classmethod
     def unit(cls, r: int, j: int) -> "Vector":
         n = 2 * _check_rank(r)
-        if not 0 <= j < n:
-            raise ValueError("basis index out of range")
+        j = _check_index(j, 0, n - 1, "basis index")
         return cls(tuple(int(i == j) for i in range(n)))
 
     @classmethod
     def u(cls, r: int, i: int) -> "Vector":
         """The i-th (1-based) vector of the first kind in its hyperbolic pair."""
-        return cls.unit(r, 2 * (i - 1))
+        return cls.unit(r, 2 * _check_index(i, 1, _check_rank(r), "basis index") - 2)
 
     @classmethod
     def v(cls, r: int, i: int) -> "Vector":
         """The i-th (1-based) vector of the second kind in its hyperbolic pair."""
-        return cls.unit(r, 2 * (i - 1) + 1)
+        return cls.unit(r, 2 * _check_index(i, 1, _check_rank(r), "basis index") - 1)
 
     def _same_rank(self, other: "Vector") -> None:
         if len(self.coords) != len(other.coords):
@@ -247,15 +257,24 @@ class Vector(_Value):
         return Vector(tuple([k * a for a in self.coords]))
 
 
+def _phi_row(coords: Sequence[int]) -> list[int]:
+    """phi(v, -) as a row, (-b_1, a_1, ..., -b_r, a_r) for v = (a_1, b_1, ..., a_r, b_r).
+
+    This is the one place the form's signs are written: phi(v, w) is the dot
+    product of this row with w.  The row is a signed permutation of v, so
+    building it multiplies nothing.
+    """
+    row = list(coords)
+    row[0::2] = map(neg, coords[1::2])
+    row[1::2] = coords[0::2]
+    return row
+
+
 def phi_eval(v: Vector, w: Vector) -> int:
     """Value of the hyperbolic form: sum over pairs of a_i b'_i - b_i a'_i."""
-    a, b = v.coords, w.coords
-    if len(a) != len(b):
+    if len(v.coords) != len(w.coords):
         raise ValueError("rank mismatch")
-    total = 0
-    for k in range(0, len(a), 2):
-        total += a[k] * b[k + 1] - a[k + 1] * b[k]
-    return total
+    return sum(map(mul, _phi_row(v.coords), w.coords))
 
 
 class Covector(_Value):
@@ -291,14 +310,6 @@ class Covector(_Value):
         _setattr(x, "coords", tuple([c % modulus for c in coords]) if modulus else coords)
         _setattr(x, "modulus", modulus)
         return x
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords and self.modulus == other.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords, self.modulus))
 
     @property
     def rank(self) -> int:
@@ -343,12 +354,9 @@ class Covector(_Value):
         """Right action by composition: (x.A)(w) = x(Aw)."""
         if not isinstance(a, SymplecticMatrix):
             raise TypeError("expected a SymplecticMatrix")
-        rows = a.rows
-        if len(rows) != len(self.coords):
+        if len(a.rows) != len(self.coords):
             raise ValueError("rank mismatch")
-        coords = self.coords
-        return Covector._trusted(tuple([sum(map(mul, coords, col)) for col in zip(*rows)]),
-                                 self.modulus)
+        return Covector._trusted(_matmul((self.coords,), a.rows)[0], self.modulus)
 
     def reduce_to(self, m: int) -> "Covector":
         m = int(m)
@@ -370,18 +378,15 @@ def _pairs_as_basis(vectors) -> bool:
     A J A^T == J.  Each phi(w_i, w_j) is checked against J_ij for the pairs
     i < j only, where J is 1 exactly at (2k, 2k+1) and 0 elsewhere; the
     diagonal is 0 and the lower triangle follows by antisymmetry.  That is
-    n(n-1)/2 pairings, about n^3/2 multiplications, with an exit at the
-    first mismatch.
+    n(n-1)/2 pairings, each one dot product with w_i's phi-row, about n^3/2
+    multiplications, with an exit at the first mismatch.
     """
     vectors = tuple(vectors)
-    firsts = [w[0::2] for w in vectors]  # coordinates on u_1..u_r
-    seconds = [w[1::2] for w in vectors]  # coordinates on v_1..v_r
     n = len(vectors)
     for i in range(n):
-        fi, si = firsts[i], seconds[i]
+        row = _phi_row(vectors[i])
         for j in range(i + 1, n):
-            value = sum(map(mul, fi, seconds[j])) - sum(map(mul, si, firsts[j]))
-            if value != (j == i + 1 and i % 2 == 0):  # J_ij, as 0 or 1
+            if sum(map(mul, row, vectors[j])) != (j == i + 1 and i % 2 == 0):  # J_ij, as 0 or 1
                 return False
     return True
 
@@ -398,16 +403,20 @@ def _signed_transpose(rows) -> tuple[tuple[int, ...], ...]:
                          for j in range(n)]) for i in range(n)])
 
 
-def is_symplectic(matrix: Union["SymplecticMatrix", Sequence[Sequence[int]]]) -> bool:
-    """Exact form-preservation check; raises on non-square or odd dimension."""
-    if isinstance(matrix, SymplecticMatrix):
-        rows = matrix.rows
-    else:
-        rows = tuple([*map(_as_int_tuple, matrix)])
+def _square_rows(rows: Iterable[Iterable[int]], message: str) -> tuple[tuple[int, ...], ...]:
+    """The rows coerced to int tuples; ValueError(message) unless they form a square of even dimension."""
+    rows = tuple([*map(_as_int_tuple, rows)])
     n = len(rows)
     if n == 0 or n % 2 or any(len(row) != n for row in rows):
-        raise ValueError("expected a square integer matrix of even dimension")
-    return _preserves_form(rows)
+        raise ValueError(message)
+    return rows
+
+
+def is_symplectic(matrix: SymplecticMatrix | Sequence[Sequence[int]]) -> bool:
+    """Exact form-preservation check; raises on non-square or odd dimension."""
+    if isinstance(matrix, SymplecticMatrix):
+        return _preserves_form(matrix.rows)
+    return _preserves_form(_square_rows(matrix, "expected a square integer matrix of even dimension"))
 
 
 class SymplecticMatrix(_Value):
@@ -421,10 +430,7 @@ class SymplecticMatrix(_Value):
 
     def __post_init__(self, rows: Iterable[Iterable[int]]) -> None:
         """Coerce, check and store the rows; perfbench traces it as `symplectic.construct`."""
-        rows = tuple([*map(_as_int_tuple, rows)])
-        n = len(rows)
-        if n == 0 or n % 2 or any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square of even dimension")
+        rows = _square_rows(rows, "matrix must be square of even dimension")
         if not _preserves_form(rows):
             raise ValueError("matrix does not preserve the hyperbolic form")
         _setattr(self, "rows", rows)
@@ -435,14 +441,6 @@ class SymplecticMatrix(_Value):
         matrix = object.__new__(cls)
         _setattr(matrix, "rows", rows)
         return matrix
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
 
     @property
     def rank(self) -> int:
@@ -484,14 +482,12 @@ class SymplecticMatrix(_Value):
 
 
 def transvection(v: Vector) -> SymplecticMatrix:
-    """Matrix of w -> w + phi(v, w) v, symplectic for every integer v."""
-    n = 2 * v.rank
-    cols = []
-    for j in range(n):
-        e = Vector.unit(v.rank, j)
-        c = phi_eval(v, e)
-        cols.append(tuple(e.coords[i] + c * v.coords[i] for i in range(n)))
-    return SymplecticMatrix._trusted(_transpose(cols))
+    """Matrix of w -> w + phi(v, w) v, symplectic for every integer v: I + v phi(v, -)."""
+    coords = v.coords
+    row = _phi_row(coords)
+    return SymplecticMatrix._trusted(tuple([
+        tuple([e + x * c for e, c in zip(ident, row)])
+        for x, ident in zip(coords, _identity_rows(len(coords)))]))
 
 
 def neg_identity(r: int) -> SymplecticMatrix:
@@ -521,7 +517,7 @@ def _word_steps(r: int) -> tuple[tuple[int, int, int, int, tuple[tuple[int, int]
     for v in transvection_candidates(r):
         (k0, x0), *rest = [(k, x) for k, x in enumerate(v.coords) if x]
         k1, x1 = rest[0] if rest else (k0, 0)
-        coeffs = tuple((j, c) for j in range(2 * r) if (c := phi_eval(v, Vector.unit(r, j))))
+        coeffs = tuple((j, c) for j, c in enumerate(_phi_row(v.coords)) if c)
         steps.append((k0, x0, k1, x1, coeffs))
     return tuple(steps)
 
@@ -536,12 +532,15 @@ def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> Symp
     the end.  rng draws exactly as
     `rng.choice(transvection_candidates(r))` would, once per step.
     """
-    if word_length < 0:
+    n = _integral(word_length)
+    if n is None:
+        raise ValueError(f"word length must be an integer, got {word_length!r}")
+    if n < 0:
         raise ValueError("word length must be non-negative")
     r = _check_rank(r)
     steps = _word_steps(r)
     cols = list(_identity_rows(2 * r))  # I is symmetric: its rows are its columns
-    for _ in range(word_length):
+    for _ in range(n):
         k0, x0, k1, x1, coeffs = rng.choice(steps)
         av = [x0 * a + x1 * b for a, b in zip(cols[k0], cols[k1])]
         for j, c in coeffs:

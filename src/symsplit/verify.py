@@ -12,13 +12,13 @@ from __future__ import annotations
 import random
 from functools import partial
 from itertools import cycle, islice
-from typing import Iterator
+from collections.abc import Iterator
 
 from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
 from .quadratic import QuadraticRefinement, qdifference, qtranslate
-from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_rank, neg_identity,
-                         random_symplectic_word, transvection)
+from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_rank, _integral,
+                         neg_identity, random_symplectic_word, transvection)
 
 SUITE_MODULI = (0, 4, 24, 240)
 VERIFY_RANK_LIMIT = 8
@@ -157,14 +157,17 @@ _SUITES = (("cocycle_law", _cocycle_law_suite), ("torsor", _torsor_suite),
 
 def run_suites(r: int, samples: int, seed: int, negative_control: bool = False) -> tuple[SuiteResult, ...]:
     r = _check_rank(r, VERIFY_RANK_LIMIT)
-    if samples < 1:
+    n = _integral(samples)
+    if n is None:
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if n < 1:
         raise ValueError("samples must be positive")
-    if samples > VERIFY_SAMPLES_LIMIT:
+    if n > VERIFY_SAMPLES_LIMIT:
         raise ValueError(f"samples must be at most {VERIFY_SAMPLES_LIMIT}, got {samples!r}")
     rng = random.Random(seed)
     suites = _SUITES + ((("negative_control", _negative_control_suite),) if negative_control else ())
     results = []
     for name, suite in suites:
-        checks = list(suite(r, samples, rng))
+        checks = list(suite(r, n, rng))
         results.append(SuiteResult(name, sum(checks), len(checks)))
     return tuple(results)

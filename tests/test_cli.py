@@ -123,10 +123,11 @@ def _split_layout(capsys, *argv):
 
 
 @pytest.mark.parametrize("argv", [("--p", "7", "--r", "31"),
-                                  ("--p", "3", "--r", "2", "--modulus", "4000000000")])
+                                  ("--p", "3", "--r", "2", "--modulus", "4000000000"),
+                                  ("--p", "3", "--r", "2"), ("--p", "7", "--r", "1")])
 def test_split_columns_line_up(capsys, argv):
-    # 19-digit counts and a 10-digit modulus keep the small-rank layout under their headers
-    assert _split_layout(capsys, *argv) == _split_layout(capsys, "--p", "3", "--r", "2")
+    # every cell sits under its header, with 19-digit counts and a 10-digit modulus too
+    assert _split_layout(capsys, *argv) == {(0, 0, 0, 0, 0)}
 
 
 def test_readme_sample_output(capsys):
@@ -540,6 +541,11 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # dataclasses alone (with inspect, ast, dis and tokenize) cost about 13 ms of that
     code = "import sys, symsplit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+    # nor typing or pathlib (about 14 ms and 8 ms); -S, because site's .pth files may load both
+    code = "import sys, symsplit.cli; print(sorted({'pathlib', 'typing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 

@@ -112,6 +112,11 @@ def test_dehn_twist_guards():
         dehn_twist(model, 0, "u", 2)
     with pytest.raises(ValueError):
         dehn_twist(model, 1, "u", 3)
+    # a non-integral pair index is refused: 1.5 used to give the "v" twist at pair 2
+    for bad in (1.5, 0.5, float("nan"), float("inf"), "1", None):
+        with pytest.raises(ValueError, match=r"^pair index out of range$"):
+            dehn_twist(model, bad, "u", 2)
+    assert dehn_twist(model, 2.0, "u", 2) == dehn_twist(model, 2, "u", 2)
 
 
 def test_to_homotopy_reduction():

@@ -18,6 +18,7 @@ from symsplit.symplectic import (
     _preserves_form,
     _signed_transpose,
     _transpose,
+    _word_steps,
     is_symplectic,
     neg_identity,
     phi_eval,
@@ -111,6 +112,20 @@ def test_act_covector_brute_force_oracle():
             acted = x.act(a)
             for j in range(2 * r):
                 assert acted.evaluate(Vector.unit(r, j)) == x.evaluate(a.apply(Vector.unit(r, j)))
+    # sparse covectors (zero, unit, 0/1), which take the product's row-combining path
+    for r in range(1, 7):
+        n = 2 * r
+        for m in (0, 2, 24):
+            xs = [Covector.zero(r, m)] + [Covector.unit(r, j, m) for j in range(n)]
+            xs += [Covector([rng.randint(0, 1) for _ in range(n)], m) for _ in range(6)]
+            for a in (random_symplectic_word(r, 6, rng), random_symplectic_word(r, 12, rng),
+                      neg_identity(r), SymplecticMatrix.identity(r)):
+                for x in xs:
+                    acted = x.act(a)
+                    assert acted.modulus == m and type(acted.coords) is tuple
+                    for j in range(n):
+                        e = Vector.unit(r, j)
+                        assert acted.evaluate(e) == acted.coords[j] == x.evaluate(a.apply(e))
 
 
 def test_act_is_a_right_action():
@@ -357,6 +372,34 @@ def test_random_symplectic_contract():
     assert random_symplectic_word(2, 20, random.Random(10)) != a  # overwhelmingly likely, fixed seeds
 
 
+def _gram(r):
+    # J written out: phi(e_2k, e_2k+1) = 1 and phi(e_2k+1, e_2k) = -1, every other pairing 0
+    n = 2 * r
+    return [[(j == i + 1 and i % 2 == 0) - (i == j + 1 and j % 2 == 0) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_form_signs_match_explicit_gram_matrix(r):
+    # phi_eval, the word steps and transvection against v^T J w and I + v v^T J, by plain loops
+    rng = random.Random(r)
+    n, gram = 2 * r, _gram(r)
+    randoms = [Vector([rng.randint(-9, 9) for _ in range(n)]) for _ in range(10)]
+    for v, w in zip(randoms, randoms[1:]):
+        assert phi_eval(v, w) == sum(v.coords[k] * gram[k][j] * w.coords[j]
+                                     for k in range(n) for j in range(n))
+    for v, (k0, x0, k1, x1, coeffs) in zip(transvection_candidates(r), _word_steps(r)):
+        assert x0 * Vector.unit(r, k0) + x1 * Vector.unit(r, k1) == v
+        row = [sum(v.coords[k] * gram[k][j] for k in range(n)) for j in range(n)]
+        assert coeffs == tuple((j, c) for j, c in enumerate(row) if c)
+    for v in list(transvection_candidates(r)) + randoms:
+        expected = []
+        for i in range(n):
+            expected.append(tuple(int(i == j) + sum(v.coords[i] * v.coords[k] * gram[k][j] for k in range(n))
+                                  for j in range(n)))
+        assert transvection(v).rows == tuple(expected)
+
+
 def _word_by_products(r, length, rng):
     # the definition the column updates replace: candidate transvections multiplied under *
     candidates = transvection_candidates(r)
@@ -384,6 +427,11 @@ def test_word_length_and_rank_are_checked():
         random_symplectic_word(2, -1, random.Random(0))
     with pytest.raises(ValueError):
         random_symplectic_word(0, 3, random.Random(0))
+    # a non-integral length is refused, not a TypeError from range(); 3.0 is read as 3
+    for bad in (2.5, float("nan"), float("inf"), "3", None):
+        with pytest.raises(ValueError, match=rf"^word length must be an integer, got {re.escape(repr(bad))}$"):
+            random_symplectic_word(2, bad, random.Random(0))
+    assert random_symplectic_word(2, 3.0, random.Random(4)) == random_symplectic_word(2, 3, random.Random(4))
 
 
 def test_candidate_directions():
@@ -478,3 +526,11 @@ def test_non_integral_entries_are_refused():
     shear = SymplecticMatrix(((1.0, True), (0, 1)))
     assert shear.rows == ((1, 1), (0, 1)) and all(type(v) is int for row in shear.rows for v in row)
     assert Vector((2.0, -0.0)).coords == (2, 0)
+    # so are non-integral basis indices: 1.5 used to give the zero vector, or v_1 from Vector.u
+    for bad in (1.5, 0.5, float("nan"), float("inf"), "1", None):
+        for call in (lambda: Vector.unit(2, bad), lambda: Vector.u(2, bad), lambda: Vector.v(2, bad),
+                     lambda: Covector.unit(2, bad, 4)):
+            with pytest.raises(ValueError, match=r"^basis index out of range$"):
+                call()
+    assert Vector.unit(2, 1.0) == Vector.unit(2, 1) == Vector.v(2, 1.0) == Vector.v(2, True)
+    assert Vector.u(2, 2.0) == Vector.unit(2, 2) and Covector.unit(2, 3.0, 4) == Covector.unit(2, 3, 4)

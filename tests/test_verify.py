@@ -32,6 +32,14 @@ def test_all_suites_pass(r):
         assert s.total >= 1
 
 
+def test_samples_must_be_an_integer():
+    # a non-integral count is refused, not a TypeError from range(); 2.0 is read as 2
+    for bad in (2.5, float("nan"), float("inf"), "3", None):
+        with pytest.raises(ValueError, match=r"^samples must be an integer, got "):
+            run_suites(1, bad, 5)
+    assert run_suites(1, 2.0, 5) == run_suites(1, 2, 5)
+
+
 def test_run_is_seed_deterministic():
     a = run_suites(2, samples=6, seed=99)
     b = run_suites(2, samples=6, seed=99)
