@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 verified-property failure (including membership
 violations), 2 input error.  Every `ValueError` a command raises is an input
 error, printed as "error: <text>" on stderr with exit code 2.  So each rank
-and sample limit is checked once, by the library call it bounds; this module
-checks only what has no library counterpart (element documents, `--psi`,
-`--jmax`).  JSON reports are byte-deterministic for fixed inputs and seed, and
-embed the seed and package version.
+and sample limit is checked once, by the library call it bounds.  The rank
+and modulus of an element document and `--jmax`, which no library call
+bounds, go through the library's integer guard `symplectic._check_int`, so
+this module words no integer bound itself; it checks only the shape of
+element documents and `--psi`.  JSON reports are byte-deterministic for
+fixed inputs and seed, and embed the seed and package version.
 
 Integers are written in decimal, so an output entry may have at most the
 interpreter's integer-string digit limit (`sys.get_int_max_str_digits()`,
@@ -31,8 +33,8 @@ from .jacobi import SPLIT_RANK_LIMIT, JacobiElement, SplitVerdict, gamma_psi_mem
 from .mcg import pontryagin_parts, splitting_theorem_verdict
 from .quadratic import (DECOMPOSITION_RANK_LIMIT, QuadraticRefinement, expected_orbit_sizes,
                         orbit_decomposition)
-from .symplectic import Covector, SymplecticMatrix, _check_rank
-from .verify import VERIFY_RANK_LIMIT, run_suites
+from .symplectic import Covector, SymplecticMatrix, _check_int
+from .verify import VERIFY_RANK_LIMIT, VERIFY_SAMPLES_LIMIT, run_suites
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -101,10 +103,8 @@ def element_from_document(doc: object) -> JacobiElement:
     missing = {"r", "modulus", "x", "A"} - set(doc)
     if missing:
         raise ValueError(f"element document lacks keys: {sorted(missing)}")
-    r, m = _decode_int(doc["r"]), _decode_int(doc["modulus"])
-    _check_rank(r, ELEMENT_RANK_LIMIT)
-    if m < 0:
-        raise ValueError("modulus must be non-negative")
+    r = _check_int(_decode_int(doc["r"]), "rank", 1, ELEMENT_RANK_LIMIT)
+    m = _check_int(_decode_int(doc["modulus"]), "modulus", 0)
     x_raw, a_raw = doc["x"], doc["A"]
     if not isinstance(x_raw, list) or len(x_raw) != 2 * r:
         raise ValueError("x must be a list of 2r entries")
@@ -281,8 +281,7 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 
 def _cmd_coeff(args) -> tuple[int, str]:
-    if args.jmax < 1:
-        raise ValueError("--jmax must be at least 1")
+    _check_int(args.jmax, "--jmax", 1)
     rows = []
     for j in range(1, args.jmax + 1):
         a, c, f = pontryagin_parts(j)
@@ -326,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the seeded property suites")
     verify.add_argument("--r", type=int, required=True, help=f"rank, 1..{VERIFY_RANK_LIMIT}")
-    verify.add_argument("--samples", type=int, required=True)
+    verify.add_argument("--samples", type=int, required=True,
+                        help=f"rounds per suite, 1..{VERIFY_SAMPLES_LIMIT}")
     verify.add_argument("--seed", type=int, required=True)
     verify.add_argument("--negative-control", action="store_true",
                         help="inject a law-violating tabulated cocycle (expected failure)")

@@ -18,8 +18,8 @@ from collections.abc import Callable
 
 from .cocycles import principal_at
 from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
-from .symplectic import (Covector, SymplecticMatrix, _Value, _check_rank, _setattr,
-                         random_symplectic_word)
+from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _integral,
+                         _setattr, random_symplectic_word)
 
 # A verdict without a witness reports 4^r candidates; 4^31 is the largest such
 # count that is still a signed 64-bit JSON integer.  The decision itself is O(r).
@@ -82,7 +82,7 @@ def gamma_psi_member(g: JacobiElement, psi: QuadraticRefinement) -> bool:
 
 def include_fiber(x: Covector, r: int) -> JacobiElement:
     """Embed an even covector as the pair (x, Id)."""
-    if x.rank != _check_rank(r):
+    if x.rank != _check_int(r, "rank", 1):
         raise ValueError("rank mismatch")
     if any(c % 2 for c in x.coords):
         raise ValueError("fiber covectors must have even coordinates")
@@ -105,7 +105,7 @@ def reframe(g: JacobiElement, y: Covector) -> JacobiElement:
 
 def default_base_refinement(r: int) -> QuadraticRefinement:
     """All-zero base, except at rank 1 where the Arf-1 form makes the section zero."""
-    r = _check_rank(r)
+    r = _check_int(r, "rank", 1)
     return QuadraticRefinement.arf_one(1) if r == 1 else QuadraticRefinement.zero(r)
 
 
@@ -133,10 +133,12 @@ class SplitVerdict(_Value):
         return sigma
 
 
-def _check_split_modulus(modulus: int) -> None:
-    """Splitting is decided for modulus 0 or a positive multiple of 4; raise ValueError otherwise."""
-    if modulus < 0 or modulus % 4:
+def _check_split_modulus(modulus: int) -> int:
+    """Return the modulus as an int; raise ValueError unless it is 0 or a positive multiple of 4."""
+    m = _integral(modulus)
+    if m is None or m < 0 or m % 4:
         raise ValueError("modulus must be 0 or a positive integer divisible by 4")
+    return m
 
 
 def splits(r: int, modulus: int, psi: QuadraticRefinement | None = None) -> SplitVerdict:
@@ -148,8 +150,8 @@ def splits(r: int, modulus: int, psi: QuadraticRefinement | None = None) -> Spli
     fixed at rank 1 and at no higher rank, and the witness is its difference
     from the base.  Ranks above SPLIT_RANK_LIMIT are refused.
     """
-    r = _check_rank(r, SPLIT_RANK_LIMIT)
-    _check_split_modulus(modulus)
+    r = _check_int(r, "rank", 1, SPLIT_RANK_LIMIT)
+    modulus = _check_split_modulus(modulus)
     base = default_base_refinement(r) if psi is None else psi
     if base.rank != r:
         raise ValueError("base refinement rank mismatch")
@@ -163,7 +165,9 @@ def splits(r: int, modulus: int, psi: QuadraticRefinement | None = None) -> Spli
 def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,
                   word_length: int = 8) -> JacobiElement:
     """Seeded sample from the refinement subgroup (not uniform over the group)."""
-    a = random_symplectic_word(psi.rank, rng.randint(0, word_length), rng)
+    modulus = _check_int(modulus, "modulus", 0)
+    length = rng.randint(0, _check_int(word_length, "word length", 0))
+    a = random_symplectic_word(psi.rank, length, rng)
     xbar = principal_at(psi, a)
     n = 2 * psi.rank
     if modulus == 0:

@@ -14,8 +14,7 @@ import math
 from .jacobi import (JacobiElement, SplitVerdict, _check_split_modulus, gamma_psi_member,
                      jacobi_identity, reduce_modulus, splits)
 from .quadratic import QuadraticRefinement
-from .symplectic import (Covector, SymplecticMatrix, _Value, _check_index, _check_rank, _integral,
-                         _setattr)
+from .symplectic import Covector, SymplecticMatrix, _Value, _check_int, _integral, _setattr
 
 COEFFICIENT_ORDER = {3: 12, 7: 120}
 
@@ -29,10 +28,11 @@ class ManifoldParams(_Value):
     __slots__ = ("p", "r")
 
     def __init__(self, p: int, r: int) -> None:
-        if p not in COEFFICIENT_ORDER:
+        n = _integral(p)
+        if n not in COEFFICIENT_ORDER:
             raise ValueError("supported middle dimensions are 3 and 7")
-        _setattr(self, "p", p)
-        _setattr(self, "r", _check_rank(r))
+        _setattr(self, "p", n)
+        _setattr(self, "r", _check_int(r, "rank", 1))
 
     @property
     def c(self) -> int:
@@ -46,8 +46,7 @@ def _homotopy_modulus(params: ManifoldParams, modulus: int | None = None) -> int
     divisible by 4 get the splitting decision's own message; 0 is refused
     because it is the smooth model's modulus.
     """
-    m = 2 * params.c if modulus is None else modulus
-    _check_split_modulus(m)
+    m = _check_split_modulus(2 * params.c if modulus is None else modulus)
     if m == 0:
         raise ValueError("the homotopy modulus must be positive; 0 is the smooth model's modulus")
     return m
@@ -59,7 +58,7 @@ class MCGModel(_Value):
     __slots__ = ("params", "modulus", "base")
 
     def __init__(self, params: ManifoldParams, modulus: int, base: QuadraticRefinement) -> None:
-        _check_split_modulus(modulus)
+        modulus = _check_split_modulus(modulus)
         if base.rank != params.r:
             raise ValueError("base refinement rank mismatch")
         _setattr(self, "params", params)
@@ -102,7 +101,8 @@ def dehn_twist(model: MCGModel, i: int, kind: str, alpha: int) -> JacobiElement:
     r = model.rank
     if kind not in ("u", "v"):
         raise ValueError('twist kind must be "u" or "v"')
-    i = _check_index(i, 1, r, "pair index")
+    i = _check_int(i, "pair index", 1, r)
+    alpha = _check_int(alpha, "twist coefficient")
     if alpha % 2:
         raise ValueError("twist coefficient must be even")
     pos = 2 * (i - 1) + (1 if kind == "u" else 0)
@@ -128,10 +128,7 @@ def to_homotopy(model: MCGModel, g: JacobiElement, target: MCGModel | None = Non
 
 def pontryagin_parts(j: int) -> tuple[int, int, int]:
     """The three factors of the twist coefficient: a_j, c_j, (2j-1)!."""
-    n = _integral(j)
-    if n is None or n < 1:  # 2.5, nan and inf too, not truncated
-        raise ValueError("the index must be a positive integer")
-    j = n
+    j = _check_int(j, "index j", 1)
     a = 2 if j % 2 else 1  # (3 - (-1)^j) / 2
     c = 2 if j <= 2 else 1
     return a, c, math.factorial(2 * j - 1)

@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import and_
 
-from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _as_int_tuple, _check_rank,
+from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _as_int_tuple, _check_int,
                          _setattr)
 
 # enumerate_refinements builds one object per refinement: at r = 10 that is
@@ -95,12 +95,12 @@ class QuadraticRefinement(_Value):
 
     @classmethod
     def zero(cls, r: int) -> "QuadraticRefinement":
-        return cls._trusted(2 * _check_rank(r), 0)
+        return cls._trusted(2 * _check_int(r, "rank", 1), 0)
 
     @classmethod
     def arf_one(cls, r: int) -> "QuadraticRefinement":
         """Lexicographically least refinement with Arf invariant 1."""
-        return cls._trusted(2 * _check_rank(r), 3)
+        return cls._trusted(2 * _check_int(r, "rank", 1), 3)
 
 
 def _pair_mask(nbits: int) -> int:
@@ -187,13 +187,13 @@ def arf(psi: QuadraticRefinement) -> int:
 
 def expected_orbit_sizes(r: int) -> tuple[int, int]:
     """Closed-form orbit sizes (Arf 0, Arf 1)."""
-    r = _check_rank(r)
+    r = _check_int(r, "rank", 1)
     return (2 ** (2 * r - 1) + 2 ** (r - 1), 2 ** (2 * r - 1) - 2 ** (r - 1))
 
 
 def enumerate_refinements(r: int) -> list[QuadraticRefinement]:
     """All 2^(2r) refinements in lexicographic basis-value order."""
-    r = _check_rank(r, ENUMERATION_RANK_LIMIT)
+    r = _check_int(r, "rank", 1, ENUMERATION_RANK_LIMIT)
     return [QuadraticRefinement._trusted(2 * r, s) for s in range(1 << 2 * r)]
 
 
@@ -319,7 +319,7 @@ def orbit_decomposition(r: int) -> OrbitReport:
     Each orbit is closed from the least state not yet seen, which is therefore
     its lexicographically least member and its representative.
     """
-    r = _check_rank(r, DECOMPOSITION_RANK_LIMIT)
+    r = _check_int(r, "rank", 1, DECOMPOSITION_RANK_LIMIT)
     n = 2 * r
     everything = (1 << (1 << n)) - 1
     seen = 0

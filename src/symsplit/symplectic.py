@@ -22,7 +22,9 @@ both.  Likewise a covector from outside is coerced and shape-checked, while
 the action, sums, differences, negation and reduction of covectors already
 validated skip that (entries are still reduced into [0, m) for a modulus m).
 Coercion refuses a value that is not integral, such as 2.5, inf or nan,
-rather than truncating it.
+rather than truncating it.  Entries are read by `_as_int_tuple`; every other
+integer argument of the package (a rank, index, modulus, length, count or
+scalar) is read by `_check_int`, the one guard and message for its bounds.
 
 The value classes here and in the other modules derive from `_Value`, a
 `__slots__` base that gives what frozen dataclasses gave (equality within
@@ -152,23 +154,19 @@ def _as_int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return ints
 
 
-def _check_rank(r: int, limit: int | None = None) -> int:
-    """Return r as an int; raise ValueError unless it is an integer in 1..limit (no upper bound if None).
+def _check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """Return value as an int; raise ValueError unless it is an integer in lo..hi (None: unbounded).
 
-    This is the one guard on every rank limit, so each limit has one message.
+    The one guard on every integer argument, so each bound has one message:
+    "<what> must lie in <lo>..<hi>, got <value!r>", or with hi None and lo 1,
+    0 or None "<what> must be a positive / a non-negative / an integer, got ...".
     """
-    n = _integral(r)
-    if n is None or n < 1 or (limit is not None and n > limit):
-        raise ValueError(f"rank must be a positive integer, got {r!r}" if limit is None
-                         else f"rank must lie in 1..{limit}, got {r!r}")
-    return n
-
-
-def _check_index(i, lo: int, hi: int, what: str) -> int:
-    """Return i as an int; raise ValueError "<what> out of range" unless it is an integer in lo..hi."""
-    n = _integral(i)
-    if n is None or not lo <= n <= hi:
-        raise ValueError(f"{what} out of range")
+    n = _integral(value)
+    if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
+        if hi is not None:
+            raise ValueError(f"{what} must lie in {lo}..{hi}, got {value!r}")
+        kind = "an" if lo is None else "a positive" if lo else "a non-negative"
+        raise ValueError(f"{what} must be {kind} integer, got {value!r}")
     return n
 
 
@@ -226,19 +224,19 @@ class Vector(_Value):
 
     @classmethod
     def unit(cls, r: int, j: int) -> "Vector":
-        n = 2 * _check_rank(r)
-        j = _check_index(j, 0, n - 1, "basis index")
+        n = 2 * _check_int(r, "rank", 1)
+        j = _check_int(j, "basis index", 0, n - 1)
         return cls(tuple(int(i == j) for i in range(n)))
 
     @classmethod
     def u(cls, r: int, i: int) -> "Vector":
         """The i-th (1-based) vector of the first kind in its hyperbolic pair."""
-        return cls.unit(r, 2 * _check_index(i, 1, _check_rank(r), "basis index") - 2)
+        return cls.unit(r, 2 * _check_int(i, "pair index", 1, _check_int(r, "rank", 1)) - 2)
 
     @classmethod
     def v(cls, r: int, i: int) -> "Vector":
         """The i-th (1-based) vector of the second kind in its hyperbolic pair."""
-        return cls.unit(r, 2 * _check_index(i, 1, _check_rank(r), "basis index") - 1)
+        return cls.unit(r, 2 * _check_int(i, "pair index", 1, _check_int(r, "rank", 1)) - 1)
 
     def _same_rank(self, other: "Vector") -> None:
         if len(self.coords) != len(other.coords):
@@ -253,7 +251,7 @@ class Vector(_Value):
         return Vector(tuple([*map(sub, self.coords, other.coords)]))
 
     def __rmul__(self, k: int) -> "Vector":
-        k = int(k)
+        k = _check_int(k, "scalar")
         return Vector(tuple([k * a for a in self.coords]))
 
 
@@ -289,9 +287,7 @@ class Covector(_Value):
 
     def __post_init__(self, coords: Iterable[int], modulus: int) -> None:
         """Coerce, check and store the fields; perfbench traces it as `symplectic.construct`."""
-        m = int(modulus)
-        if m < 0:
-            raise ValueError("modulus must be non-negative")
+        m = _check_int(modulus, "modulus", 0)
         coords = _as_int_tuple(coords)
         if not coords or len(coords) % 2:
             raise ValueError("a covector needs a positive even number of coordinates")
@@ -317,7 +313,7 @@ class Covector(_Value):
 
     @classmethod
     def zero(cls, r: int, modulus: int = 0) -> "Covector":
-        return cls((0,) * (2 * _check_rank(r)), modulus)
+        return cls((0,) * (2 * _check_int(r, "rank", 1)), modulus)
 
     @classmethod
     def unit(cls, r: int, j: int, modulus: int = 0) -> "Covector":
@@ -359,9 +355,7 @@ class Covector(_Value):
         return Covector._trusted(_matmul((self.coords,), a.rows)[0], self.modulus)
 
     def reduce_to(self, m: int) -> "Covector":
-        m = int(m)
-        if m < 0:
-            raise ValueError("modulus must be non-negative")
+        m = _check_int(m, "modulus", 0)
         if m == 0:
             if self.modulus != 0:
                 raise ValueError("cannot lift a finite-modulus covector back to integers")
@@ -448,7 +442,7 @@ class SymplecticMatrix(_Value):
 
     @classmethod
     def identity(cls, r: int) -> "SymplecticMatrix":
-        return cls._trusted(_identity_rows(2 * _check_rank(r)))
+        return cls._trusted(_identity_rows(2 * _check_int(r, "rank", 1)))
 
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if not isinstance(other, SymplecticMatrix):
@@ -478,6 +472,7 @@ class SymplecticMatrix(_Value):
         return Vector(tuple(sum(map(mul, row, v.coords)) for row in self.rows))
 
     def column(self, j: int) -> Vector:
+        j = _check_int(j, "column index", 0, len(self.rows) - 1)
         return Vector(tuple(row[j] for row in self.rows))
 
 
@@ -491,14 +486,14 @@ def transvection(v: Vector) -> SymplecticMatrix:
 
 
 def neg_identity(r: int) -> SymplecticMatrix:
-    rows = _identity_rows(2 * _check_rank(r))
+    rows = _identity_rows(2 * _check_int(r, "rank", 1))
     return SymplecticMatrix._trusted(tuple([tuple([*map(neg, row)]) for row in rows]))
 
 
 @lru_cache(maxsize=None)
 def transvection_candidates(r: int) -> tuple[Vector, ...]:
     """Directions used by the seeded word generator: u_i, v_i, and u_i +/- v_j."""
-    r = _check_rank(r)
+    r = _check_int(r, "rank", 1)
     us = [Vector.u(r, i) for i in range(1, r + 1)]
     vs = [Vector.v(r, i) for i in range(1, r + 1)]
     sums = [us[i] + vs[j] for i in range(r) for j in range(r)]
@@ -532,12 +527,8 @@ def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> Symp
     the end.  rng draws exactly as
     `rng.choice(transvection_candidates(r))` would, once per step.
     """
-    n = _integral(word_length)
-    if n is None:
-        raise ValueError(f"word length must be an integer, got {word_length!r}")
-    if n < 0:
-        raise ValueError("word length must be non-negative")
-    r = _check_rank(r)
+    n = _check_int(word_length, "word length", 0)
+    r = _check_int(r, "rank", 1)
     steps = _word_steps(r)
     cols = list(_identity_rows(2 * r))  # I is symmetric: its rows are its columns
     for _ in range(n):

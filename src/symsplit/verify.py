@@ -17,8 +17,8 @@ from collections.abc import Iterator
 from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
 from .quadratic import QuadraticRefinement, qdifference, qtranslate
-from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_rank, _integral,
-                         neg_identity, random_symplectic_word, transvection)
+from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_int, neg_identity,
+                         random_symplectic_word, transvection)
 
 SUITE_MODULI = (0, 4, 24, 240)
 VERIFY_RANK_LIMIT = 8
@@ -156,14 +156,8 @@ _SUITES = (("cocycle_law", _cocycle_law_suite), ("torsor", _torsor_suite),
 
 
 def run_suites(r: int, samples: int, seed: int, negative_control: bool = False) -> tuple[SuiteResult, ...]:
-    r = _check_rank(r, VERIFY_RANK_LIMIT)
-    n = _integral(samples)
-    if n is None:
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if n < 1:
-        raise ValueError("samples must be positive")
-    if n > VERIFY_SAMPLES_LIMIT:
-        raise ValueError(f"samples must be at most {VERIFY_SAMPLES_LIMIT}, got {samples!r}")
+    r = _check_int(r, "rank", 1, VERIFY_RANK_LIMIT)
+    n = _check_int(samples, "samples", 1, VERIFY_SAMPLES_LIMIT)
     rng = random.Random(seed)
     suites = _SUITES + ((("negative_control", _negative_control_suite),) if negative_control else ())
     results = []

@@ -267,7 +267,8 @@ def test_document_validation(tmp_path, capsys):
     cases = [
         ({"r": 1, "modulus": 0, "x": [0, 0]}, "lacks keys"),
         ({"r": 0, "modulus": 0, "x": [], "A": []}, "rank must lie in 1..50, got 0"),
-        ({"r": 1, "modulus": -2, "x": [0, 0], "A": [[1, 0], [0, 1]]}, "non-negative"),
+        ({"r": 1, "modulus": -2, "x": [0, 0], "A": [[1, 0], [0, 1]]},
+         "modulus must be a non-negative integer, got -2"),
         ({"r": 1, "modulus": 0, "x": [0], "A": [[1, 0], [0, 1]]}, "2r entries"),
         ({"r": 1, "modulus": 4, "x": [4, 0], "A": [[1, 0], [0, 1]]}, "[0, modulus)"),
         ({"r": 1, "modulus": 0, "x": [0, 0], "A": [[1, 0]]}, "2r x 2r"),
@@ -437,10 +438,13 @@ def test_verify_negative_control(capsys):
 def test_verify_guards(capsys):
     code, out, err = _run(capsys, "verify", "--r", "8", "--samples", "5", "--seed", "1")
     assert code == 0 and err == "" and out.splitlines()[-1] == "all suites: PASS"
-    code, out, err = _run(capsys, "verify", "--r", "9", "--samples", "5", "--seed", "1")
-    assert code == 2 and out == "" and "1..8" in err
-    code, _, err = _run(capsys, "verify", "--r", "1", "--samples", "0", "--seed", "1")
-    assert code == 2 and "positive" in err
+    assert _run(capsys, "verify", "--r", "9", "--samples", "5", "--seed", "1") == (
+        2, "", "error: rank must lie in 1..8, got 9\n")
+    assert _run(capsys, "verify", "--r", "1", "--samples", "0", "--seed", "1") == (
+        2, "", f"error: samples must lie in 1..{VERIFY_SAMPLES_LIMIT}, got 0\n")
+    # the help names the range as it names the rank's
+    code, out, _ = _run(capsys, "verify", "--help")
+    assert code == 0 and f"--samples SAMPLES     rounds per suite, 1..{VERIFY_SAMPLES_LIMIT}\n" in out
 
 
 def test_verify_samples_limit(capsys, monkeypatch):
@@ -459,7 +463,8 @@ def test_verify_samples_limit(capsys, monkeypatch):
     monkeypatch.setattr(jacobi, "random_symplectic_word", counting_word)
     code, out, err = _run(capsys, "verify", "--r", "8", "--samples", str(VERIFY_SAMPLES_LIMIT + 1),
                           "--seed", "3")
-    assert (code, out) == (2, "") and "at most" in err
+    assert (code, out, err) == (
+        2, "", f"error: samples must lie in 1..{VERIFY_SAMPLES_LIMIT}, got {VERIFY_SAMPLES_LIMIT + 1}\n")
     assert draws == []
     assert _run(capsys, "verify", "--r", "8", "--samples", "1", "--seed", "3")[0] == 0
     assert draws  # the counter sees the words an accepted call draws
@@ -478,10 +483,10 @@ def _operands_of_two_ranks(tmp_path):
     lambda _: (("verify", "--r", "9", "--samples", "1", "--seed", "0"), lambda: run_suites(9, 1, 0),
                "rank must lie in 1..8, got 9"),
     lambda _: (("verify", "--r", "1", "--samples", "0", "--seed", "0"), lambda: run_suites(1, 0, 0),
-               "samples must be positive"),
+               f"samples must lie in 1..{VERIFY_SAMPLES_LIMIT}, got 0"),
     lambda _: (("verify", "--r", "8", "--samples", str(VERIFY_SAMPLES_LIMIT + 1), "--seed", "0"),
                lambda: run_suites(8, VERIFY_SAMPLES_LIMIT + 1, 0),
-               f"samples must be at most {VERIFY_SAMPLES_LIMIT}, got {VERIFY_SAMPLES_LIMIT + 1}"),
+               f"samples must lie in 1..{VERIFY_SAMPLES_LIMIT}, got {VERIFY_SAMPLES_LIMIT + 1}"),
     _operands_of_two_ranks,
 ], ids=["orbits-rank", "split-rank", "split-rank-zero", "verify-rank", "verify-samples",
         "verify-samples-limit", "mul-operands"])
@@ -507,8 +512,7 @@ def test_coeff_table_and_json(capsys):
     rows = json.loads(out)["results"]["rows"]
     assert rows[0] == {"j": 1, "a": 2, "c": 2, "odd_factorial": 1, "coefficient": 4}
     assert rows[4] == {"j": 5, "a": 2, "c": 1, "odd_factorial": 362880, "coefficient": 725760}
-    code, _, err = _run(capsys, "coeff", "--jmax", "0")
-    assert code == 2 and "at least 1" in err
+    assert _run(capsys, "coeff", "--jmax", "0") == (2, "", "error: --jmax must be a positive integer, got 0\n")
 
 
 @pytest.mark.parametrize("jmax", [4, 10, 12])

@@ -6,6 +6,12 @@ annotations included.  Every module has `from __future__ import annotations`,
 so no annotation needs quoting; a name used only inside a quoted one counts
 as unused.  No module of the package imports `typing` or `pathlib`, which
 every CLI start would pay for.
+
+No function of the package calls `int()` on one of its own parameters, which
+would truncate 2.5 to 2 and read "3" as 3: integer arguments go through
+`symplectic._check_int`.  The readers that int() is for are the exceptions:
+`symplectic._integral`, which the guard reads through, and the two string
+readers of the CLI, `_decode_int` and `_parse_psi`.
 """
 
 from __future__ import annotations
@@ -61,3 +67,41 @@ def test_the_check_sees_a_module_import():
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_package_imports_neither_typing_nor_pathlib(path):
     assert not {"typing", "pathlib"} & _imported_modules(path.read_text())
+
+
+INT_READERS = {"symplectic.py": {"_integral"}, "cli.py": {"_decode_int", "_parse_psi"}}
+
+
+def _int_calls_on_parameters(source: str) -> list[str]:
+    """The module functions and methods that call int() on one of their own parameters, by name."""
+    tree = ast.parse(source)
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+    found = []
+    for name, function in functions:
+        a = function.args
+        params = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+               and any(isinstance(arg, ast.Name) and arg.id in params for arg in node.args)
+               for node in ast.walk(function)):
+            found.append(name)
+    return found
+
+
+def test_the_check_sees_an_int_call_on_a_parameter():
+    source = ("def f(x, *, m):\n    return int(len(x)) + int('3') + int(m)\n"
+              "def g(y):\n    def inner():\n        return int(y)\n    return inner\n"
+              "class C:\n    def scale(self, k):\n        k = int(k)\n"
+              "    def read(self):\n        return int(self.k) + int(True)\n")
+    assert _int_calls_on_parameters(source) == ["f", "g", "C.scale"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "symsplit").glob("*.py")),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_int_call_truncates_a_parameter(path):
+    found = set(_int_calls_on_parameters(path.read_text()))
+    assert found <= INT_READERS.get(path.name, set()), sorted(found)

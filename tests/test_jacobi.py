@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -143,6 +144,12 @@ def test_reduce_modulus():
     assert h.x.coords == (2, 22) and h.modulus == 24 and h.a == g.a
     with pytest.raises(ValueError):
         reduce_modulus(h, 5)
+    # a non-integral modulus is refused, not truncated to a divisor (2.9 used to reduce mod 2)
+    for bad in (2.9, "12", None):
+        message = rf"^modulus must be a non-negative integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            reduce_modulus(h, bad)
+    assert reduce_modulus(h, 12.0) == reduce_modulus(h, 12) and type(reduce_modulus(h, 12.0).modulus) is int
 
 
 def test_reframe_carries_membership():
@@ -248,6 +255,9 @@ def test_splits_guards():
         splits(1, 6)
     with pytest.raises(ValueError):
         splits(1, -8)
+    for bad in (2.5, "4", None):
+        with pytest.raises(ValueError, match=r"^modulus must be 0 or a positive integer divisible by 4$"):
+            splits(1, bad)
     with pytest.raises(ValueError):
         splits(1, 0, QuadraticRefinement.zero(2))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -113,10 +114,17 @@ def test_dehn_twist_guards():
     with pytest.raises(ValueError):
         dehn_twist(model, 1, "u", 3)
     # a non-integral pair index is refused: 1.5 used to give the "v" twist at pair 2
-    for bad in (1.5, 0.5, float("nan"), float("inf"), "1", None):
-        with pytest.raises(ValueError, match=r"^pair index out of range$"):
+    for bad in (1.5, 0.5, float("nan"), float("inf"), "1", None, 3, 0):
+        with pytest.raises(ValueError, match=rf"^pair index must lie in 1\.\.2, got {re.escape(repr(bad))}$"):
             dehn_twist(model, bad, "u", 2)
-    assert dehn_twist(model, 2.0, "u", 2) == dehn_twist(model, 2, "u", 2)
+    # so is a non-integral coefficient, before its parity is tested (these used to raise TypeError)
+    for bad in ("2", None, 2.5, float("nan")):
+        message = rf"^twist coefficient must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            dehn_twist(model, 1, "u", bad)
+    with pytest.raises(ValueError, match=r"^twist coefficient must be even$"):
+        dehn_twist(model, 1, "u", 3.0)
+    assert dehn_twist(model, 2.0, "u", 2) == dehn_twist(model, 2, "u", 2) == dehn_twist(model, 2, "u", 2.0)
 
 
 def test_to_homotopy_reduction():
@@ -174,9 +182,10 @@ def test_pontryagin_parts_and_coefficients():
         assert a == (2 if j % 2 else 1) and c == 1 and f == math.factorial(2 * j - 1)
     # a non-integral index is refused like j < 1, not truncated (2.5 used to give the j = 2 parts)
     for bad in (0, -1, 2.5, 2.9, float("inf"), float("-inf"), float("nan"), "2", None):
-        with pytest.raises(ValueError, match=r"^the index must be a positive integer$"):
+        message = rf"^index j must be a positive integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             pontryagin_parts(bad)
-        with pytest.raises(ValueError, match=r"^the index must be a positive integer$"):
+        with pytest.raises(ValueError, match=message):
             pontryagin_coefficient(bad)
     assert pontryagin_parts(2.0) == pontryagin_parts(2) and pontryagin_coefficient(3.0) == 240
 
@@ -243,6 +252,11 @@ def test_non_integral_rank_is_refused():
     assert type(ManifoldParams(3, 2).r) is int and type(ManifoldParams(3, 2.0).r) is int
     assert ManifoldParams(3, 2.0) == ManifoldParams(3, 2)
     assert type(splitting_theorem_verdict(3, 2.0).r) is int
+    # the middle dimension is stored as an int too, and one that is not 3 or 7 gets one message
+    assert type(ManifoldParams(3.0, 1).p) is int and ManifoldParams(7.0, 1) == ManifoldParams(7, 1)
+    for bad in (3.5, "3", None, float("nan"), [3], 5):
+        with pytest.raises(ValueError, match=r"^supported middle dimensions are 3 and 7$"):
+            ManifoldParams(bad, 1)
 
 
 def test_homotopy_modulus_has_one_validator():
@@ -257,6 +271,18 @@ def test_homotopy_modulus_has_one_validator():
         splitting_theorem_verdict(3, 1, homotopy_modulus=0)
     assert splits(1, 0).modulus == 0 and splits(2, 0).modulus == 0  # the smooth model keeps 0
     assert splitting_theorem_verdict(3, 1, homotopy_modulus=4).homotopy.modulus == 4
+    # an integral modulus of another type is stored as an int; a non-integral one gets the same message
+    base = QuadraticRefinement.zero(1)
+    for model in (splits(1, 8.0), MCGModel(ManifoldParams(7, 1), 8.0, base), homotopy_model(3, 1, modulus=8.0),
+                  splitting_theorem_verdict(3, 1, homotopy_modulus=8.0).homotopy):
+        assert type(model.modulus) is int and model.modulus == 8
+    for bad in ("3", "8", 2.5, 8.5, float("nan"), float("inf"), None):
+        calls = [lambda: splits(1, bad), lambda: MCGModel(ManifoldParams(7, 1), bad, base)]
+        if bad is not None:  # None asks the homotopy model for its default modulus
+            calls.append(lambda: homotopy_model(3, 1, modulus=bad))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^modulus must be 0 or a positive integer divisible by 4$"):
+                call()
 
 
 def test_twists_generate_the_fiber():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -423,15 +424,27 @@ def test_word_column_updates_match_transvection_products(r):
 
 
 def test_word_length_and_rank_are_checked():
-    with pytest.raises(ValueError):
-        random_symplectic_word(2, -1, random.Random(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rank must be a positive integer, got 0$"):
         random_symplectic_word(0, 3, random.Random(0))
-    # a non-integral length is refused, not a TypeError from range(); 3.0 is read as 3
-    for bad in (2.5, float("nan"), float("inf"), "3", None):
-        with pytest.raises(ValueError, match=rf"^word length must be an integer, got {re.escape(repr(bad))}$"):
+    # a negative or non-integral length is refused, not a TypeError from range(); 3.0 is read as 3
+    psi = QuadraticRefinement.zero(2)
+    for bad in (-1, 2.5, float("nan"), float("inf"), "3", None):
+        message = rf"^word length must be a non-negative integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             random_symplectic_word(2, bad, random.Random(0))
+        # random_member checks its bound before drawing (randint used to warn on 3.0, raise TypeError on "3")
+        with pytest.raises(ValueError, match=message):
+            random_member(psi, 24, random.Random(0), word_length=bad)
     assert random_symplectic_word(2, 3.0, random.Random(4)) == random_symplectic_word(2, 3, random.Random(4))
+    # so is its modulus, which randrange used to read with a warning (24.0) or a TypeError ("24")
+    for bad in (2.5, "24", None, -24):
+        message = rf"^modulus must be a non-negative integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            random_member(psi, bad, random.Random(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert random_member(psi, 24, random.Random(4), 3.0) == random_member(psi, 24, random.Random(4), 3)
+        assert random_member(psi, 24.0, random.Random(4)) == random_member(psi, 24, random.Random(4))
 
 
 def test_candidate_directions():
@@ -528,9 +541,33 @@ def test_non_integral_entries_are_refused():
     assert Vector((2.0, -0.0)).coords == (2, 0)
     # so are non-integral basis indices: 1.5 used to give the zero vector, or v_1 from Vector.u
     for bad in (1.5, 0.5, float("nan"), float("inf"), "1", None):
-        for call in (lambda: Vector.unit(2, bad), lambda: Vector.u(2, bad), lambda: Vector.v(2, bad),
-                     lambda: Covector.unit(2, bad, 4)):
-            with pytest.raises(ValueError, match=r"^basis index out of range$"):
+        for call, message in ((lambda: Vector.unit(2, bad), "basis index must lie in 0..3"),
+                              (lambda: Covector.unit(2, bad, 4), "basis index must lie in 0..3"),
+                              (lambda: Vector.u(2, bad), "pair index must lie in 1..2"),
+                              (lambda: Vector.v(2, bad), "pair index must lie in 1..2")):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got {re.escape(repr(bad))}$"):
                 call()
     assert Vector.unit(2, 1.0) == Vector.unit(2, 1) == Vector.v(2, 1.0) == Vector.v(2, True)
     assert Vector.u(2, 2.0) == Vector.unit(2, 2) and Covector.unit(2, 3.0, 4) == Covector.unit(2, 3, 4)
+    # a column index too: -1 used to give the last column and 1.5 raised TypeError
+    for bad in (-1, 2, 1.5, "0", None):
+        with pytest.raises(ValueError, match=rf"^column index must lie in 0\.\.1, got {re.escape(repr(bad))}$"):
+            shear.column(bad)
+    assert shear.column(1.0) == shear.column(1) == Vector((1, 1))
+    # a modulus or scalar is refused too: Covector((3, 5), 2.5) used to be a mod-2 covector,
+    # reduce_to(2.9) reduced mod 2, "3" was read as 3, and 2.5 * v was 2 * v
+    x = Covector((3, 5), 24)
+    for bad in (2.5, "3", None, float("nan"), float("inf"), -3):
+        message = rf"^modulus must be a non-negative integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Covector((3, 5), bad)
+        with pytest.raises(ValueError, match=message):
+            x.reduce_to(bad)
+    with pytest.raises(ValueError, match=r"^modulus must be a non-negative integer, got 2\.9$"):
+        x.reduce_to(2.9)
+    for bad in (2.5, "3", None, float("nan")):
+        with pytest.raises(ValueError, match=rf"^scalar must be an integer, got {re.escape(repr(bad))}$"):
+            bad * Vector((1, 1))
+    assert Covector((3, 5), 24.0) == Covector((3, 5), 24) and type(Covector((3, 5), 24.0).modulus) is int
+    assert x.reduce_to(3.0) == x.reduce_to(3) and 3.0 * Vector((1, 2)) == Vector((3, 6))
+    assert type(x.reduce_to(3.0).modulus) is int

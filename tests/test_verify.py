@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 
 from symsplit import quadratic, verify
 from symsplit.quadratic import QuadraticRefinement
-from symsplit.verify import SUITE_MODULI, VERIFY_RANK_LIMIT, SuiteResult, run_suites
+from symsplit.verify import SUITE_MODULI, VERIFY_RANK_LIMIT, VERIFY_SAMPLES_LIMIT, SuiteResult, run_suites
 
 EXPECTED_ORDER = ["cocycle_law", "torsor", "additivity", "minus_id",
                   "group_axioms", "reframe", "section"]
@@ -34,8 +35,9 @@ def test_all_suites_pass(r):
 
 def test_samples_must_be_an_integer():
     # a non-integral count is refused, not a TypeError from range(); 2.0 is read as 2
-    for bad in (2.5, float("nan"), float("inf"), "3", None):
-        with pytest.raises(ValueError, match=r"^samples must be an integer, got "):
+    for bad in (2.5, float("nan"), float("inf"), "3", None, 0, VERIFY_SAMPLES_LIMIT + 1):
+        message = rf"^samples must lie in 1\.\.{VERIFY_SAMPLES_LIMIT}, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             run_suites(1, bad, 5)
     assert run_suites(1, 2.0, 5) == run_suites(1, 2, 5)
 
