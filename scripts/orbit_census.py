@@ -15,6 +15,7 @@ import argparse
 import time
 
 from symsplit.quadratic import DECOMPOSITION_RANK_LIMIT, expected_orbit_sizes, orbit_decomposition
+from symsplit.symplectic import _check_int
 
 
 def main() -> int:
@@ -22,8 +23,10 @@ def main() -> int:
     parser.add_argument("--max-rank", type=int, default=5,
                         help=f"largest rank to census (1..{DECOMPOSITION_RANK_LIMIT})")
     args = parser.parse_args()
-    if not 1 <= args.max_rank <= DECOMPOSITION_RANK_LIMIT:
-        parser.error(f"--max-rank must lie in 1..{DECOMPOSITION_RANK_LIMIT}")
+    try:
+        _check_int(args.max_rank, "--max-rank", 1, DECOMPOSITION_RANK_LIMIT)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     rows = []
     for r in range(1, args.max_rank + 1):

@@ -164,8 +164,13 @@ def splits(r: int, modulus: int, psi: QuadraticRefinement | None = None) -> Spli
 
 def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,
                   word_length: int = 8) -> JacobiElement:
-    """Seeded sample from the refinement subgroup (not uniform over the group)."""
+    """Seeded sample from the refinement subgroup (not uniform over the group).
+
+    An odd modulus is refused before any draw, as `gamma_psi_member` refuses it.
+    """
     modulus = _check_int(modulus, "modulus", 0)
+    if modulus % 2:
+        raise ValueError("membership needs modulus 0 or even")
     length = rng.randint(0, _check_int(word_length, "word length", 0))
     a = random_symplectic_word(psi.rank, length, rng)
     xbar = principal_at(psi, a)

@@ -16,6 +16,10 @@ the form iff phi(col_i, col_j) = J_ij for every pair of columns i < j
 the signed transpose -J A^T J, and its postcondition is the same pairing
 check on the rows: A (-J A^T J) = I iff A J A^T = J, since J^-1 = -J.  So
 the inverse is verified exactly at half the cost of multiplying back.
+For wide entries the form check pairs factors (Winograd, 1968): with
+w = (a_1, b_1, ..., a_r, b_r) and eta(w) = sum_k a_k b_k, computed once per
+vector, phi(w, w') = sum_k (a_k + a'_k)(b'_k - b_k) + eta(w) - eta(w'), r
+multiplications per pairing instead of 2r (468 instead of 792 at 2r = 12).
 Matrices from outside are coerced to ints, shape-checked and form-checked
 on construction; products and inverses of matrices already validated skip
 both.  Likewise a covector from outside is coerced and shape-checked, while
@@ -47,9 +51,23 @@ so a product by the identity reuses B's row tuples.  The identity, J and
 the seeded words have one to three nonzero entries in most rows.  Every
 other row takes dot products with B's columns, B being transposed once, on
 the first such row: combining rows for every row was 1.4 to 1.8 times
-slower on the dense small-entry products of the `arith` benchmark.  The
-covector action x.A is the one-row product (x) A through the same kernel, so
-a zero, unit or 0/1 covector is combined from A's rows.
+slower on the dense small-entry products of the `arith` benchmark.  For
+wide entries those dot products are paired as Winograd's:
+C_ij = sum_k (A_i,2k + B_2k+1,j)(A_i,2k+1 + B_2k,j) - xi_i - eta_j, with
+xi_i = sum_k A_i,2k A_i,2k+1 once per row and eta_j = sum_k B_2k,j B_2k+1,j
+once per column, n^3/2 + n^2 multiplications instead of n^3 (1008 instead
+of 1728 at 2r = 12).  Every entry is still multiplied as its own int, and
+the sums are exact.  The covector action x.A is the one-row product (x) A
+through the same kernel, so a zero, unit or 0/1 covector is combined from
+A's rows; it is never paired, since one row saves nothing.
+
+Both kernels pair only when `_pairing_pays`, an O(n) probe of one row of each
+operand, finds entries wide enough for the dimension (about 320 bits at
+2r = 12, never at 2r = 2), of like width and with no zero or narrow entry.
+Narrow entries keep the plain path: there a product costs about what an
+addition does, and the extra additions and `map` layers cost more than the
+halved multiplications save (paired on every input, the narrow rank-6
+`mul`/`inv` calls of the `arith` benchmark ran 6 to 28% slower in process).
 
 On the per-call paths (coercion, products, inverses, covector arithmetic)
 tuples are built from a list, not from a generator expression or a bare
@@ -170,21 +188,64 @@ def _check_int(value, what: str, lo: int | None = None, hi: int | None = None) -
     return n
 
 
+def _pairing_pays(x, y) -> bool:
+    """Whether dot products of rows like x with rows like y are cheaper paired (Winograd).
+
+    An O(n) probe of one row of each operand (for a form check, the first
+    hyperbolic pair of vectors).  Pair when three things hold.  Each row's
+    widest entry, of w bits, has (w - 64)(n - 2) >= 2560: the measured
+    crossover over width and dimension n (about 1340 bits at n = 4, 320 at
+    n = 12, 90 at n = 100, never at n = 2).  The two rows' widest entries
+    differ by at most half again, and no entry of either is narrower than a
+    quarter of the widest: a factor a + b is as wide as its wider summand,
+    while a plain product by a zero or a narrow entry is nearly free.  A
+    narrow x is decided on its own row.
+    """
+    n = len(x)
+    wx = max(map(abs, x)).bit_length()
+    if (wx - 64) * (n - 2) < 2560:
+        return False
+    wy = max(map(abs, y)).bit_length()
+    lo, hi = min(wx, wy), max(wx, wy)
+    return ((lo - 64) * (n - 2) >= 2560 and 2 * hi <= 3 * lo
+            and 4 * min(map(abs, (*x, *y))).bit_length() >= hi)
+
+
+def _winograd(cols):
+    """Winograd's paired dot products with the columns cols (see the module docstring).
+
+    Returns the function taking a row of A to that row of AB; eta_j is
+    computed here, once per column, and xi_i once per row.
+    """
+    halves = [(col[1::2], col[0::2], -sum(map(mul, col[0::2], col[1::2]))) for col in cols]
+
+    def dots(row):
+        evens, odds = row[0::2], row[1::2]
+        xi = sum(map(mul, evens, odds))
+        return tuple([sum(map(mul, map(add, evens, bodd), map(add, odds, beven)), neta - xi)
+                      for bodd, beven, neta in halves])
+    return dots
+
+
 def _matmul(a, b):
     """AB for integer matrices given as tuples of rows, as a tuple of row tuples.
 
     A row of A with at least a quarter of its entries zero is combined from
     B's rows, and one that is 1 at k and 0 elsewhere gives B's row k itself,
-    not a copy; any other row takes dot products with B's columns (see the
-    module docstring).
+    not a copy; any other row takes dot products with B's columns, paired by
+    `_winograd` when A has at least two rows and `_pairing_pays` for the first
+    such row and B's first column (see the module docstring).
     """
-    cols = None
+    cols = paired = None
     out = []
     for row in a:
         if 4 * row.count(0) < len(row):
             if cols is None:
                 cols = tuple(zip(*b))
-            out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+                if len(a) > 1 and _pairing_pays(row, cols[0]):
+                    paired = _winograd(cols)
+            out.append(tuple([sum(map(mul, row, col)) for col in cols]) if paired is None
+                       else paired(row))
             continue
         acc = None
         for x, brow in zip(compress(row, row), compress(b, row)):
@@ -251,6 +312,8 @@ class Vector(_Value):
         return Vector(tuple([*map(sub, self.coords, other.coords)]))
 
     def __rmul__(self, k: int) -> "Vector":
+        if isinstance(k, _Value):  # a package value object on the left: Python's TypeError
+            return NotImplemented
         k = _check_int(k, "scalar")
         return Vector(tuple([k * a for a in self.coords]))
 
@@ -373,14 +436,35 @@ def _pairs_as_basis(vectors) -> bool:
     i < j only, where J is 1 exactly at (2k, 2k+1) and 0 elsewhere; the
     diagonal is 0 and the lower triangle follows by antisymmetry.  That is
     n(n-1)/2 pairings, each one dot product with w_i's phi-row, about n^3/2
-    multiplications, with an exit at the first mismatch.
+    multiplications, with an exit at the first mismatch.  Wide entries
+    (`_pairing_pays` on w_0 and w_1) take `_pairs_as_basis_paired`, about
+    n^3/4.
     """
     vectors = tuple(vectors)
+    if _pairing_pays(vectors[0], vectors[1]):
+        return _pairs_as_basis_paired(vectors)
     n = len(vectors)
     for i in range(n):
         row = _phi_row(vectors[i])
         for j in range(i + 1, n):
             if sum(map(mul, row, vectors[j])) != (j == i + 1 and i % 2 == 0):  # J_ij, as 0 or 1
+                return False
+    return True
+
+
+def _pairs_as_basis_paired(vectors) -> bool:
+    """`_pairs_as_basis` by Winograd's pairing (see the module docstring), r multiplications
+    per pairing instead of 2r, with the same exit at the first mismatch."""
+    halves = [(w[0::2], w[1::2]) for w in vectors]
+    etas = [sum(map(mul, a, b)) for a, b in halves]
+    n = len(halves)
+    for i in range(n):
+        a, b = halves[i]
+        eta = etas[i]
+        for j in range(i + 1, n):
+            a2, b2 = halves[j]
+            if (sum(map(mul, map(add, a, a2), map(sub, b2, b)), eta)
+                    != (j == i + 1 and i % 2 == 0) + etas[j]):  # J_ij + eta(w_j)
                 return False
     return True
 

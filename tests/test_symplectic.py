@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import json
 import random
 import re
+import sys
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsplit import symplectic
+from symsplit.cli import main
 from symsplit.jacobi import random_member
 from symsplit.quadratic import QuadraticRefinement
 from symsplit.symplectic import (
@@ -16,6 +22,7 @@ from symsplit.symplectic import (
     _identity_rows,
     _matmul,
     _pairs_as_basis,
+    _pairs_as_basis_paired,
     _preserves_form,
     _signed_transpose,
     _transpose,
@@ -27,6 +34,9 @@ from symsplit.symplectic import (
     transvection,
     transvection_candidates,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402  plain-int arithmetic that imports nothing from symsplit
 
 ranks = st.integers(min_value=1, max_value=3)
 
@@ -357,6 +367,171 @@ def test_product_by_identity_reuses_rows(r):
     assert all(product.rows[i] is m.rows[i] for i in range(2 * r))
 
 
+def _phi_sum(w, v):
+    """phi(w, v) by its definition: the sum over pairs of a_k b'_k - b_k a'_k."""
+    return sum(w[2 * k] * v[2 * k + 1] - w[2 * k + 1] * v[2 * k] for k in range(len(w) // 2))
+
+
+def _pairs_by_phi_sum(vectors):
+    n = len(vectors)
+    return all(_phi_sum(vectors[i], vectors[j]) == (j == i + 1 and i % 2 == 0)
+               for i in range(n) for j in range(i + 1, n))
+
+
+def _wide_word(r, rng, bits=400):
+    """A seeded word times the transvection along a vector of `bits`-bit entries, itself times a word."""
+    v = Vector(tuple(rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(2 * r)))
+    return random_symplectic_word(r, 4, rng) * transvection(v) * random_symplectic_word(r, 4, rng)
+
+
+def _block_triangular(r, rng, bits):
+    """U(S) L(T) for random symmetric S and T of `bits`-bit entries: in the basis (u_1, ..., u_r,
+    v_1, ..., v_r) it is [[I + ST, S], [T, I]], so a v-row and a v-column hold an identity block."""
+    def symmetric():
+        m = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                m[i][j] = m[j][i] = rng.choice((1, -1)) * rng.getrandbits(bits)
+        return m
+    s, t = symmetric(), symmetric()
+    upper = [list(row) for row in _identity_rows(2 * r)]
+    lower = [list(row) for row in _identity_rows(2 * r)]
+    for i in range(r):
+        for j in range(r):
+            upper[2 * i][2 * j + 1] = s[i][j]
+            lower[2 * i + 1][2 * j] = t[i][j]
+    return SymplecticMatrix(upper) * SymplecticMatrix(lower)
+
+
+def _reference_word(r, rng):
+    """A wide word of the `arith` benchmark: entries of about 120 to 1070 bits at rank 6."""
+    return tuple(map(tuple, reference.random_word(rng, r, True)))
+
+
+def _form_check_inputs(r, rng):
+    """Members, as rows and as columns, and each with one entry moved by +-1 or 3: narrow and
+    wide, dense and sparse, with negative entries and with identity blocks; and a dense
+    matrix of 1000-bit entries."""
+    n = 2 * r
+    for rows in (_identity_rows(n), neg_identity(r).rows, random_symplectic_word(r, 10, rng).rows,
+                 _reference_word(r, rng), _wide_word(r, rng).rows, _block_triangular(r, rng, 800).rows):
+        for vectors in (rows, _transpose(rows)):
+            yield vectors
+            for d in (1, -1, 3):
+                yield _bend(vectors, rng.randrange(n), rng.randrange(n), d)
+    yield tuple(tuple(rng.randint(-10 ** 300, 10 ** 300) for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["plain", "paired"])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_both_form_check_paths_match_phi_sum(monkeypatch, r, paired):
+    # the predicate is forced either way, so each path sees narrow and wide inputs alike
+    monkeypatch.setattr(symplectic, "_pairing_pays", lambda x, y: paired)
+    rng = random.Random(67 + r)
+    verdicts = Counter()
+    for vectors in _form_check_inputs(r, rng):
+        verdict = _pairs_as_basis(vectors)
+        assert verdict == _pairs_by_phi_sum(vectors)
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["plain", "paired"])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_both_product_paths_match_reference_matmul(monkeypatch, r, paired):
+    monkeypatch.setattr(symplectic, "_pairing_pays", lambda x, y: paired)
+    rng = random.Random(71 + r)
+    operands = [*_product_operands(r, rng), _wide_word(r, rng).rows, _reference_word(r, rng)]
+    for a in operands:
+        for b in operands:
+            assert _matmul(a, b) == tuple(map(tuple, reference.matmul(a, b)))
+        # a one-row product, the covector action's, by every row of a
+        for row in a:
+            assert _matmul((row,), operands[-1]) == (tuple(reference.covector_act(row, operands[-1])),)
+
+
+def _count_paired_calls(monkeypatch):
+    """Count the calls of the two paired kernels from here on."""
+    calls = Counter()
+    for name in ("_pairs_as_basis_paired", "_winograd"):
+        def counted(*args, _name=name, _original=getattr(symplectic, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(symplectic, name, counted)
+    return calls
+
+
+def test_wide_rank_6_checks_and_products_take_the_paired_path(monkeypatch):
+    rng = random.Random(73)
+    wide_rows, narrow = _wide_word(6, rng).rows, random_symplectic_word(6, 12, rng)
+    dense = tuple(tuple(rng.randint(-9, 9) for _ in range(12)) for _ in range(12))
+    blocks = _block_triangular(6, rng, 800).rows
+    pieces = [_wide_word(1, rng).rows for _ in range(6)]  # a wide rank-1 block per hyperbolic pair
+    diagonal = tuple(tuple(pieces[i // 2][i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(12))
+                     for i in range(12))
+    calls = _count_paired_calls(monkeypatch)
+    wide = SymplecticMatrix(wide_rows)  # the columns' form check
+    assert calls == {"_pairs_as_basis_paired": 1}
+    wide.inverse()  # the rows' postcondition
+    assert is_symplectic(wide_rows) and calls == {"_pairs_as_basis_paired": 3}
+    product = wide * wide
+    assert calls["_winograd"] == 1
+    assert product.rows == tuple(map(tuple, reference.matmul(wide_rows, wide_rows)))
+    # a one-row product stays plain: pairing saves nothing on one row
+    Covector(wide_rows[0]).act(wide)
+    assert calls == {"_pairs_as_basis_paired": 3, "_winograd": 1}
+    # narrow entries, dense or not, keep the plain paths
+    SymplecticMatrix(narrow.rows).inverse()
+    narrow * narrow
+    _matmul(dense, dense)
+    _pairs_as_basis(dense)
+    # so do factors of unequal width, wide times narrow or times twice as wide: a + b is as
+    # wide as its wider summand
+    wider = _wide_word(6, rng, bits=1200).rows
+    for a, b in ((wide_rows, dense), (dense, wide_rows), (wide_rows, wider), (wider, wide_rows)):
+        assert _matmul(a, b) == tuple(map(tuple, reference.matmul(a, b)))
+    # and the form checks of wide matrices with identity or zero blocks: a product by 0 or 1 is free
+    assert all(_pairs_as_basis(vectors) for vectors in (blocks, _transpose(blocks), diagonal))
+    assert calls == {"_pairs_as_basis_paired": 3, "_winograd": 1}
+
+
+def _wide_document_off_by_one(tmp_path):
+    """A wide rank-6 element document of the `arith` benchmark, and a copy with one entry
+    of its matrix moved by 1."""
+    rng = random.Random(79)
+    doc = reference.random_element(rng, 6, 0, True, [0] * 12, True).document()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    doc["A"][3][7] = str(int(doc["A"][3][7]) + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return str(good), str(bad)
+
+
+def test_wide_document_off_by_one_is_refused(tmp_path, capsys, monkeypatch):
+    good, bad = _wide_document_off_by_one(tmp_path)
+    calls = _count_paired_calls(monkeypatch)
+    assert main(["mul", "--lhs", good, "--rhs", good]) == 0
+    capsys.readouterr()
+    for argv in (["mul", "--lhs", bad, "--rhs", good], ["mul", "--lhs", good, "--rhs", bad],
+                 ["inv", "--lhs", bad]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: matrix does not preserve the hyperbolic form\n")
+    # every document read was form-checked on the paired path (2 for the good product, then
+    # 1, 2 and 1), and the good product was paired too
+    assert calls == {"_pairs_as_basis_paired": 6, "_winograd": 1}
+
+
+def test_inverse_of_wide_trusted_non_member_raises(monkeypatch):
+    rows = _reference_word(6, random.Random(83))
+    bent = SymplecticMatrix._trusted(_bend(rows, 3, 7, 1))
+    calls = _count_paired_calls(monkeypatch)
+    with pytest.raises(ArithmeticError, match="^inverse postcondition failed$"):
+        bent.inverse()
+    assert calls == {"_pairs_as_basis_paired": 1}
+    assert _pairs_as_basis_paired(rows) and not _pairs_as_basis_paired(_bend(rows, 3, 7, 1))
+
+
 def test_public_construction_still_coerces():
     a = SymplecticMatrix([[True, 0], [False, 1]])
     assert a.rows == ((1, 0), (0, 1)) and all(type(e) is int for row in a.rows for e in row)
@@ -441,6 +616,12 @@ def test_word_length_and_rank_are_checked():
         message = rf"^modulus must be a non-negative integer, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             random_member(psi, bad, random.Random(0))
+    # an odd modulus has no refinement subgroup: refused before any draw, as membership refuses it
+    for odd in (1, 3, 25, 3.0):
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match=r"^membership needs modulus 0 or even$"):
+            random_member(QuadraticRefinement.zero(1), odd, rng)
+        assert rng.random() == random.Random(0).random()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert random_member(psi, 24, random.Random(4), 3.0) == random_member(psi, 24, random.Random(4), 3)
@@ -568,6 +749,10 @@ def test_non_integral_entries_are_refused():
     for bad in (2.5, "3", None, float("nan")):
         with pytest.raises(ValueError, match=rf"^scalar must be an integer, got {re.escape(repr(bad))}$"):
             bad * Vector((1, 1))
+    # a package value object on the left is no scalar: Python's TypeError for unsupported operands
+    for left in (SymplecticMatrix.identity(1), Vector((0, 1)), Covector((1, 0)), x):
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*"):
+            left * Vector((1, 0))
     assert Covector((3, 5), 24.0) == Covector((3, 5), 24) and type(Covector((3, 5), 24.0).modulus) is int
     assert x.reduce_to(3.0) == x.reduce_to(3) and 3.0 * Vector((1, 2)) == Vector((3, 6))
     assert type(x.reduce_to(3.0).modulus) is int
