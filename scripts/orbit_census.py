@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from symsplit.quadratic import DECOMPOSITION_RANK_LIMIT, expected_orbit_sizes, orbit_decomposition
+from symsplit.limits import DECOMPOSITION_RANK_LIMIT
+from symsplit.quadratic import expected_orbit_sizes, orbit_decomposition
 from symsplit.symplectic import _check_int
 
 

@@ -17,7 +17,10 @@ exits 2 with an error naming the limit, as it does for input past the same
 limit.  The limit is process-wide and left as it is.
 
 The argument parser is built on the first `main` call and reused by later
-calls in the same process; importing the module builds nothing.
+calls in the same process; importing the module builds nothing.  At import it
+loads only the standard library, `__version__` and `limits`, so `--version`,
+`--help` and a usage error compile no library module.  The whole library is
+imported once, when the first command needs it, and kept for later calls.
 """
 
 from __future__ import annotations
@@ -27,30 +30,24 @@ import json
 import sys
 from collections.abc import Sequence
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import __version__
-from .jacobi import SPLIT_RANK_LIMIT, JacobiElement, SplitVerdict, gamma_psi_member, jinv, jmul
-from .mcg import pontryagin_parts, splitting_theorem_verdict
-from .quadratic import (DECOMPOSITION_RANK_LIMIT, QuadraticRefinement, expected_orbit_sizes,
-                        orbit_decomposition)
-from .symplectic import Covector, SymplecticMatrix, _check_int
-from .verify import VERIFY_RANK_LIMIT, VERIFY_SAMPLES_LIMIT, run_suites
+from .limits import (DECOMPOSITION_RANK_LIMIT, ELEMENT_RANK_LIMIT, SPLIT_RANK_LIMIT,
+                     VERIFY_RANK_LIMIT, VERIFY_SAMPLES_LIMIT)
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
-# Reading an element form-checks its matrix, which is cubic in the rank.  At
-# rank 50, `inv` on an identity document takes about 0.05 s and `mul` about
-# 0.08 s in process (Python 3.11, 2-vCPU Xeon VM); a document of higher rank
-# is refused before any of its entries is read.  Wide entries cost far more,
-# so this limit alone does not bound the time.  Whole processes, before ->
-# after the form check and the product were paired (Winograd): rank 20 with
-# no zero entry and 2100-4160 digits, `inv` 8.5-9.0 -> 6.0-6.3 s and `mul`
-# 18.6-20.1 -> 10.8-11.9 s; rank 50 with 380-760 digits, `inv` 8.4-8.8 ->
-# 5.0-5.9 s and `mul` 14.6-17.1 -> 9.6-11.4 s.  A U(S) L(T) matrix with
-# identity blocks keeps the plain form check: at rank 50 with 4200 digits,
-# `inv` 48.5 -> 46.6 s and `mul` 121 s both times.
-ELEMENT_RANK_LIMIT = 50
+
+@lru_cache(maxsize=None)
+def _library() -> SimpleNamespace:
+    # Every module at once, not only those a command calls: perfbench's tracer
+    # looks up each module it wraps in sys.modules.  Callers reach functions
+    # through the modules, so a function rebound on its module is the one called.
+    from . import jacobi, mcg, quadratic, symplectic, verify
+    return SimpleNamespace(jacobi=jacobi, mcg=mcg, quadratic=quadratic, symplectic=symplectic,
+                           verify=verify)
 
 
 def _encode_int(value: int):
@@ -95,7 +92,7 @@ def _decode_row(values: list) -> tuple[int, ...]:
     return tuple(map(_decode_int, values))
 
 
-def element_to_document(g: JacobiElement) -> dict:
+def element_to_document(g) -> dict:
     return {
         "r": g.rank,
         "modulus": g.modulus,
@@ -104,14 +101,17 @@ def element_to_document(g: JacobiElement) -> dict:
     }
 
 
-def element_from_document(doc: object) -> JacobiElement:
+def element_from_document(doc: object):
+    """The `JacobiElement` an element document describes."""
+    lib = _library()
+    check_int = lib.symplectic._check_int
     if not isinstance(doc, dict):
         raise ValueError("element document must be a JSON object")
     missing = {"r", "modulus", "x", "A"} - set(doc)
     if missing:
         raise ValueError(f"element document lacks keys: {sorted(missing)}")
-    r = _check_int(_decode_int(doc["r"]), "rank", 1, ELEMENT_RANK_LIMIT)
-    m = _check_int(_decode_int(doc["modulus"]), "modulus", 0)
+    r = check_int(_decode_int(doc["r"]), "rank", 1, ELEMENT_RANK_LIMIT)
+    m = check_int(_decode_int(doc["modulus"]), "modulus", 0)
     x_raw, a_raw = doc["x"], doc["A"]
     if not isinstance(x_raw, list) or len(x_raw) != 2 * r:
         raise ValueError("x must be a list of 2r entries")
@@ -121,14 +121,15 @@ def element_from_document(doc: object) -> JacobiElement:
     if not isinstance(a_raw, list) or len(a_raw) != 2 * r or any(
             not isinstance(row, list) or len(row) != 2 * r for row in a_raw):
         raise ValueError("A must be a 2r x 2r matrix")
-    a = SymplecticMatrix(tuple(map(_decode_row, a_raw)))
-    return JacobiElement(Covector(coords, m), a)
+    a = lib.symplectic.SymplecticMatrix(tuple(map(_decode_row, a_raw)))
+    return lib.jacobi.JacobiElement(lib.symplectic.Covector(coords, m), a)
 
 
-def _parse_psi(bits: str, r: int) -> QuadraticRefinement:
+def _parse_psi(bits: str, r: int):
     if len(bits) != 2 * r or any(ch not in "01" for ch in bits):
         raise ValueError(f"--psi must be a string of 2r = {2 * r} bits")
-    return QuadraticRefinement._trusted(2 * r, int(bits, 2))  # bit 2r-1-i is value i
+    # bit 2r-1-i is value i
+    return _library().quadratic.QuadraticRefinement._trusted(2 * r, int(bits, 2))
 
 
 def _report(command: str, parameters: dict, results: dict, seed: int | None = None) -> dict:
@@ -151,10 +152,10 @@ def _bits(values) -> str:
     return "".join(str(b) for b in values)
 
 
-def _cmd_orbits(args) -> tuple[int, str]:
+def _cmd_orbits(args, lib) -> tuple[int, str]:
     r = args.r
-    rep = orbit_decomposition(r)
-    exp = expected_orbit_sizes(r)
+    rep = lib.quadratic.orbit_decomposition(r)
+    exp = lib.quadratic.expected_orbit_sizes(r)
     labels = tuple(c.arf_label for c in rep.orbits)
     sizes = tuple(c.size for c in rep.orbits)
     passed = labels == (0, 1) and sizes == exp
@@ -180,7 +181,7 @@ def _cmd_orbits(args) -> tuple[int, str]:
     return (0 if passed else 1), text
 
 
-def _verdict_dict(v: SplitVerdict) -> dict:
+def _verdict_dict(v) -> dict:
     return {
         "modulus": v.modulus,
         "splits": v.splits,
@@ -192,15 +193,15 @@ def _verdict_dict(v: SplitVerdict) -> dict:
     }
 
 
-def _verdict_line(flavor: str, v: SplitVerdict, modulus_w: int, checked_w: int) -> str:
+def _verdict_line(flavor: str, v, modulus_w: int, checked_w: int) -> str:
     witness = _bits(v.witness.coords) if v.witness is not None else "-"
     return (f"{flavor:<9} {v.modulus:>{modulus_w}}  {'yes' if v.splits else 'no':<6}  "
             f"{witness:<8} {v.candidates_checked:>{checked_w}}")
 
 
-def _cmd_split(args) -> tuple[int, str]:
+def _cmd_split(args, lib) -> tuple[int, str]:
     r = args.r
-    verdict = splitting_theorem_verdict(args.p, r, homotopy_modulus=args.modulus)
+    verdict = lib.mcg.splitting_theorem_verdict(args.p, r, homotopy_modulus=args.modulus)
     agree = verdict.smooth.splits == verdict.homotopy.splits
     results = {
         "p": args.p,
@@ -242,32 +243,32 @@ def _load_document(path: str) -> object:
         raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
-def _element_result(args, out: JacobiElement, named_elements) -> tuple[int, str]:
+def _element_result(args, lib, out, named_elements) -> tuple[int, str]:
     """Check the named elements' membership at --psi, if given, then write out as JSON."""
     if args.psi is not None:
         psi = _parse_psi(args.psi, out.rank)
-        bad = [name for name, el in named_elements if not gamma_psi_member(el, psi)]
+        bad = [name for name, el in named_elements if not lib.jacobi.gamma_psi_member(el, psi)]
         if bad:
             print(f"membership violation at base {args.psi}: {', '.join(bad)}", file=sys.stderr)
             return 1, ""
     return 0, json.dumps(element_to_document(out), sort_keys=True) + "\n"
 
 
-def _cmd_mul(args) -> tuple[int, str]:
+def _cmd_mul(args, lib) -> tuple[int, str]:
     g = element_from_document(_load_document(args.lhs))
     h = element_from_document(_load_document(args.rhs))
-    out = jmul(g, h)
-    return _element_result(args, out, (("lhs", g), ("rhs", h), ("product", out)))
+    out = lib.jacobi.jmul(g, h)
+    return _element_result(args, lib, out, (("lhs", g), ("rhs", h), ("product", out)))
 
 
-def _cmd_inv(args) -> tuple[int, str]:
+def _cmd_inv(args, lib) -> tuple[int, str]:
     g = element_from_document(_load_document(args.lhs))
-    out = jinv(g)
-    return _element_result(args, out, (("lhs", g), ("inverse", out)))
+    out = lib.jacobi.jinv(g)
+    return _element_result(args, lib, out, (("lhs", g), ("inverse", out)))
 
 
-def _cmd_verify(args) -> tuple[int, str]:
-    suites = run_suites(args.r, args.samples, args.seed, negative_control=args.negative_control)
+def _cmd_verify(args, lib) -> tuple[int, str]:
+    suites = lib.verify.run_suites(args.r, args.samples, args.seed, negative_control=args.negative_control)
     all_ok = all(s.ok for s in suites)
     results = {
         "r": args.r,
@@ -287,11 +288,11 @@ def _cmd_verify(args) -> tuple[int, str]:
     return (0 if all_ok else 1), text
 
 
-def _cmd_coeff(args) -> tuple[int, str]:
-    _check_int(args.jmax, "--jmax", 1)
+def _cmd_coeff(args, lib) -> tuple[int, str]:
+    lib.symplectic._check_int(args.jmax, "--jmax", 1)
     rows = []
     for j in range(1, args.jmax + 1):
-        a, c, f = pontryagin_parts(j)
+        a, c, f = lib.mcg.pontryagin_parts(j)
         rows.append({"j": j, "a": a, "c": c, "odd_factorial": _encode_int(f),
                      "coefficient": _encode_int(a * c * f)})
     results = {"jmax": args.jmax, "rows": rows}
@@ -368,7 +369,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code, text = _HANDLERS[args.command](args)
+        code, text = _HANDLERS[args.command](args, _library())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,13 +17,10 @@ import random
 from collections.abc import Callable
 
 from .cocycles import principal_at
+from .limits import SPLIT_RANK_LIMIT
 from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
 from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _integral,
                          _setattr, random_symplectic_word)
-
-# A verdict without a witness reports 4^r candidates; 4^31 is the largest such
-# count that is still a signed 64-bit JSON integer.  The decision itself is O(r).
-SPLIT_RANK_LIMIT = 31
 
 
 class JacobiElement(_Value):

@@ -44,15 +44,9 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import and_
 
+from .limits import DECOMPOSITION_RANK_LIMIT, ENUMERATION_RANK_LIMIT
 from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _as_int_tuple, _check_int,
                          _setattr)
-
-# enumerate_refinements builds one object per refinement: at r = 10 that is
-# 2^20 of them, about 1.4 s and 140 MB, so listing stops at 9.
-# orbit_decomposition keeps each orbit as one 4^r-bit int and builds only the
-# representatives; at r = 10 it takes about 0.05 s.
-ENUMERATION_RANK_LIMIT = 9
-DECOMPOSITION_RANK_LIMIT = 10
 
 
 class QuadraticRefinement(_Value):

@@ -16,15 +16,12 @@ from collections.abc import Iterator
 
 from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
+from .limits import VERIFY_RANK_LIMIT, VERIFY_SAMPLES_LIMIT
 from .quadratic import QuadraticRefinement, qdifference, qtranslate
 from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_int, neg_identity,
                          random_symplectic_word, transvection)
 
 SUITE_MODULI = (0, 4, 24, 240)
-VERIFY_RANK_LIMIT = 8
-# The largest round count that keeps run_suites(8, samples, seed) within about 1 s;
-# the measurement is in README.
-VERIFY_SAMPLES_LIMIT = 300
 
 
 class SuiteResult(_Value):

@@ -542,16 +542,21 @@ def test_console_script_entry_point():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # every CLI call starts a fresh interpreter and pays for each module the package imports;
-    # dataclasses alone (with inspect, ast, dis and tokenize) cost about 13 ms of that
-    code = "import sys, symsplit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
-    # nor typing or pathlib (about 14 ms and 8 ms); -S, because site's .pth files may load both
-    code = "import sys, symsplit.cli; print(sorted({'pathlib', 'typing'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+    # dataclasses alone (with inspect, ast, dis and tokenize) cost about 13 ms of that.  The CLI
+    # imports the library on its first command, so one command runs before the check, and the
+    # check first makes sure that the command loaded every module of the package.
+    package = sorted(f"symsplit.{path.stem}" for path in (ROOT / "src" / "symsplit").glob("*.py")
+                     if path.stem != "__init__")
+    command = ("import sys, symsplit.cli\nsymsplit.cli.main(['orbits', '--r', '1'])\n"
+               f"print(sorted(set({package!r}) - set(sys.modules)), ")
+    for flags, modules in (((), {"dataclasses", "inspect"}),
+                           # nor typing or pathlib (about 14 ms and 8 ms), under -S,
+                           # because site's .pth files may load both
+                           (("-S",), {"pathlib", "typing"})):
+        code = command + f"sorted({sorted(modules)!r} & sys.modules.keys()))"
+        proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 0 and proc.stdout.endswith("\n[] []\n"), proc.stderr
 
 
 def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,9 @@
 """Every name a module of the package or a script imports is used in it.
 
-`__init__.py` is left out: its imports are the package's public names.  A
-name counts as used when it appears as a name anywhere in the module,
-annotations included.  Every module has `from __future__ import annotations`,
-so no annotation needs quoting; a name used only inside a quoted one counts
-as unused.  No module of the package imports `typing` or `pathlib`, which
+A name counts as used when it appears as a name anywhere in the module,
+annotations included.  No annotation needs quoting (the modules have
+`from __future__ import annotations`, and the package `__init__` names only
+builtins); a name used only inside a quoted one counts as unused.  No module of the package imports `typing` or `pathlib`, which
 every CLI start would pay for.
 
 No function of the package calls `int()` on one of its own parameters, which
@@ -12,6 +11,9 @@ would truncate 2.5 to 2 and read "3" as 3: integer arguments go through
 `symplectic._check_int`.  The readers that int() is for are the exceptions:
 `symplectic._integral`, which the guard reads through, and the two string
 readers of the CLI, `_decode_int` and `_parse_psi`.
+
+Each `*_LIMIT` is assigned only in `symsplit.limits`; every other module
+imports it from there.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for path in (ROOT / "src" / "symsplit").glob("*.py") if path.name != "__init__.py")
-SOURCES += sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "symsplit").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -105,3 +106,27 @@ def test_the_check_sees_an_int_call_on_a_parameter():
 def test_no_int_call_truncates_a_parameter(path):
     found = set(_int_calls_on_parameters(path.read_text()))
     assert found <= INT_READERS.get(path.name, set()), sorted(found)
+
+
+def _limit_assignments(source: str) -> list[str]:
+    """The `*_LIMIT` names a module binds by assignment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+        for target in targets:
+            found += [n.id for n in ast.walk(target)
+                      if isinstance(n, ast.Name) and n.id.endswith("_LIMIT")]
+    return found
+
+
+def test_the_check_sees_a_limit_assignment():
+    source = ("A_LIMIT = 1\nB_LIMIT: int = 2\nC_LIMIT += 1\nD_LIMIT, x = 3, 4\n"
+              "def f():\n    E_LIMIT = 5\nfrom .limits import F_LIMIT\nprint(F_LIMIT)\n")
+    assert sorted(_limit_assignments(source)) == ["A_LIMIT", "B_LIMIT", "C_LIMIT", "D_LIMIT", "E_LIMIT"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_each_limit_is_defined_only_in_limits(path):
+    # one source of truth: every other module imports its limits from symsplit.limits
+    assert path.name == "limits.py" or _limit_assignments(path.read_text()) == []
