@@ -66,12 +66,13 @@ def _decode_int(value: object) -> int:
         raise ValueError("expected an integer")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        body = value[1:] if value[:1] in "+-" else value
-        if body.isdecimal():  # the digits int() reads, so only the digit limit can refuse them
-            try:
-                return int(value)
-            except ValueError as exc:
+    # an optional sign and decimal digits: int() reads them, and beyond them only
+    # underscores and surrounding whitespace, which are refused before it parses
+    if isinstance(value, str) and "_" not in value and value.strip() == value:
+        try:
+            return int(value)
+        except ValueError as exc:
+            if (value[1:] if value[:1] in "+-" else value).isdecimal():  # only the digit limit
                 raise ValueError(f"integer entry exceeds the {sys.get_int_max_str_digits()}-digit"
                                  " decimal input limit") from exc
     raise ValueError(f"expected an integer or decimal string, got {value!r}")
@@ -228,10 +229,12 @@ def _cmd_split(args, lib) -> tuple[int, str]:
 
 def _load_document(path: str) -> object:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             payload = f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text") from exc
     try:
         return json.loads(payload)
     except json.JSONDecodeError as exc:

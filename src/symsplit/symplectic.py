@@ -11,11 +11,15 @@ are written once, in `_phi_row(v)`, the row phi(v, -) = (-b_1, a_1, ...,
 -b_r, a_r) of v = (a_1, b_1, ..., a_r, b_r): `phi_eval` and the form check
 take dot products with it, `transvection(v)` is I + v phi(v, -), and the
 word steps read their coefficients from it.  A matrix preserves
-the form iff phi(col_i, col_j) = J_ij for every pair of columns i < j
-(antisymmetry covers the rest).  The inverse of a form-preserving matrix is
-the signed transpose -J A^T J, and its postcondition is the same pairing
-check on the rows: A (-J A^T J) = I iff A J A^T = J, since J^-1 = -J.  So
-the inverse is verified exactly at half the cost of multiplying back.
+the form iff its rows pair under phi as the basis does, phi(row_i, row_j) =
+J_ij for i < j (antisymmetry covers the rest), that is A J A^T = J; equally
+iff its columns do, A^T J A = J, since either makes A invertible and then
+implies the other.  The public constructor checks the rows, `is_symplectic`
+the columns.  The inverse is the signed transpose -J A^T J, and its
+postcondition A (-J A^T J) = I holds iff A J A^T = J, since J^-1 = -J: the
+constructor's check again.  So `inverse` runs it, at half the cost of
+multiplying back, only on a matrix not recorded as checked by the
+constructor (a product, word, transvection, -I or inverse).
 For wide entries the form check pairs factors (Winograd, 1968): with
 w = (a_1, b_1, ..., a_r, b_r) and eta(w) = sum_k a_k b_k, computed once per
 vector, phi(w, w') = sum_k (a_k + a'_k)(b'_k - b_k) + eta(w) - eta(w'), r
@@ -93,23 +97,27 @@ _setattr = object.__setattr__
 
 
 class _Value:
-    """Base of the package's immutable value classes, whose fields are their `__slots__`.
+    """Base of the package's immutable value classes, whose fields are their public `__slots__`.
 
-    `Name(*values)` stores the values in `__slots__` order and raises
-    TypeError unless there is one per field; a class that coerces or checks
-    its input defines its own `__init__`.  Objects are equal only to objects
-    of their own class with an equal field tuple, hash as that tuple, and
-    print as `Name(field=value, ...)`.  Assigning or deleting a field raises
-    AttributeError, so constructors set fields with `object.__setattr__`.
+    `_fields` leaves out the slots whose names start with `_`: these hold a
+    private record, such as `SymplecticMatrix._checked`, and take no part in
+    equality, hash, repr, copying or pickling.  `Name(*values)` stores the
+    values in field order and raises TypeError unless there is one per
+    field; a class that coerces or checks its input defines its own
+    `__init__`.  Objects are equal only to objects of their own class with
+    an equal field tuple, hash as that tuple, and print as
+    `Name(field=value, ...)`.  Assigning or deleting a slot raises
+    AttributeError, so constructors set them with `object.__setattr__`.
     `copy`, `deepcopy` and `pickle` rebuild an object by calling its class on
-    `_init_args()`, by default the field values in order.
+    `_init_args()`, by default the field values in order, so a copy passes
+    the public constructor again and gets its private slots from it.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = cls.__slots__
+        cls._fields = tuple([name for name in cls.__slots__ if not name.startswith("_")])
         cls._key = attrgetter(*cls._fields)  # with one field, the value rather than a 1-tuple
 
     def __init__(self, *values) -> None:
@@ -500,7 +508,7 @@ def is_symplectic(matrix: SymplecticMatrix | Sequence[Sequence[int]]) -> bool:
 class SymplecticMatrix(_Value):
     """Integer matrix preserving the hyperbolic form; validated on construction."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_checked")  # _checked: set, to True, only by the public constructor
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
@@ -509,9 +517,10 @@ class SymplecticMatrix(_Value):
     def __post_init__(self, rows: Iterable[Iterable[int]]) -> None:
         """Coerce, check and store the rows; perfbench traces it as `symplectic.construct`."""
         rows = _square_rows(rows, "matrix must be square of even dimension")
-        if not _preserves_form(rows):
+        if not _pairs_as_basis(rows):  # A J A^T == J
             raise ValueError("matrix does not preserve the hyperbolic form")
         _setattr(self, "rows", rows)
+        _setattr(self, "_checked", True)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "SymplecticMatrix":
@@ -537,16 +546,18 @@ class SymplecticMatrix(_Value):
         return SymplecticMatrix._trusted(_matmul(self.rows, other.rows))
 
     def inverse(self) -> "SymplecticMatrix":
-        """Exact inverse -J A^T J, with the postcondition A . inv == I checked.
+        """Exact inverse -J A^T J, backed by the postcondition A . inv == I.
 
         As J is a signed permutation the inverse is a signed transpose and
         needs no multiplication.  Since J^-1 = -J, A (-J A^T J) = I holds iff
         A J A^T = J, that is iff the rows of A pair under phi as the basis
-        vectors do.  That check is exact, costs half the product A . inv, and
-        ArithmeticError is raised if it fails (a `_trusted` non-member).
+        vectors do.  The public constructor checked exactly that on these
+        rows; any other matrix (`_trusted`: a product, word, transvection, -I
+        or inverse) is checked here, exactly, at half the cost of the product
+        A . inv, and ArithmeticError is raised if that fails.
         """
         rows = self.rows
-        if not _pairs_as_basis(rows):
+        if not getattr(self, "_checked", False) and not _pairs_as_basis(rows):
             raise ArithmeticError("inverse postcondition failed")
         return SymplecticMatrix._trusted(_signed_transpose(rows))
 

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symsplit import jacobi, verify
-from symsplit.cli import (ELEMENT_RANK_LIMIT, _parse_psi, element_from_document, element_to_document,
-                          main)
+from symsplit.cli import (ELEMENT_RANK_LIMIT, _decode_int, _parse_psi, element_from_document,
+                          element_to_document, main)
 from symsplit.jacobi import JacobiElement, jacobi_identity, jmul, splits
 from symsplit.quadratic import QuadraticRefinement, orbit_decomposition
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
@@ -336,6 +336,59 @@ def test_row_mixing_ints_with_non_integers(tmp_path, capsys, bad, message):
     doc = {"r": 1, "modulus": 0, "x": ["+5", 0], "A": [[1, "+5"], [0, 1]]}
     assert element_from_document(doc) == element_from_document(
         {"r": 1, "modulus": 0, "x": [5, 0], "A": [[1, 5], [0, 1]]})
+
+
+def _reference_decode(value: str) -> int:
+    """The decimal-string rule as an oracle: an optional sign, an `isdecimal` body, then int()."""
+    body = value[1:] if value[:1] in "+-" else value
+    if body.isdecimal():
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"integer entry exceeds the {sys.get_int_max_str_digits()}-digit"
+                             " decimal input limit") from None
+    raise ValueError(f"expected an integer or decimal string, got {value!r}")
+
+
+def _decoded(decode, value):
+    try:
+        return decode(value), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int-string digit limit")
+def test_decode_int_matches_the_isdecimal_rule():
+    # int() also reads underscores and surrounding whitespace (Unicode spaces such as NBSP
+    # and \x1c included), so every string up to length 4 over signs, digits of four scripts,
+    # spaces, separators and non-digits gets the oracle's value or message
+    alphabet = "07+- \t\xa0\x1c_\u0660\u0967\uff11\u00b2a."
+    values = ["".join(chars) for n in range(5) for chars in product(alphabet, repeat=n)]
+    limit = sys.get_int_max_str_digits()
+    values += [sign + digit * n for sign in ("", "+", "-") for digit in "7\u0660"
+               for n in (limit, limit + 1)]
+    accepted = 0
+    for value in values:
+        want = _decoded(_reference_decode, value)
+        assert _decoded(_decode_int, value) == want, repr(value)
+        accepted += want[1] is None
+    assert accepted > 1000
+
+
+def test_documents_are_read_as_utf8_under_any_locale(tmp_path):
+    # under the C locale with UTF-8 mode off, open() without an encoding decodes as ASCII
+    doc = tmp_path / "arabic.json"
+    doc.write_bytes('{"r": 1, "modulus": 0, "x": ["\u0660", 0], "A": [[1, 0], [0, 1]]}'.encode())
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"r": 1, "modulus": 0, "x": [0, 0], "A": [[1, 0], [0, 1]], "\xe9": 0}')
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(ROOT / "src"))
+    runs = [subprocess.run([sys.executable, "-m", "symsplit.cli", "inv", "--lhs", str(path)],
+                           capture_output=True, text=True, env=env) for path in (doc, latin)]
+    assert (runs[0].returncode, runs[0].stdout, runs[0].stderr) == (
+        0, json.dumps(_identity_document(1), sort_keys=True) + "\n", "")
+    assert (runs[1].returncode, runs[1].stdout, runs[1].stderr) == (
+        2, "", f"error: {latin}: not UTF-8 text\n")
 
 
 def test_element_rank_guard(tmp_path, capsys):

@@ -450,10 +450,10 @@ def test_both_product_paths_match_reference_matmul(monkeypatch, r, paired):
             assert _matmul((row,), operands[-1]) == (tuple(reference.covector_act(row, operands[-1])),)
 
 
-def _count_paired_calls(monkeypatch):
-    """Count the calls of the two paired kernels from here on."""
+def _count_paired_calls(monkeypatch, names=("_pairs_as_basis_paired", "_winograd")):
+    """Count the calls of the named kernels, by default the two paired ones, from here on."""
     calls = Counter()
-    for name in ("_pairs_as_basis_paired", "_winograd"):
+    for name in names:
         def counted(*args, _name=name, _original=getattr(symplectic, name)):
             calls[_name] += 1
             return _original(*args)
@@ -470,16 +470,16 @@ def test_wide_rank_6_checks_and_products_take_the_paired_path(monkeypatch):
     diagonal = tuple(tuple(pieces[i // 2][i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(12))
                      for i in range(12))
     calls = _count_paired_calls(monkeypatch)
-    wide = SymplecticMatrix(wide_rows)  # the columns' form check
+    wide = SymplecticMatrix(wide_rows)  # the rows' form check
     assert calls == {"_pairs_as_basis_paired": 1}
-    wide.inverse()  # the rows' postcondition
-    assert is_symplectic(wide_rows) and calls == {"_pairs_as_basis_paired": 3}
+    wide.inverse()  # no second check: the constructor's was the postcondition's
+    assert is_symplectic(wide_rows) and calls == {"_pairs_as_basis_paired": 2}  # the columns'
     product = wide * wide
     assert calls["_winograd"] == 1
     assert product.rows == tuple(map(tuple, reference.matmul(wide_rows, wide_rows)))
     # a one-row product stays plain: pairing saves nothing on one row
     Covector(wide_rows[0]).act(wide)
-    assert calls == {"_pairs_as_basis_paired": 3, "_winograd": 1}
+    assert calls == {"_pairs_as_basis_paired": 2, "_winograd": 1}
     # narrow entries, dense or not, keep the plain paths
     SymplecticMatrix(narrow.rows).inverse()
     narrow * narrow
@@ -492,7 +492,7 @@ def test_wide_rank_6_checks_and_products_take_the_paired_path(monkeypatch):
         assert _matmul(a, b) == tuple(map(tuple, reference.matmul(a, b)))
     # and the form checks of wide matrices with identity or zero blocks: a product by 0 or 1 is free
     assert all(_pairs_as_basis(vectors) for vectors in (blocks, _transpose(blocks), diagonal))
-    assert calls == {"_pairs_as_basis_paired": 3, "_winograd": 1}
+    assert calls == {"_pairs_as_basis_paired": 2, "_winograd": 1}
 
 
 def _wide_document_off_by_one(tmp_path):
@@ -520,6 +520,56 @@ def test_wide_document_off_by_one_is_refused(tmp_path, capsys, monkeypatch):
     # every document read was form-checked on the paired path (2 for the good product, then
     # 1, 2 and 1), and the good product was paired too
     assert calls == {"_pairs_as_basis_paired": 6, "_winograd": 1}
+
+
+def test_each_matrix_is_form_checked_once(tmp_path, capsys, monkeypatch):
+    rows = random_symplectic_word(3, 12, random.Random(97)).rows
+    calls = _count_paired_calls(monkeypatch, ("_pairs_as_basis", "_pairs_as_basis_paired"))
+    checked = SymplecticMatrix(rows)
+    assert calls == {"_pairs_as_basis": 1}
+    checked.inverse()  # the constructor checked the postcondition's predicate on these rows
+    assert calls == {"_pairs_as_basis": 1}
+    SymplecticMatrix._trusted(rows).inverse()
+    assert calls == {"_pairs_as_basis": 2}
+    # a good wide document: `inv` form-checks its matrix once, `mul` each operand once
+    good, _ = _wide_document_off_by_one(tmp_path)
+    assert main(["inv", "--lhs", good]) == 0
+    assert calls == {"_pairs_as_basis": 3, "_pairs_as_basis_paired": 1}
+    assert main(["mul", "--lhs", good, "--rhs", good]) == 0
+    assert calls == {"_pairs_as_basis": 5, "_pairs_as_basis_paired": 3}
+    capsys.readouterr()
+
+
+def _producer_outputs(r, rng, wide):
+    """The output of every `_trusted` producer at rank r, on narrow or on wide inputs."""
+    bits = 400 if wide else 3
+    v = Vector(tuple(rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(2 * r)))
+    word = random_symplectic_word(r, 40 if wide else 8, rng)
+    a = word * transvection(v) * random_symplectic_word(r, 4, rng) if wide else word
+    b = random_symplectic_word(r, 6, rng)
+    yield SymplecticMatrix.identity(r)
+    yield neg_identity(r)
+    yield transvection(v)
+    yield word
+    for x, y in ((a, b), (b, a), (a, a), (a, neg_identity(r))):
+        yield x * y
+    for x in (a, b, a * b):
+        yield x.inverse()  # an unchecked matrix: the postcondition ran
+        yield SymplecticMatrix(x.rows).inverse()  # a checked one: nothing ran
+        yield x.inverse().inverse()
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_every_trusted_producer_passes_the_public_constructor(r, wide):
+    # `inverse` form-checks only matrices the public constructor did not build, so these
+    # producers' outputs are checked here; the postcondition is a backstop for them
+    outputs = list(_producer_outputs(r, random.Random(89 * r + wide), wide))
+    assert len(outputs) == 17
+    for out in outputs:
+        assert not hasattr(out, "_checked") and SymplecticMatrix(out.rows) == out
+    if wide:
+        assert max(abs(e) for e in outputs[-1].rows[0]).bit_length() > 400
 
 
 def test_inverse_of_wide_trusted_non_member_raises(monkeypatch):

@@ -56,7 +56,7 @@ classes = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name
 
 
 def _fields(obj) -> tuple:
-    return tuple(getattr(obj, name) for name in obj.__slots__)
+    return tuple(getattr(obj, name) for name in obj._fields)
 
 
 def test_every_value_class_is_covered():
@@ -75,7 +75,7 @@ def test_equal_only_within_one_class(cls):
     obj = CASES[cls][0]()
     twin_cls = type(f"Twin{cls.__name__}", (_Value,), {"__slots__": cls.__slots__})
     twin = object.__new__(twin_cls)
-    for name, value in zip(cls.__slots__, _fields(obj)):
+    for name, value in zip(cls._fields, _fields(obj)):
         object.__setattr__(twin, name, value)
     assert _fields(twin) == _fields(obj)
     assert obj != twin and twin != obj and not obj == twin
@@ -131,3 +131,19 @@ def test_field_only_classes_take_one_value_per_field(cls):
         with pytest.raises(TypeError, match=rf"^{cls.__name__} takes {len(fields)} values,"
                                             rf" got {len(values)}$"):
             cls(*values)
+
+
+def test_private_slots_are_not_fields():
+    # SymplecticMatrix records in `_checked` that its constructor form-checked the rows; the
+    # record is no field, so a checked and a `_trusted` matrix with equal rows are alike
+    assert SymplecticMatrix._fields == ("rows",) and "_checked" in SymplecticMatrix.__slots__
+    checked, trusted = SymplecticMatrix(_SHEAR), SymplecticMatrix._trusted(_SHEAR)
+    assert checked._checked and not hasattr(trusted, "_checked")
+    assert checked == trusted and trusted == checked and hash(checked) == hash(trusted)
+    assert repr(checked) == repr(trusted) == CASES[SymplecticMatrix][1]
+    # copies and unpickled objects are rebuilt through the public constructor, so checked
+    copies = [copy.copy(trusted), copy.deepcopy(trusted)]
+    copies += [pickle.loads(pickle.dumps(trusted, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other is not trusted and other == trusted and other._checked
