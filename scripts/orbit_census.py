@@ -1,13 +1,5 @@
 #!/usr/bin/env python3
-"""Tabulate refinement orbit sizes against the closed formulas, rank by rank.
-
-Each rank contributes two orbits, one per Arf value; the census recomputes the
-sizes by closing each orbit, held as one 4^r-bit int, under the 3r - 1
-generating transvections and compares with 2^(2r-1) +/- 2^(r-1).  A rank costs
-a few rounds of 3r - 1 big-int steps on 4^r bits: rank 10 takes about 0.05 s.
-The table is printed once every rank is done, each column as wide as its
-header or its widest entry.
-"""
+"""Tabulate refinement orbit sizes against the closed formulas, rank by rank."""
 
 from __future__ import annotations
 

@@ -9,18 +9,6 @@ bounds, go through the library's integer guard `symplectic._check_int`, so
 this module words no integer bound itself; it checks only the shape of
 element documents and `--psi`.  JSON reports are byte-deterministic for
 fixed inputs and seed, and embed the seed and package version.
-
-Integers are written in decimal, so an output entry may have at most the
-interpreter's integer-string digit limit (`sys.get_int_max_str_digits()`,
-4300 by default).  A result with a longer entry is not written: the command
-exits 2 with an error naming the limit, as it does for input past the same
-limit.  The limit is process-wide and left as it is.
-
-The argument parser is built on the first `main` call and reused by later
-calls in the same process; importing the module builds nothing.  At import it
-loads only the standard library, `__version__` and `limits`, so `--version`,
-`--help` and a usage error compile no library module.  The whole library is
-imported once, when the first command needs it, and kept for later calls.
 """
 
 from __future__ import annotations

@@ -4,11 +4,7 @@ Elements are pairs (x, A) with product (x, A)(y, B) = (x.B + y, AB).  For a
 refinement psi, the pairs whose mod-2 covector part equals the principal
 cocycle value of their matrix form a subgroup; it is an extension of the
 symplectic group by the lattice of even covectors.  `splits` decides whether
-that extension admits a homomorphic section, which it does iff some translate
-psi + xbar of the base refinement is group-fixed.  A fixed refinement is 1 at
-every u_i and v_i, so the one candidate is xbar = psi + 1...1, whose translate
-is the all-ones refinement; `splits` decides it with `quadratic.is_group_fixed`
-in O(r) steps.
+that extension admits a homomorphic section.
 """
 
 from __future__ import annotations
@@ -110,11 +106,10 @@ class SplitVerdict(_Value):
     """Outcome of the splitting decision at one rank and modulus.
 
     When `splits` is true, `witness` is the one mod-2 translation making the
-    base refinement group-fixed, and the section is A -> (x.A - x, A) for x
-    any lift of the witness.  `candidates_checked` is the witness's 1-based
-    position in the lexicographic order of all 4^r mod-2 covectors, or 4^r
-    when there is no witness: the count a lexicographic walk over the
-    candidates would check.
+    base refinement group-fixed, and `section` gives the section it defines.
+    `candidates_checked` is the witness's 1-based position in the
+    lexicographic order of all 4^r mod-2 covectors, or 4^r when there is no
+    witness: the count a lexicographic walk over the candidates would check.
     """
 
     __slots__ = ("rank", "modulus", "base", "splits", "witness", "fixed_refinement",
@@ -143,9 +138,11 @@ def splits(r: int, modulus: int, psi: QuadraticRefinement | None = None) -> Spli
 
     Requires modulus 0 (integer covectors) or a multiple of 4, the regime in
     which splitting is equivalent to the base refinement having a group-fixed
-    translate.  The one candidate translate is the all-ones refinement; it is
-    fixed at rank 1 and at no higher rank, and the witness is its difference
-    from the base.  Ranks above SPLIT_RANK_LIMIT are refused.
+    translate.  A fixed refinement is 1 at every u_i and v_i, so the one
+    candidate translate is the all-ones refinement.  It is fixed at rank 1
+    and at no higher rank (at r >= 2 its value at u_1 + u_2 is 1 + 1 + 0 = 0),
+    and the witness is its difference from the base.  Ranks above
+    SPLIT_RANK_LIMIT are refused.
     """
     r = _check_int(r, "rank", 1, SPLIT_RANK_LIMIT)
     modulus = _check_split_modulus(modulus)

@@ -4,7 +4,8 @@ The library call a limit bounds checks it; `cli` reads these only to write its
 help, so importing this module loads nothing else.  README has the timings.
 """
 
-# reading an element form-checks its matrix, cubic in the rank: about 0.05 s at rank 50
+# reading an element form-checks its matrix, cubic in the rank: about 0.05 s at rank 50 for
+# narrow entries only; 4200-digit ones make a rank-50 `inv` take about 26 s (ROADMAP item 3)
 ELEMENT_RANK_LIMIT = 50
 # enumerate_refinements builds one object per refinement: 2^20 at rank 10, 1.4 s and 140 MB
 ENUMERATION_RANK_LIMIT = 9
@@ -12,7 +13,8 @@ ENUMERATION_RANK_LIMIT = 9
 DECOMPOSITION_RANK_LIMIT = 10
 # a verdict without a witness reports 4^r candidates; 4^31 is the largest that fits in int64
 SPLIT_RANK_LIMIT = 31
-# the suites keep one 4^r-bit set: `verify --r 8 --samples 200` takes about 0.8 s and 16 MB
+# time grows with r, in the group-axiom and reframe products, and memory does not: `verify
+# --r 8 --samples 200` takes about 0.7 s and 16 MB, the suites alone 1.7 to 2.4 s at r = 24
 VERIFY_RANK_LIMIT = 8
 # the largest round count that keeps run_suites(8, samples, seed) within about 1 s
 VERIFY_SAMPLES_LIMIT = 300

@@ -3,8 +3,7 @@
 Two exact models share the same pair arithmetic: the smooth flavor keeps
 integer covectors (modulus 0), while the homotopy flavor reduces them modulo
 twice the order of the relevant stable homotopy group (that order is 12 in
-dimension 3 and 120 in dimension 7).  Twist generators populate the fiber,
-and the splitting question is decided for both flavors by one solve.
+dimension 3 and 120 in dimension 7).  Twist generators populate the fiber.
 """
 
 from __future__ import annotations
@@ -148,13 +147,12 @@ def splitting_theorem_verdict(p: int, r: int,
                               homotopy_modulus: int | None = None) -> SplittingTheoremVerdict:
     """Decide splitting for the smooth and homotopy models of one manifold.
 
-    For modulus 0 or a multiple of 4 the extension splits iff the base
-    refinement has a group-fixed translate, a question about mod-2 data alone.
-    So one solve decides both flavors: the homotopy verdict is the smooth one
-    with the homotopy modulus in place of 0.  The homotopy modulus is checked
-    as the homotopy model checks it, so it must be positive.  The rank is
-    checked first, by `splits`, so every refused rank gets the splitting
-    limit's message.
+    At modulus 0 and at a multiple of 4 splitting is a question about mod-2
+    data alone (`splits`), so one solve decides both flavors: the homotopy
+    verdict is the smooth one with the homotopy modulus in place of 0.  The
+    homotopy modulus is checked as the homotopy model checks it, so it must
+    be positive.  The rank is checked first, by `splits`, so every refused
+    rank gets the splitting limit's message.
     """
     smooth = splits(r, 0)
     m = _homotopy_modulus(ManifoldParams(p, smooth.rank), homotopy_modulus)

@@ -4,81 +4,19 @@ All values are immutable tuples of Python integers, so every operation is
 exact at any size.  The basis of Z^(2r) is ordered (u1, v1, ..., ur, vr) and
 the form takes +1 on each (ui, vi) pair, which keeps its Gram matrix J block
 diagonal.  Matrices act on column vectors from the left; covectors are row
-functionals, acted on the right by composition.
+functionals, acted on the right by composition.  J is a signed permutation,
+so no kernel multiplies by it.
 
-J is a signed permutation, so no kernel multiplies by it.  The form's signs
-are written once, in `_phi_row(v)`, the row phi(v, -) = (-b_1, a_1, ...,
--b_r, a_r) of v = (a_1, b_1, ..., a_r, b_r): `phi_eval` and the form check
-take dot products with it, `transvection(v)` is I + v phi(v, -), and the
-word steps read their coefficients from it.  A matrix preserves
-the form iff its rows pair under phi as the basis does, phi(row_i, row_j) =
-J_ij for i < j (antisymmetry covers the rest), that is A J A^T = J; equally
-iff its columns do, A^T J A = J, since either makes A invertible and then
-implies the other.  The public constructor checks the rows, `is_symplectic`
-the columns.  The inverse is the signed transpose -J A^T J, and its
-postcondition A (-J A^T J) = I holds iff A J A^T = J, since J^-1 = -J: the
-constructor's check again.  So `inverse` runs it, at half the cost of
-multiplying back, only on a matrix not recorded as checked by the
-constructor (a product, word, transvection, -I or inverse).
-For wide entries the form check pairs factors (Winograd, 1968): with
-w = (a_1, b_1, ..., a_r, b_r) and eta(w) = sum_k a_k b_k, computed once per
-vector, phi(w, w') = sum_k (a_k + a'_k)(b'_k - b_k) + eta(w) - eta(w'), r
-multiplications per pairing instead of 2r (468 instead of 792 at 2r = 12).
-Matrices from outside are coerced to ints, shape-checked and form-checked
-on construction; products and inverses of matrices already validated skip
-both.  Likewise a covector from outside is coerced and shape-checked, while
-the action, sums, differences, negation and reduction of covectors already
-validated skip that (entries are still reduced into [0, m) for a modulus m).
-Coercion refuses a value that is not integral, such as 2.5, inf or nan,
-rather than truncating it.  Entries are read by `_as_int_tuple`; every other
-integer argument of the package (a rank, index, modulus, length, count or
-scalar) is read by `_check_int`, the one guard and message for its bounds.
-
-The value classes here and in the other modules derive from `_Value`, a
-`__slots__` base that gives what frozen dataclasses gave (equality within
-one class, hash, repr, immutability, copying and pickling) without importing
-`dataclasses`, which with `inspect` and its own code generation added about
-30 ms to every CLI start.  Its one positional constructor stores the fields
-in `__slots__` order; only the classes that coerce or check their input
-define their own.
-
-Seeded words are built by column updates, not matrix products: column j of
-A T_v is A e_j + phi(v, e_j) A v, and every candidate direction has at most
-two nonzero coordinates, so a step reads two columns and rewrites at most
-two, O(r) work instead of a (2r)^3 product.
-
-A product AB is built row by row, each row of A taking one of two paths by
-its own zero count.  A row with at least a quarter of its entries zero
-(`4 * row.count(0) >= len(row)`) gives the sum of A_ik B_k over its nonzero
-entries, B's rows combined by C-level maps; an entry 1 adds B_k as it is,
-so a product by the identity reuses B's row tuples.  The identity, J and
-the seeded words have one to three nonzero entries in most rows.  Every
-other row takes dot products with B's columns, B being transposed once, on
-the first such row: combining rows for every row was 1.4 to 1.8 times
-slower on the dense small-entry products of the `arith` benchmark.  For
-wide entries those dot products are paired as Winograd's:
-C_ij = sum_k (A_i,2k + B_2k+1,j)(A_i,2k+1 + B_2k,j) - xi_i - eta_j, with
-xi_i = sum_k A_i,2k A_i,2k+1 once per row and eta_j = sum_k B_2k,j B_2k+1,j
-once per column, n^3/2 + n^2 multiplications instead of n^3 (1008 instead
-of 1728 at 2r = 12).  Every entry is still multiplied as its own int, and
-the sums are exact.  The covector action x.A is the one-row product (x) A
-through the same kernel, so a zero, unit or 0/1 covector is combined from
-A's rows; it is never paired, since one row saves nothing.
-
-Both kernels pair only when `_pairing_pays`, an O(n) probe of one row of each
-operand, finds entries wide enough for the dimension (about 320 bits at
-2r = 12, never at 2r = 2), of like width and with no zero or narrow entry.
-Narrow entries keep the plain path: there a product costs about what an
-addition does, and the extra additions and `map` layers cost more than the
-halved multiplications save (paired on every input, the narrow rank-6
-`mul`/`inv` calls of the `arith` benchmark ran 6 to 28% slower in process).
-
-On the per-call paths (coercion, products, inverses, covector arithmetic)
-tuples are built from a list, not from a generator expression or a bare
-`map`: that is faster for these short rows, and the tuple is allocated at its
-final size.  One built from an iterator without a length is resized, and when
-freed it joins the interpreter's free list of its final size, which then
-grows by one tuple per build up to a cap of 2000.
+The public constructors coerce values from outside to ints and check them:
+a matrix for shape and form, a covector for shape.  The `_trusted`
+constructors wrap what the package built from values already checked
+(products, inverses, transvections, words, covector arithmetic) and skip
+both; only the public matrix constructor records its form check, in
+`SymplecticMatrix._checked`.  Coercion refuses a value that is not integral,
+such as 2.5, inf or nan, rather than truncating it.  Entries are read by
+`_as_int_tuple`; every other integer argument of the package (a rank, index,
+modulus, length, count or scalar) is read by `_check_int`, the one guard and
+message for its bounds.
 
 There is no separate mod-2 type.  Mod-2 data is read as the parities of these
 integer objects (`Covector.reduce_to(2)` for covectors); the refinement code
@@ -109,8 +47,8 @@ class _Value:
     `Name(field=value, ...)`.  Assigning or deleting a slot raises
     AttributeError, so constructors set them with `object.__setattr__`.
     `copy`, `deepcopy` and `pickle` rebuild an object by calling its class on
-    `_init_args()`, by default the field values in order, so a copy passes
-    the public constructor again and gets its private slots from it.
+    its field values in order (`__reduce__`), so a copy passes the public
+    constructor again and gets its private slots from it.
     """
 
     __slots__ = ()
@@ -147,11 +85,8 @@ class _Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _init_args(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __reduce__(self):
-        return self.__class__, self._init_args()
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 def _integral(x) -> int | None:
@@ -207,7 +142,11 @@ def _pairing_pays(x, y) -> bool:
     differ by at most half again, and no entry of either is narrower than a
     quarter of the widest: a factor a + b is as wide as its wider summand,
     while a plain product by a zero or a narrow entry is nearly free.  A
-    narrow x is decided on its own row.
+    narrow x is decided on its own row.  Narrow entries keep the plain path:
+    there a product costs about what an addition does, and the extra
+    additions and `map` layers cost more than the halved multiplications
+    save (paired on every input, the narrow rank-6 `mul`/`inv` calls of the
+    `arith` benchmark ran 6 to 28% slower in process).
     """
     n = len(x)
     wx = max(map(abs, x)).bit_length()
@@ -220,10 +159,15 @@ def _pairing_pays(x, y) -> bool:
 
 
 def _winograd(cols):
-    """Winograd's paired dot products with the columns cols (see the module docstring).
+    """Winograd's paired dot products (1968) with the columns cols of B.
 
-    Returns the function taking a row of A to that row of AB; eta_j is
-    computed here, once per column, and xi_i once per row.
+    Returns the function taking row i of A to row i of AB:
+    C_ij = sum_k (A_i,2k + B_2k+1,j)(A_i,2k+1 + B_2k,j) - xi_i - eta_j, with
+    xi_i = sum_k A_i,2k A_i,2k+1, computed once per row, and
+    eta_j = sum_k B_2k,j B_2k+1,j, computed here once per column.  That is
+    n^3/2 + n^2 multiplications instead of n^3 (1008 instead of 1728 at
+    2r = 12); every entry is still multiplied as its own int, and the sums
+    are exact.
     """
     halves = [(col[1::2], col[0::2], -sum(map(mul, col[0::2], col[1::2]))) for col in cols]
 
@@ -238,11 +182,18 @@ def _winograd(cols):
 def _matmul(a, b):
     """AB for integer matrices given as tuples of rows, as a tuple of row tuples.
 
-    A row of A with at least a quarter of its entries zero is combined from
-    B's rows, and one that is 1 at k and 0 elsewhere gives B's row k itself,
-    not a copy; any other row takes dot products with B's columns, paired by
-    `_winograd` when A has at least two rows and `_pairing_pays` for the first
-    such row and B's first column (see the module docstring).
+    Each row of A takes one of two paths by its own zero count.  A row with
+    at least a quarter of its entries zero is the sum of A_ik B_k over its
+    nonzero entries, B's rows combined by C-level maps; an entry 1 adds B_k
+    as it is, so a row that is 1 at k and 0 elsewhere gives B's row k itself,
+    not a copy.  The identity, J and the seeded words have one to three
+    nonzero entries in most rows.  Any other row takes dot products with B's
+    columns, B being transposed once, on the first such row: combining rows
+    for every row was 1.4 to 1.8 times slower on the dense small-entry
+    products of the `arith` benchmark.  Those dot products are paired by
+    `_winograd` when `_pairing_pays` for the first such row and B's first
+    column, and A has at least two rows: a one-row product, such as the
+    covector action, saves nothing by pairing.
     """
     cols = paired = None
     out = []
@@ -264,10 +215,6 @@ def _matmul(a, b):
         else:
             out.append(acc if acc.__class__ is tuple else tuple([*acc]))
     return tuple(out)
-
-
-def _transpose(rows):
-    return tuple(zip(*rows))
 
 
 @lru_cache(maxsize=None)
@@ -461,8 +408,13 @@ def _pairs_as_basis(vectors) -> bool:
 
 
 def _pairs_as_basis_paired(vectors) -> bool:
-    """`_pairs_as_basis` by Winograd's pairing (see the module docstring), r multiplications
-    per pairing instead of 2r, with the same exit at the first mismatch."""
+    """`_pairs_as_basis` by Winograd's pairing, with the same exit at the first mismatch.
+
+    With w = (a_1, b_1, ..., a_r, b_r) and eta(w) = sum_k a_k b_k, computed
+    once per vector, phi(w, w') = sum_k (a_k + a'_k)(b'_k - b_k) + eta(w) -
+    eta(w'): r multiplications per pairing instead of 2r (468 instead of 792
+    at 2r = 12).
+    """
     halves = [(w[0::2], w[1::2]) for w in vectors]
     etas = [sum(map(mul, a, b)) for a, b in halves]
     n = len(halves)
@@ -477,11 +429,6 @@ def _pairs_as_basis_paired(vectors) -> bool:
     return True
 
 
-def _preserves_form(rows) -> bool:
-    """Whether A^T J A == J, exactly: the columns of A pair as the basis does."""
-    return _pairs_as_basis(zip(*rows))
-
-
 def _signed_transpose(rows) -> tuple[tuple[int, ...], ...]:
     """-J A^T J: entry (i, j) is +-A[j^1][i^1], with sign + when i + j is even."""
     n = len(rows)
@@ -489,26 +436,30 @@ def _signed_transpose(rows) -> tuple[tuple[int, ...], ...]:
                          for j in range(n)]) for i in range(n)])
 
 
-def _square_rows(rows: Iterable[Iterable[int]], message: str) -> tuple[tuple[int, ...], ...]:
-    """The rows coerced to int tuples; ValueError(message) unless they form a square of even dimension."""
+def _square_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows coerced to int tuples; ValueError unless they form a square of even dimension."""
     rows = tuple([*map(_as_int_tuple, rows)])
     n = len(rows)
     if n == 0 or n % 2 or any(len(row) != n for row in rows):
-        raise ValueError(message)
+        raise ValueError("matrix must be square of even dimension")
     return rows
 
 
 def is_symplectic(matrix: SymplecticMatrix | Sequence[Sequence[int]]) -> bool:
-    """Exact form-preservation check; raises on non-square or odd dimension."""
-    if isinstance(matrix, SymplecticMatrix):
-        return _preserves_form(matrix.rows)
-    return _preserves_form(_square_rows(matrix, "expected a square integer matrix of even dimension"))
+    """Whether A^T J A == J, exactly: the columns of A pair as the basis does.
+
+    The constructor checks the rows, A J A^T == J, instead; either makes A
+    invertible and then implies the other.  Raises ValueError on a
+    non-square or odd-dimension matrix.
+    """
+    rows = matrix.rows if isinstance(matrix, SymplecticMatrix) else _square_rows(matrix)
+    return _pairs_as_basis(zip(*rows))
 
 
 class SymplecticMatrix(_Value):
     """Integer matrix preserving the hyperbolic form; validated on construction."""
 
-    __slots__ = ("rows", "_checked")  # _checked: set, to True, only by the public constructor
+    __slots__ = ("rows", "_checked")
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
@@ -516,7 +467,7 @@ class SymplecticMatrix(_Value):
 
     def __post_init__(self, rows: Iterable[Iterable[int]]) -> None:
         """Coerce, check and store the rows; perfbench traces it as `symplectic.construct`."""
-        rows = _square_rows(rows, "matrix must be square of even dimension")
+        rows = _square_rows(rows)
         if not _pairs_as_basis(rows):  # A J A^T == J
             raise ValueError("matrix does not preserve the hyperbolic form")
         _setattr(self, "rows", rows)
@@ -617,10 +568,11 @@ def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> Symp
 
     The product is built by column updates: right-multiplying A by T_v adds
     phi(v, e_j) A v to column j, which is nonzero for at most two j, and A v
-    combines at most two columns.  The columns live in one mutable list, an
-    updated column replacing its entry, and are frozen into a matrix once, at
-    the end.  rng draws exactly as
-    `rng.choice(transvection_candidates(r))` would, once per step.
+    combines at most two columns, so a step is O(r) work, not a (2r)^3
+    product.  The columns live in one mutable list, an updated column
+    replacing its entry, and are frozen into a matrix once, at the end.  rng
+    draws exactly as `rng.choice(transvection_candidates(r))` would, once per
+    step.
     """
     n = _check_int(word_length, "word length", 0)
     r = _check_int(r, "rank", 1)
@@ -631,4 +583,4 @@ def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> Symp
         av = [x0 * a + x1 * b for a, b in zip(cols[k0], cols[k1])]
         for j, c in coeffs:
             cols[j] = [a + c * b for a, b in zip(cols[j], av)]
-    return SymplecticMatrix._trusted(_transpose(cols))
+    return SymplecticMatrix._trusted(tuple(zip(*cols)))

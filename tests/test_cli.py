@@ -144,6 +144,24 @@ def test_readme_sample_output(capsys):
         assert (code, out, err) == (0, expected, ""), argv
 
 
+def test_readme_library_block(capsys):
+    # README's "Library in five lines" block runs and does what its comments say
+    block = re.search(r"^## Library in five lines\n+```python\n(.*?)^```",
+                      (ROOT / "README.md").read_text(), re.M | re.S).group(1)
+    for claim in ("# orbit sizes 36 and 28, Arf labels 0 and 1", "witness covector (0, 0)", "# 16"):
+        assert claim in block
+    names = {}
+    exec(block, names)
+    assert capsys.readouterr().out == "16\n"
+    assert [(c.arf_label, c.size) for c in names["report"].orbits] == [(0, 36), (1, 28)]
+    verdict = names["verdict"]
+    assert verdict.splits and verdict.witness.coords == (0, 0)
+    t = transvection(Vector.u(1, 1))
+    s = transvection(Vector.v(1, 1))
+    sigma = names["sigma"]
+    assert jmul(sigma(t), sigma(s)) == sigma(t * s) and sigma(t).a == t
+
+
 def test_split_table_rank_one(capsys):
     code, out, err = _run(capsys, "split", "--p", "3", "--r", "1")
     assert code == 0 and err == ""
