@@ -1,20 +1,22 @@
 """Command line surface: deterministic reports and serialized group arithmetic.
 
 Exit codes: 0 success, 1 verified-property failure (including membership
-violations), 2 input error.  Every `ValueError` a command raises is an input
-error, printed as "error: <text>" on stderr with exit code 2.  So each rank
-and sample limit is checked once, by the library call it bounds.  The rank
-and modulus of an element document and `--jmax`, which no library call
-bounds, go through the library's integer guard `symplectic._check_int`, so
-this module words no integer bound itself; it checks only the shape of
-element documents and `--psi`.  JSON reports are byte-deterministic for
-fixed inputs and seed, and embed the seed and package version.
+violations), 2 input error or a closed stdout.  Every `ValueError` a command
+raises is an input error, printed as "error: <text>" on stderr with exit code
+2.  So each rank and sample limit is checked once, by the library call it
+bounds.  The rank and modulus of an element document and `--jmax`, which no
+library call bounds, go through the library's integer guard
+`symplectic._check_int`, so this module words no integer bound itself; it
+checks only the shape of element documents and `--psi`.  JSON reports are
+byte-deterministic for fixed inputs and seed, and embed the seed and package
+version.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from functools import lru_cache
@@ -121,20 +123,10 @@ def _parse_psi(bits: str, r: int):
     return _library().quadratic.QuadraticRefinement._trusted(2 * r, int(bits, 2))
 
 
-def _report(command: str, parameters: dict, results: dict, seed: int | None = None) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "seed": seed,
-        "version": __version__,
-    }
-
-
-def _render(report: dict, fmt: str, lines: list[str]) -> str:
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True) + "\n"
-    return "\n".join(lines) + "\n"
+def _report(command: str, parameters: dict, results: dict, seed: int | None = None) -> str:
+    """The JSON report; a command builds this or its table lines, never both."""
+    return json.dumps({"command": command, "parameters": parameters, "results": results,
+                       "seed": seed, "version": __version__}, sort_keys=True) + "\n"
 
 
 def _bits(values) -> str:
@@ -148,16 +140,19 @@ def _cmd_orbits(args, lib) -> tuple[int, str]:
     labels = tuple(c.arf_label for c in rep.orbits)
     sizes = tuple(c.size for c in rep.orbits)
     passed = labels == (0, 1) and sizes == exp
-    results = {
-        "rank": r,
-        "orbits": [
-            {"arf": c.arf_label, "size": c.size,
-             "representative": list(c.representative.basis_values)}
-            for c in rep.orbits
-        ],
-        "expected_sizes": list(exp),
-        "pass": passed,
-    }
+    code = 0 if passed else 1
+    if args.format == "json":
+        results = {
+            "rank": r,
+            "orbits": [
+                {"arf": c.arf_label, "size": c.size,
+                 "representative": list(c.representative.basis_values)}
+                for c in rep.orbits
+            ],
+            "expected_sizes": list(exp),
+            "pass": passed,
+        }
+        return code, _report("orbits", {"r": r}, results)
     # right-aligned columns, each as wide as its header or its widest entry
     size_w = max(len("size"), *(len(str(c.size)) for c in rep.orbits))
     exp_w = max(len("expected"), *(len(str(e)) for e in exp))
@@ -166,8 +161,7 @@ def _cmd_orbits(args, lib) -> tuple[int, str]:
     for c, e in zip(rep.orbits, exp):
         lines.append(f"{c.arf_label:>3}  {c.size:>{size_w}}  {e:>{exp_w}}  {_bits(c.representative.basis_values)}")
     lines.append(f"formulas: {'PASS' if passed else 'FAIL'}")
-    text = _render(_report("orbits", {"r": r}, results), args.format, lines)
-    return (0 if passed else 1), text
+    return code, "\n".join(lines) + "\n"
 
 
 def _verdict_dict(v) -> dict:
@@ -192,13 +186,15 @@ def _cmd_split(args, lib) -> tuple[int, str]:
     r = args.r
     verdict = lib.mcg.splitting_theorem_verdict(args.p, r, homotopy_modulus=args.modulus)
     agree = verdict.smooth.splits == verdict.homotopy.splits
-    results = {
-        "p": args.p,
-        "r": r,
-        "smooth": _verdict_dict(verdict.smooth),
-        "homotopy": _verdict_dict(verdict.homotopy),
-        "verdicts_agree": agree,
-    }
+    if args.format == "json":
+        results = {
+            "p": args.p,
+            "r": r,
+            "smooth": _verdict_dict(verdict.smooth),
+            "homotopy": _verdict_dict(verdict.homotopy),
+            "verdicts_agree": agree,
+        }
+        return 0, _report("split", {"p": args.p, "r": r, "modulus": args.modulus}, results)
     # right-aligned number columns, each as wide as its header or its widest entry
     flavors = (("smooth", verdict.smooth), ("homotopy", verdict.homotopy))
     modulus_w = max(len("modulus"), *(len(str(v.modulus)) for _, v in flavors))
@@ -211,8 +207,7 @@ def _cmd_split(args, lib) -> tuple[int, str]:
     else:
         lines.append(f"certificate: {verdict.smooth.candidates_checked} translates searched, none group-fixed")
     lines.append(f"verdicts agree: {'yes' if agree else 'no'}")
-    params = {"p": args.p, "r": r, "modulus": args.modulus}
-    return 0, _render(_report("split", params, results), args.format, lines)
+    return 0, "\n".join(lines) + "\n"
 
 
 def _load_document(path: str) -> object:
@@ -261,22 +256,24 @@ def _cmd_inv(args, lib) -> tuple[int, str]:
 def _cmd_verify(args, lib) -> tuple[int, str]:
     suites = lib.verify.run_suites(args.r, args.samples, args.seed, negative_control=args.negative_control)
     all_ok = all(s.ok for s in suites)
-    results = {
-        "r": args.r,
-        "samples": args.samples,
-        "suites": [{"name": s.name, "passed": s.passed, "total": s.total, "ok": s.ok}
-                   for s in suites],
-        "all_ok": all_ok,
-    }
-    params = {"r": args.r, "samples": args.samples, "seed": args.seed,
-              "negative_control": bool(args.negative_control)}
+    code = 0 if all_ok else 1
+    if args.format == "json":
+        results = {
+            "r": args.r,
+            "samples": args.samples,
+            "suites": [{"name": s.name, "passed": s.passed, "total": s.total, "ok": s.ok}
+                       for s in suites],
+            "all_ok": all_ok,
+        }
+        params = {"r": args.r, "samples": args.samples, "seed": args.seed,
+                  "negative_control": bool(args.negative_control)}
+        return code, _report("verify", params, results, seed=args.seed)
     lines = [f"verify  r={args.r}  samples={args.samples}  seed={args.seed}  version={__version__}",
              "suite             passed  total  ok"]
     for s in suites:
         lines.append(f"{s.name:<16} {s.passed:>7} {s.total:>6}  {'yes' if s.ok else 'NO'}")
     lines.append(f"all suites: {'PASS' if all_ok else 'FAIL'}")
-    text = _render(_report("verify", params, results, seed=args.seed), args.format, lines)
-    return (0 if all_ok else 1), text
+    return code, "\n".join(lines) + "\n"
 
 
 def _cmd_coeff(args, lib) -> tuple[int, str]:
@@ -286,13 +283,14 @@ def _cmd_coeff(args, lib) -> tuple[int, str]:
         a, c, f = lib.mcg.pontryagin_parts(j)
         rows.append({"j": j, "a": a, "c": c, "odd_factorial": _encode_int(f),
                      "coefficient": _encode_int(a * c * f)})
-    results = {"jmax": args.jmax, "rows": rows}
+    if args.format == "json":
+        return 0, _report("coeff", {"jmax": args.jmax}, {"jmax": args.jmax, "rows": rows})
     width = max(16, *(len(str(row["odd_factorial"])) for row in rows))
     lines = [f"coeff  jmax={args.jmax}  version={__version__}",
              f"j    a  c  {'(2j-1)!':<{width}} coefficient"]
     for row in rows:
         lines.append(f"{row['j']:<4} {row['a']}  {row['c']}  {row['odd_factorial']!s:<{width}} {row['coefficient']}")
-    return 0, _render(_report("coeff", {"jmax": args.jmax}, results), args.format, lines)
+    return 0, "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact symplectic-group, refinement-orbit and extension-splitting reports.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser by name, as add_parser fills it
 
     orbits = sub.add_parser("orbits", help="decompose quadratic refinements into orbits")
     orbits.add_argument("--r", type=int, required=True, help=f"rank, 1..{DECOMPOSITION_RANK_LIMIT}")
@@ -350,22 +349,38 @@ _HANDLERS = {
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state between calls, so one parser serves every call
+    # parsing keeps no state in the parsers between calls, so one set serves every call
     return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    command = argv[0] if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if command not in parser.commands:  # no argv, -h, --version, an unknown command or
+            parser.parse_args(argv)  # an option first: each ends in SystemExit here
+        # one parse, by the command's own parser; leftovers are worded as parse_args words them
+        args, extra = parser.commands[command].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code, text = _HANDLERS[args.command](args, _library())
+        code, text = _HANDLERS[command](args, _library())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if text:
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: fd 1 on devnull keeps the interpreter's exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 2
     return code
 
 

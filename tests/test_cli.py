@@ -10,13 +10,14 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symsplit import jacobi, verify
-from symsplit.cli import (ELEMENT_RANK_LIMIT, _decode_int, _parse_psi, element_from_document,
-                          element_to_document, main)
+from symsplit.cli import (_HANDLERS, ELEMENT_RANK_LIMIT, _decode_int, _library, _parse_psi,
+                          build_parser, element_from_document, element_to_document, main)
 from symsplit.jacobi import JacobiElement, jacobi_identity, jmul, splits
 from symsplit.quadratic import QuadraticRefinement, orbit_decomposition
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
@@ -645,6 +646,11 @@ def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, mon
         ("verify", "--r", "1", "--samples", "3", "--seed", "5"),
         ("orbits", "--format", "json"),
         ("--version",),
+        ("orbits", "--r", "1", "extra"),
+        ("orbits", "--r", "1", "--version"),
+        ("split", "-h"),
+        ("orbits",),
+        ("nonsense",),
     ]
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(ROOT / "src"))
     codes = []
@@ -653,7 +659,104 @@ def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, mon
                                capture_output=True, text=True, env=env)
         assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(fresh.returncode)
-    assert codes == [0, 0, 0, 0, 1, 0, 2, 0]
+    assert codes == [0, 0, 0, 0, 1, 0, 2, 0, 2, 2, 0, 2, 2]
+
+
+def test_the_parser_offers_exactly_the_handled_commands():
+    parser = build_parser()
+    assert list(parser.commands) == list(_HANDLERS)
+    offered = re.search(r"\{([a-z,]+)\}", parser.format_usage()).group(1)
+    assert offered.split(",") == list(_HANDLERS)
+
+
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("orbits", "--r", "3"), ("coeff", "--jmax", "7"),
+                                  ("orbits", "--r", "8", "--format", "json")])
+def test_closed_stdout_is_an_input_error_without_a_traceback(argv, flags):
+    # buffered, the write fills the buffer and the flush meets the closed pipe;
+    # unbuffered (-u, or PYTHONUNBUFFERED in the environment), the write itself does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write meets a closed pipe
+    try:
+        proc = subprocess.run([sys.executable, *flags, "-m", "symsplit.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr == "error: stdout closed before the output was written\n"
+
+
+def _reference_main(argv):
+    """The reference route: one top-level `parse_args`, then the handler named by `args.command`."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        code, text = _HANDLERS[args.command](args, _library())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
+    return code
+
+
+def _outcome(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_dispatch_matches_reference(argv):
+    # fixed width, so argparse wraps usage and help text the same on both sides
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        assert _outcome(main, argv) == _outcome(_reference_main, argv), argv
+
+
+DISPATCH_EDGES = [
+    [], ["--version"], ["-h"], ["--help"], ["--vers"], ["split", "-h"], ["orbits", "--he"],
+    ["nonsense"], ["orb", "--r", "1"], ["spl", "--p", "3", "--r", "1"], ["co", "--jmax", "2"],
+    ["ORBITS", "--r", "1"], [""], ["-x"],
+    ["--format", "json", "orbits", "--r", "1"], ["--r", "1", "orbits"],
+    ["--r", "orbits", "--r", "1"], ["-h", "orbits"], ["--version", "orbits", "--r", "1"],
+    ["orbits", "--r", "1", "extra"], ["orbits", "extra", "--r", "1"],
+    ["split", "--p", "3", "--r", "1", "x", "y"], ["orbits", "--r", "1", "--version"],
+    ["orbits", "-h", "--r", "1"], ["orbits", "--r", "1", "orbits"],
+    ["--", "orbits", "--r", "1"], ["orbits", "--", "--r", "1"], ["orbits", "--r", "1", "--"],
+    ["orbits", "--r", "--", "1"], ["split", "--p", "3", "--", "--r", "2"],
+    ["verify", "--r", "1", "--sam", "2", "--seed", "3", "--neg"],
+    ["verify", "--r", "1", "--s", "2", "--seed", "3"],
+    ["orbits", "--r", "2", "--format=json"], ["orbits", "--r=2", "--format", "json"],
+    ["orbits", "--r", "1", "--r", "2"], ["split", "--p", "3", "--p", "7", "--r", "1"],
+    ["split", "--p", "3"], ["verify", "--r", "1", "--seed", "2"], ["mul", "--lhs"],
+    ["split", "--p", "5", "--r", "1"], ["orbits", "--r", "1", "--format", "yaml"],
+    ["orbits", "--r", "x"], ["orbits", "--r", "0"], ["inv", "--lhs", "no-such-document.json"],
+]
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in GOLDEN_CASES.values()] + DISPATCH_EDGES,
+                         ids=[*GOLDEN_CASES, *(shlex.join(a) or "(empty)" for a in DISPATCH_EDGES)])
+def test_dispatch_matches_the_single_top_level_parse(argv):
+    _assert_dispatch_matches_reference(argv)
+
+
+@st.composite
+def _report_argv_with_a_stray_token(draw):
+    argv = draw(_report_argv())
+    stray = draw(st.sampled_from(["extra", "--version", "-h", "--", "--r", "7", "--format",
+                                  "--bogus", "-x", "orbits", "orb", "--r=1", ""]))
+    argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_report_argv_with_a_stray_token())
+def test_dispatch_matches_the_single_top_level_parse_with_a_stray_token(argv):
+    _assert_dispatch_matches_reference(argv)
 
 
 _json_values = st.recursive(

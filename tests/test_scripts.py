@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import shlex
@@ -67,3 +68,24 @@ def test_readme_script_lines_run():
         assert command[0] == "python3", command
         proc = _run_script(command[1].removeprefix("scripts/"), *command[2:])
         assert proc.returncode == 0 and proc.stderr == "", command
+
+
+def _mutants_module():
+    spec = importlib.util.spec_from_file_location("_mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutant_catalogue_is_current():
+    # the whole catalogue runs on demand (`python3 scripts/mutants.py`); here only its
+    # anchors: each snippet occurs exactly once in its file under src, and each test it
+    # names is defined in its test file
+    mutants = _mutants_module()
+    assert mutants.CATALOGUE and mutants.stale_entries() == []
+    assert len({m.name for m in mutants.CATALOGUE}) == len(mutants.CATALOGUE)
+    for m in mutants.CATALOGUE:
+        assert m.snippet != m.replacement and m.tests, m.name
+        for test in m.tests:
+            path, _, name = test.partition("::")
+            assert re.search(rf"^def {name}\(", (ROOT / path).read_text(), re.M), (m.name, test)
