@@ -4,7 +4,6 @@
 Run from the repository root:
 
     python3 scripts/mutants.py            # every mutant
-    python3 scripts/mutants.py D1 M4      # only these
     python3 scripts/mutants.py --list     # names and descriptions, nothing run
 
 Each catalogue entry names a file under `src`, an exact snippet of it, the
@@ -50,10 +49,10 @@ _TRUSTED_INVERSE = "tests/test_symplectic.py::test_inverse_of_wide_trusted_non_m
 CATALOGUE = (
     # one parse per CLI call
     Mutant("M1", "tokens the command parser leaves over are not reported", _CLI,
-           "        if extra:\n", "        if False:\n", _DISPATCH_ORACLE),
+           "            if extra:\n", "            if False:\n", _DISPATCH_ORACLE),
     Mutant("M2", "leftover tokens reported by the command parser's error, not the top-level one",
-           _CLI, "            parser.error(f\"unrecognized arguments:",
-           "            parser.commands[command].error(f\"unrecognized arguments:", _DISPATCH_ORACLE),
+           _CLI, "                parser.error(f\"unrecognized arguments:",
+           "                parser.commands[command].error(f\"unrecognized arguments:", _DISPATCH_ORACLE),
     Mutant("M3", "dispatch on a prefix of a command name", _CLI,
            "    command = argv[0] if argv else None\n",
            "    command = next((name for name in parser.commands if argv and argv[0]\n"
@@ -74,7 +73,7 @@ CATALOGUE = (
            "stdout closed before the output was written\", file=sys.stderr)\n        return 2",
            "stdout closed before the output was written\", file=sys.stderr)\n        return 1",
            _CLOSED_STDOUT),
-    Mutant("M7", "the report is written but not flushed inside the try", _CLI,
+    Mutant("M7", "the output is written but not flushed inside the try", _CLI,
            "        sys.stdout.flush()\n", "", _CLOSED_STDOUT),
     Mutant("M8", "fd 1 is left on the closed pipe", _CLI,
            "        os.dup2(devnull, sys.stdout.fileno())\n", "", _CLOSED_STDOUT),
@@ -126,15 +125,10 @@ def _pytest(tree: Path, tests) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="list the catalogue and exit")
     args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in CATALOGUE}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in CATALOGUE if not args.names or m.name in args.names]
     if args.list:
-        for m in chosen:
+        for m in CATALOGUE:
             print(f"{m.name:<4} {m.file:<28} {m.description}")
         return 0
     stale = stale_entries()
@@ -142,7 +136,7 @@ def main(argv=None) -> int:
         print("error: stale catalogue:", *stale, sep="\n  ", file=sys.stderr)
         return 2
 
-    tests = sorted({t for m in chosen for t in m.tests})
+    tests = sorted({t for m in CATALOGUE for t in m.tests})
     with tempfile.TemporaryDirectory(prefix="symsplit-mutants-") as tmp:
         code, summary = _pytest(_copy(tmp), tests)
     if code != 0:
@@ -150,7 +144,7 @@ def main(argv=None) -> int:
         return 2
 
     survived = errors = 0
-    for m in chosen:
+    for m in CATALOGUE:
         with tempfile.TemporaryDirectory(prefix="symsplit-mutants-") as tmp:
             tree = _copy(tmp)
             path = tree / m.file
@@ -164,7 +158,7 @@ def main(argv=None) -> int:
         failed = re.search(r"(\d+) failed", summary)
         print(f"{m.name:<4} {verdict:<22} {failed.group(1) if failed else 0:>3} failed"
               f"  {m.description}  [{summary}]")
-    print(f"{len(chosen) - survived - errors} of {len(chosen)} mutants killed,"
+    print(f"{len(CATALOGUE) - survived - errors} of {len(CATALOGUE)} mutants killed,"
           f" {survived} survived, {errors} without a verdict")
     return 1 if survived else 2 if errors else 0
 

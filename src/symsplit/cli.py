@@ -358,19 +358,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     command = argv[0] if argv else None
     try:
-        if command not in parser.commands:  # no argv, -h, --version, an unknown command or
-            parser.parse_args(argv)  # an option first: each ends in SystemExit here
-        # one parse, by the command's own parser; leftovers are worded as parse_args words them
-        args, extra = parser.commands[command].parse_known_args(argv[1:])
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if command in parser.commands:
+            # one parse, by the command's own parser; leftovers are worded as parse_args words them
+            args, extra = parser.commands[command].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:  # no argv, -h, --version, an unknown command or an option first
+            args = parser.parse_args(argv)
+            command = args.command
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code, text = _HANDLERS[command](args, _library())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # help and version text wait in the stdout buffer: the flush below catches a closed pipe
+        code, text = (exc.code if isinstance(exc.code, int) else 2), ""
+    else:
+        try:
+            code, text = _HANDLERS[command](args, _library())
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

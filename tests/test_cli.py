@@ -669,12 +669,14 @@ def test_the_parser_offers_exactly_the_handled_commands():
     assert offered.split(",") == list(_HANDLERS)
 
 
-@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [("orbits", "--r", "3"), ("coeff", "--jmax", "7"),
-                                  ("orbits", "--r", "8", "--format", "json")])
-def test_closed_stdout_is_an_input_error_without_a_traceback(argv, flags):
+@pytest.mark.parametrize("flags, argv", [((), ("orbits", "--r", "3")),
+                                         (("-u",), ("orbits", "--r", "3")),
+                                         ((), ("-h",))],
+                         ids=["buffered", "unbuffered", "buffered-help"])
+def test_closed_stdout_is_an_input_error_without_a_traceback(flags, argv):
     # buffered, the write fills the buffer and the flush meets the closed pipe;
-    # unbuffered (-u, or PYTHONUNBUFFERED in the environment), the write itself does
+    # unbuffered (-u, or PYTHONUNBUFFERED in the environment), the write itself does.
+    # Help text is written by argparse, which drops an unbuffered write's error itself.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
