@@ -45,6 +45,9 @@ _CLOSED_STDOUT = ("tests/test_cli.py::test_closed_stdout_is_an_input_error_witho
 _PAIRED_DISPATCH = "tests/test_symplectic.py::test_wide_rank_6_checks_and_products_take_the_paired_path"
 _OFF_BY_ONE = "tests/test_symplectic.py::test_wide_document_off_by_one_is_refused"
 _TRUSTED_INVERSE = "tests/test_symplectic.py::test_inverse_of_wide_trusted_non_member_raises"
+_WORD_ORACLE = "tests/test_symplectic.py::test_word_column_updates_match_transvection_products"
+_PRODUCT_ORACLES = ("tests/test_symplectic.py::test_product_matches_triple_loop_oracle",
+                    "tests/test_symplectic.py::test_both_product_paths_match_reference_matmul")
 
 CATALOGUE = (
     # one parse per CLI call
@@ -93,6 +96,18 @@ CATALOGUE = (
     Mutant("D5", "the form check probes w_0 alone", _SYMPLECTIC,
            "if _pairing_pays(vectors[0], vectors[1]):", "if _pairing_pays(vectors[0], vectors[0]):",
            (_PAIRED_DISPATCH,)),
+    # unit-coefficient word steps and products by C-level adds and subtracts
+    Mutant("U1", "a word update subtracts by adding", _SYMPLECTIC,
+           "(j, add if c == 1 else sub) for j", "(j, add if c == 1 else add) for j",
+           (_WORD_ORACLE, "tests/test_symplectic.py::test_form_signs_match_explicit_gram_matrix")),
+    Mutant("U2", "the direction e_a - e_b combined as e_b - e_a", _SYMPLECTIC,
+           "[*map(op, cols[a], cols[b])]", "[*map(op, cols[b], cols[a])]", (_WORD_ORACLE,)),
+    Mutant("U3", "the sparse product path adds a later -1 term", _SYMPLECTIC,
+           "map(sub if x == -1 else add, acc, term)", "map(add, acc, term)", _PRODUCT_ORACLES),
+    Mutant("U4", "Covector._trusted leaves its coordinates unreduced", _SYMPLECTIC,
+           "tuple([*map(mod, coords, repeat(modulus))]) if modulus else coords", "coords",
+           ("tests/test_jacobi.py::test_reduce_modulus",
+            "tests/test_cocycles.py::test_principal_additive_in_translation")),
 )
 
 

@@ -356,6 +356,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in parser.commands:
+        argv = argv[1:]  # the end-of-options marker before a command, read as newer argparse reads it
     command = argv[0] if argv else None
     try:
         if command in parser.commands:

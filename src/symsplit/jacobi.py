@@ -174,4 +174,4 @@ def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,
     else:
         noise = [rng.randrange(modulus) for _ in range(n)]
     coords = tuple([b + 2 * t for b, t in zip(xbar.coords, noise)])
-    return JacobiElement(Covector(coords, modulus), a)
+    return JacobiElement(Covector._trusted(coords, modulus), a)

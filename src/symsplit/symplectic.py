@@ -26,10 +26,10 @@ in `quadratic` packs those parities into 2r-bit ints internally.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, attrgetter, mul, neg, sub
+from operator import add, attrgetter, mod, mul, neg, sub
 
 _setattr = object.__setattr__
 
@@ -184,16 +184,17 @@ def _matmul(a, b):
 
     Each row of A takes one of two paths by its own zero count.  A row with
     at least a quarter of its entries zero is the sum of A_ik B_k over its
-    nonzero entries, B's rows combined by C-level maps; an entry 1 adds B_k
-    as it is, so a row that is 1 at k and 0 elsewhere gives B's row k itself,
-    not a copy.  The identity, J and the seeded words have one to three
-    nonzero entries in most rows.  Any other row takes dot products with B's
-    columns, B being transposed once, on the first such row: combining rows
-    for every row was 1.4 to 1.8 times slower on the dense small-entry
-    products of the `arith` benchmark.  Those dot products are paired by
-    `_winograd` when `_pairing_pays` for the first such row and B's first
-    column, and A has at least two rows: a one-row product, such as the
-    covector action, saves nothing by pairing.
+    nonzero entries, B's rows combined by C-level maps: an entry 1 or -1
+    adds or subtracts B_k as it is (a leading -1 negates it), and any other
+    entry scales it first.  So a row that is 1 at k and 0 elsewhere gives B's
+    row k itself, not a copy.  The identity, J and the seeded words have one
+    to three nonzero entries in most rows, nearly all of them +-1.  Any other
+    row takes dot products with B's columns, B being transposed once, on the
+    first such row: combining rows for every row was 1.4 to 1.8 times slower
+    on the dense small-entry products of the `arith` benchmark.  Those dot
+    products are paired by `_winograd` when `_pairing_pays` for the first
+    such row and B's first column, and A has at least two rows: a one-row
+    product, such as the covector action, saves nothing by pairing.
     """
     cols = paired = None
     out = []
@@ -208,8 +209,11 @@ def _matmul(a, b):
             continue
         acc = None
         for x, brow in zip(compress(row, row), compress(b, row)):
-            term = brow if x == 1 else map(mul, repeat(x), brow)
-            acc = term if acc is None else map(add, acc, term)
+            term = brow if x == 1 or x == -1 else map(mul, repeat(x), brow)
+            if acc is None:
+                acc = map(neg, term) if x == -1 else term
+            else:
+                acc = map(sub if x == -1 else add, acc, term)
         if acc is None:
             out.append((0,) * len(b[0]))
         else:
@@ -321,7 +325,7 @@ class Covector(_Value):
         Coordinates are still reduced into [0, modulus) when modulus > 0.
         """
         x = object.__new__(cls)
-        _setattr(x, "coords", tuple([c % modulus for c in coords]) if modulus else coords)
+        _setattr(x, "coords", tuple([*map(mod, coords, repeat(modulus))]) if modulus else coords)
         _setattr(x, "modulus", modulus)
         return x
 
@@ -548,18 +552,21 @@ def transvection_candidates(r: int) -> tuple[Vector, ...]:
 
 
 @lru_cache(maxsize=None)
-def _word_steps(r: int) -> tuple[tuple[int, int, int, int, tuple[tuple[int, int], ...]], ...]:
-    """Per candidate direction, in transvection_candidates order: (k0, x0, k1, x1, coefficients).
+def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[tuple[int, Callable], ...]], ...]:
+    """Per candidate direction, in transvection_candidates order: ((a, op, b), updates).
 
-    The direction is v = x0 e_k0 + x1 e_k1 (x1 = 0 for a unit direction), and
-    the coefficients are the pairs (j, phi(v, e_j)) with phi(v, e_j) != 0.
+    The direction v is e_a op e_b (op add or sub), or e_a when op is None (b
+    is then a); updates holds (j, add) where phi(v, e_j) = 1 and (j, sub)
+    where it is -1.  ArithmeticError on any other candidate, such as 2 u_1.
     """
     steps = []
     for v in transvection_candidates(r):
-        (k0, x0), *rest = [(k, x) for k, x in enumerate(v.coords) if x]
-        k1, x1 = rest[0] if rest else (k0, 0)
-        coeffs = tuple((j, c) for j, c in enumerate(_phi_row(v.coords)) if c)
-        steps.append((k0, x0, k1, x1, coeffs))
+        coords, row = v.coords, _phi_row(v.coords)
+        *rest, a = sorted([k for k, x in enumerate(coords) if x], key=coords.__getitem__)  # a +1 sorts last
+        if not {*coords, *row} <= {-1, 0, 1} or coords[a] != 1 or len(rest) > 1:
+            raise ArithmeticError(f"word step needs a direction e_a, e_a + e_b or e_a - e_b, got {v}")
+        b, op = (rest[0], add if coords[rest[0]] == 1 else sub) if rest else (a, None)
+        steps.append(((a, op, b), tuple([(j, add if c == 1 else sub) for j, c in enumerate(row) if c])))
     return tuple(steps)
 
 
@@ -567,20 +574,20 @@ def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> Symp
     """Product of word_length transvections drawn from the candidate set by rng.
 
     The product is built by column updates: right-multiplying A by T_v adds
-    phi(v, e_j) A v to column j, which is nonzero for at most two j, and A v
-    combines at most two columns, so a step is O(r) work, not a (2r)^3
-    product.  The columns live in one mutable list, an updated column
-    replacing its entry, and are frozen into a matrix once, at the end.  rng
-    draws exactly as `rng.choice(transvection_candidates(r))` would, once per
-    step.
+    phi(v, e_j) = +-1 times A v to column j, for at most two j, and A v is a
+    column or the sum or difference of two, so a step is up to three C-level
+    maps of add or sub (`_word_steps`), O(r) work with no multiplication.
+    The columns live in one mutable list, an updated column replacing its
+    entry, and are frozen into a matrix once, at the end.  rng draws exactly
+    as `rng.choice(transvection_candidates(r))` would, once per step.
     """
     n = _check_int(word_length, "word length", 0)
     r = _check_int(r, "rank", 1)
     steps = _word_steps(r)
     cols = list(_identity_rows(2 * r))  # I is symmetric: its rows are its columns
     for _ in range(n):
-        k0, x0, k1, x1, coeffs = rng.choice(steps)
-        av = [x0 * a + x1 * b for a, b in zip(cols[k0], cols[k1])]
-        for j, c in coeffs:
-            cols[j] = [a + c * b for a, b in zip(cols[j], av)]
+        (a, op, b), updates = rng.choice(steps)
+        av = cols[a] if op is None else [*map(op, cols[a], cols[b])]
+        for j, f in updates:
+            cols[j] = [*map(f, cols[j], av)]
     return SymplecticMatrix._trusted(tuple(zip(*cols)))

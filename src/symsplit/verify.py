@@ -4,7 +4,8 @@ A suite is a generator: it yields one bool per check, in a fixed order, and
 its total is the number of checks it yields.  All suites draw from one shared
 seeded generator in `_SUITES` order, so a fixed (r, samples, seed) triple
 always produces the same report, and a new or moved draw in one suite changes
-the samples of every later suite (and the `verify` goldens).
+the samples of every later suite.  The `verify` goldens hold pass counts, so
+such a change alters one only if a check then fails.
 """
 
 from __future__ import annotations

@@ -651,6 +651,7 @@ def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, mon
         ("split", "-h"),
         ("orbits",),
         ("nonsense",),
+        ("--", "orbits", "--r", "1"),
     ]
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(ROOT / "src"))
     codes = []
@@ -659,7 +660,7 @@ def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, mon
                                capture_output=True, text=True, env=env)
         assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(fresh.returncode)
-    assert codes == [0, 0, 0, 0, 1, 0, 2, 0, 2, 2, 0, 2, 2]
+    assert codes == [0, 0, 0, 0, 1, 0, 2, 0, 2, 2, 0, 2, 2, 0]
 
 
 def test_the_parser_offers_exactly_the_handled_commands():
@@ -692,7 +693,13 @@ def test_closed_stdout_is_an_input_error_without_a_traceback(flags, argv):
 
 
 def _reference_main(argv):
-    """The reference route: one top-level `parse_args`, then the handler named by `args.command`."""
+    """The reference route: one top-level `parse_args`, then the handler named by `args.command`.
+
+    A leading `--` before a command name is dropped first: newer argparse releases read it as the
+    end-of-options marker, where Python 3.11's reads it as the command name and exits 2.
+    """
+    if argv[:1] == ["--"] and argv[1:2] and argv[1] in _HANDLERS:
+        argv = argv[1:]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -730,6 +737,8 @@ DISPATCH_EDGES = [
     ["orbits", "-h", "--r", "1"], ["orbits", "--r", "1", "orbits"],
     ["--", "orbits", "--r", "1"], ["orbits", "--", "--r", "1"], ["orbits", "--r", "1", "--"],
     ["orbits", "--r", "--", "1"], ["split", "--p", "3", "--", "--r", "2"],
+    ["--"], ["--", "nonsense"], ["--", "orb", "--r", "1"], ["--", "--", "orbits", "--r", "1"],
+    ["--", "--r", "1", "orbits"], ["--", "orbits", "--", "--r", "1"], ["--", "split", "-h"],
     ["verify", "--r", "1", "--sam", "2", "--seed", "3", "--neg"],
     ["verify", "--r", "1", "--s", "2", "--seed", "3"],
     ["orbits", "--r", "2", "--format=json"], ["orbits", "--r=2", "--format", "json"],
@@ -759,6 +768,17 @@ def _report_argv_with_a_stray_token(draw):
 @given(argv=_report_argv_with_a_stray_token())
 def test_dispatch_matches_the_single_top_level_parse_with_a_stray_token(argv):
     _assert_dispatch_matches_reference(argv)
+
+
+MARKED_COMMANDS = [["orbits", "--r", "2", "--format", "json"], ["split", "--p", "7", "--r", "3"],
+                   ["verify", "--r", "1", "--samples", "2", "--seed", "4"], ["coeff", "-h"], ["orbits", "--r", "0"]]
+
+
+@pytest.mark.parametrize("argv", MARKED_COMMANDS, ids=map(shlex.join, MARKED_COMMANDS))
+def test_a_leading_end_of_options_marker_runs_the_command(capsys, monkeypatch, argv):
+    # `symsplit -- <command> ...` is `symsplit <command> ...`, codes and bytes alike
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run(capsys, "--", *argv) == _run(capsys, *argv)
 
 
 _json_values = st.recursive(

@@ -6,6 +6,7 @@ import re
 import sys
 import warnings
 from collections import Counter
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,9 @@ def _product_operands(r, rng):
     # every zero count from 0 (dense) to n (a zero row), so both sides of the sparse threshold
     yield _rows_by_zero_count(n, range(n), rng)
     yield _rows_by_zero_count(n, range(n, 0, -1), rng)
+    # sparse rows led by -1, 5 or 1, then +-1 and other values: each first and each later term
+    leads = ((-1, 1, -1, 5), (5, -1, 1, -1), (1, -1, 1, 3), (-1, -1, 7, 1))
+    yield tuple(tuple(0 if k % 3 == 2 else leads[i % 4][k % 4] for k in range(n)) for i in range(n))
     # rows with one nonzero entry: 1 (B's row itself), -1 and another value
     yield tuple(tuple(rng.choice((1, -1, 5)) * (k == (i * 3) % n) for k in range(n)) for i in range(n))
 
@@ -612,16 +616,29 @@ def test_form_signs_match_explicit_gram_matrix(r):
     for v, w in zip(randoms, randoms[1:]):
         assert phi_eval(v, w) == sum(v.coords[k] * gram[k][j] * w.coords[j]
                                      for k in range(n) for j in range(n))
-    for v, (k0, x0, k1, x1, coeffs) in zip(transvection_candidates(r), _word_steps(r)):
-        assert x0 * Vector.unit(r, k0) + x1 * Vector.unit(r, k1) == v
+    for v, ((a, op, b), updates) in zip(transvection_candidates(r), _word_steps(r)):
+        # the direction is e_a op e_b, or e_a alone; an update (j, add | sub) is phi(v, e_j) = +1 | -1
+        assert op in (add, sub) or (op is None and b == a)
+        ea, eb = Vector.unit(r, a), Vector.unit(r, b)
+        assert (ea if op is None else ea + eb if op is add else ea - eb) == v
         row = [sum(v.coords[k] * gram[k][j] for k in range(n)) for j in range(n)]
-        assert coeffs == tuple((j, c) for j, c in enumerate(row) if c)
+        assert all(f in (add, sub) for _, f in updates)
+        assert tuple((j, 1 if f is add else -1) for j, f in updates) == tuple((j, c) for j, c in enumerate(row) if c)
     for v in list(transvection_candidates(r)) + randoms:
         expected = []
         for i in range(n):
             expected.append(tuple(int(i == j) + sum(v.coords[i] * v.coords[k] * gram[k][j] for k in range(n))
                                   for j in range(n)))
         assert transvection(v).rows == tuple(expected)
+
+
+@pytest.mark.parametrize("coords", [(2, 0, 0, 0), (-1, 0, 0, 0), (0, -1, 0, -1), (1, 1, 1, 0), (1, 0, 0, 3)],
+                         ids=["2u1", "-u1", "-v1-v2", "u1+v1+u2", "u1+3v2"])
+def test_word_steps_refuse_a_direction_without_the_add_sub_encoding(monkeypatch, coords):
+    # a candidate other than e_a, e_a + e_b or e_a - e_b would be encoded wrongly: refused instead
+    monkeypatch.setattr(symplectic, "transvection_candidates", lambda r: (Vector.u(2, 1), Vector(coords)))
+    with pytest.raises(ArithmeticError, match=r"^word step needs a direction e_a, e_a \+ e_b or e_a - e_b, got "):
+        _word_steps.__wrapped__(2)
 
 
 def _word_by_products(r, length, rng):
