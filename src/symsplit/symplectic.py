@@ -562,7 +562,7 @@ def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[t
     steps = []
     for v in transvection_candidates(r):
         coords, row = v.coords, _phi_row(v.coords)
-        *rest, a = sorted([k for k, x in enumerate(coords) if x], key=coords.__getitem__)  # a +1 sorts last
+        *rest, a = sorted([k for k, x in enumerate(coords) if x], key=coords.__getitem__) or [0]  # a +1 sorts last
         if not {*coords, *row} <= {-1, 0, 1} or coords[a] != 1 or len(rest) > 1:
             raise ArithmeticError(f"word step needs a direction e_a, e_a + e_b or e_a - e_b, got {v}")
         b, op = (rest[0], add if coords[rest[0]] == 1 else sub) if rest else (a, None)

@@ -632,8 +632,8 @@ def test_form_signs_match_explicit_gram_matrix(r):
         assert transvection(v).rows == tuple(expected)
 
 
-@pytest.mark.parametrize("coords", [(2, 0, 0, 0), (-1, 0, 0, 0), (0, -1, 0, -1), (1, 1, 1, 0), (1, 0, 0, 3)],
-                         ids=["2u1", "-u1", "-v1-v2", "u1+v1+u2", "u1+3v2"])
+@pytest.mark.parametrize("coords", [(2, 0, 0, 0), (-1, 0, 0, 0), (0, -1, 0, -1), (1, 1, 1, 0), (1, 0, 0, 3),
+                                    (0, 0, 0, 0)], ids=["2u1", "-u1", "-v1-v2", "u1+v1+u2", "u1+3v2", "zero"])
 def test_word_steps_refuse_a_direction_without_the_add_sub_encoding(monkeypatch, coords):
     # a candidate other than e_a, e_a + e_b or e_a - e_b would be encoded wrongly: refused instead
     monkeypatch.setattr(symplectic, "transvection_candidates", lambda r: (Vector.u(2, 1), Vector(coords)))
