@@ -102,10 +102,10 @@ CATALOGUE = (
            (_WORD_ORACLE, "tests/test_symplectic.py::test_form_signs_match_explicit_gram_matrix")),
     Mutant("U2", "the direction e_a - e_b combined as e_b - e_a", _SYMPLECTIC,
            "[*map(op, cols[a], cols[b])]", "[*map(op, cols[b], cols[a])]", (_WORD_ORACLE,)),
-    Mutant("U3", "the sparse product path adds a later -1 term", _SYMPLECTIC,
-           "map(sub if x == -1 else add, acc, term)", "map(add, acc, term)", _PRODUCT_ORACLES),
+    Mutant("U3", "the sparse product path adds a -1 term as B_k itself", _SYMPLECTIC,
+           "term = brow if x == 1 else", "term = brow if x * x == 1 else", _PRODUCT_ORACLES),
     Mutant("U4", "Covector._trusted leaves its coordinates unreduced", _SYMPLECTIC,
-           "tuple([*map(mod, coords, repeat(modulus))]) if modulus else coords", "coords",
+           "tuple([c % modulus for c in coords]) if modulus else coords", "coords",
            ("tests/test_jacobi.py::test_reduce_modulus",
             "tests/test_cocycles.py::test_principal_additive_in_translation")),
 )

@@ -13,8 +13,8 @@ ENUMERATION_RANK_LIMIT = 9
 DECOMPOSITION_RANK_LIMIT = 10
 # a verdict without a witness reports 4^r candidates; 4^31 is the largest that fits in int64
 SPLIT_RANK_LIMIT = 31
-# the same ~1 s budget as the samples limit, at rank 8 with 300 samples: `verify --r 8 --samples
-# 300` takes 0.6 to 0.9 s and 16 MB; time grows with r and memory does not (1.6 to 2.4 s at r = 24)
+# a kept cap within the samples limit's ~1 s budget: `verify --r 8 --samples 300` takes 0.5 to 0.7 s
+# and 16 MB; time grows with r and memory does not (the suites at 300 samples: 0.6 to 1.0 s at r = 10)
 VERIFY_RANK_LIMIT = 8
-# the largest round count that keeps run_suites(8, samples, seed) within about 1 s
+# a kept cap, not the largest within budget: run_suites(8, 300, seed) takes under about 1 s
 VERIFY_SAMPLES_LIMIT = 300

@@ -29,7 +29,7 @@ import random
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, attrgetter, mod, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 
 _setattr = object.__setattr__
 
@@ -184,17 +184,16 @@ def _matmul(a, b):
 
     Each row of A takes one of two paths by its own zero count.  A row with
     at least a quarter of its entries zero is the sum of A_ik B_k over its
-    nonzero entries, B's rows combined by C-level maps: an entry 1 or -1
-    adds or subtracts B_k as it is (a leading -1 negates it), and any other
-    entry scales it first.  So a row that is 1 at k and 0 elsewhere gives B's
-    row k itself, not a copy.  The identity, J and the seeded words have one
-    to three nonzero entries in most rows, nearly all of them +-1.  Any other
-    row takes dot products with B's columns, B being transposed once, on the
-    first such row: combining rows for every row was 1.4 to 1.8 times slower
-    on the dense small-entry products of the `arith` benchmark.  Those dot
-    products are paired by `_winograd` when `_pairing_pays` for the first
-    such row and B's first column, and A has at least two rows: a one-row
-    product, such as the covector action, saves nothing by pairing.
+    nonzero entries, B's rows combined by C-level maps; an entry 1 adds B_k
+    as it is, so a row that is 1 at k and 0 elsewhere gives B's row k itself,
+    not a copy.  The identity, J and the seeded words have one to three
+    nonzero entries in most rows.  Any other row takes dot products with B's
+    columns, B being transposed once, on the first such row: combining rows
+    for every row was 1.4 to 1.8 times slower on the dense small-entry
+    products of the `arith` benchmark.  Those dot products are paired by
+    `_winograd` when `_pairing_pays` for the first such row and B's first
+    column, and A has at least two rows: a one-row product, such as the
+    covector action, saves nothing by pairing.
     """
     cols = paired = None
     out = []
@@ -209,11 +208,8 @@ def _matmul(a, b):
             continue
         acc = None
         for x, brow in zip(compress(row, row), compress(b, row)):
-            term = brow if x == 1 or x == -1 else map(mul, repeat(x), brow)
-            if acc is None:
-                acc = map(neg, term) if x == -1 else term
-            else:
-                acc = map(sub if x == -1 else add, acc, term)
+            term = brow if x == 1 else map(mul, repeat(x), brow)
+            acc = term if acc is None else map(add, acc, term)
         if acc is None:
             out.append((0,) * len(b[0]))
         else:
@@ -325,7 +321,7 @@ class Covector(_Value):
         Coordinates are still reduced into [0, modulus) when modulus > 0.
         """
         x = object.__new__(cls)
-        _setattr(x, "coords", tuple([*map(mod, coords, repeat(modulus))]) if modulus else coords)
+        _setattr(x, "coords", tuple([c % modulus for c in coords]) if modulus else coords)
         _setattr(x, "modulus", modulus)
         return x
 
@@ -556,17 +552,26 @@ def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[t
     """Per candidate direction, in transvection_candidates order: ((a, op, b), updates).
 
     The direction v is e_a op e_b (op add or sub), or e_a when op is None (b
-    is then a); updates holds (j, add) where phi(v, e_j) = 1 and (j, sub)
-    where it is -1.  ArithmeticError on any other candidate, such as 2 u_1.
+    is then a): a is v's first +1 coordinate, b its other nonzero one.
+    updates holds (j, add) where phi(v, e_j) = 1 and (j, sub) where it is -1.
+    ArithmeticError on any other candidate, such as 2 u_1.
     """
     steps = []
     for v in transvection_candidates(r):
-        coords, row = v.coords, _phi_row(v.coords)
-        *rest, a = sorted([k for k, x in enumerate(coords) if x], key=coords.__getitem__) or [0]  # a +1 sorts last
-        if not {*coords, *row} <= {-1, 0, 1} or coords[a] != 1 or len(rest) > 1:
-            raise ArithmeticError(f"word step needs a direction e_a, e_a + e_b or e_a - e_b, got {v}")
-        b, op = (rest[0], add if coords[rest[0]] == 1 else sub) if rest else (a, None)
-        steps.append(((a, op, b), tuple([(j, add if c == 1 else sub) for j, c in enumerate(row) if c])))
+        refused = f"word step needs a direction e_a, e_a + e_b or e_a - e_b, got {v}"
+        a = b = op = None
+        for k, x in enumerate(v.coords):
+            if x == 1 and a is None:
+                a = k
+            elif x in (1, -1) and op is None:
+                b, op = k, add if x == 1 else sub
+            elif x:
+                raise ArithmeticError(refused)
+        row = _phi_row(v.coords)
+        if a is None or not {*row} <= {-1, 0, 1}:
+            raise ArithmeticError(refused)
+        updates = tuple([(j, add if c == 1 else sub) for j, c in enumerate(row) if c])
+        steps.append(((a, op, a if op is None else b), updates))
     return tuple(steps)
 
 
