@@ -39,6 +39,8 @@ Mutant = namedtuple("Mutant", "name description file snippet replacement tests")
 
 _CLI = "src/symsplit/cli.py"
 _SYMPLECTIC = "src/symsplit/symplectic.py"
+_COCYCLES = "src/symsplit/cocycles.py"
+_VERIFY = "src/symsplit/verify.py"
 _DISPATCH_ORACLE = ("tests/test_cli.py::test_dispatch_matches_the_single_top_level_parse",
                     "tests/test_cli.py::test_one_parser_serves_every_call_like_a_fresh_process")
 _CLOSED_STDOUT = ("tests/test_cli.py::test_closed_stdout_is_an_input_error_without_a_traceback",)
@@ -108,6 +110,28 @@ CATALOGUE = (
            "tuple([c % modulus for c in coords]) if modulus else coords", "coords",
            ("tests/test_jacobi.py::test_reduce_modulus",
             "tests/test_cocycles.py::test_principal_additive_in_translation")),
+    # word directions from their indices, one coboundary formula, the torsor image by definition
+    Mutant("W1", "the u_i + v_j and u_i - v_j blocks of the word directions swapped", _SYMPLECTIC,
+           "for op in (add, sub) for i in range(r)", "for op in (sub, add) for i in range(r)",
+           ("tests/test_symplectic.py::test_word_directions_keep_their_order",)),
+    Mutant("C1", "coboundary_at returns x - x.A", _COCYCLES,
+           "    return x.act(a) - x\n", "    return x - x.act(a)\n",
+           ("tests/test_cocycles.py::test_coboundary_at_hand_value",
+            "tests/test_cocycles.py::test_minus_id_constraint_for_coboundaries",
+            "tests/test_jacobi.py::test_reframe_carries_membership",
+            "tests/test_jacobi.py::test_section_from_witness_standalone")),
+    Mutant("T1", "the torsor's full-image check compares e_j's translate with e_(j+1)", _VERIFY,
+           "qtranslate(base, e).basis_values == e.coords for e in units)",
+           "qtranslate(base, e).basis_values == f.coords for e, f in zip(units, units[1:] + units[:1]))",
+           ("tests/test_verify.py::test_all_suites_pass", "tests/test_cli.py::test_golden_report_outputs")),
+    # the exit codes of a failed internal check and of running out of memory
+    Mutant("E1", "a failed internal check exits 2", _CLI,
+           "return 1 if isinstance(exc, ArithmeticError) else 2", "return 2",
+           ("tests/test_cli.py::test_failed_internal_check_is_a_property_failure_without_a_traceback",)),
+    Mutant("E2", "running out of memory exits 1", _CLI,
+           "\"error: out of memory\", file=sys.stderr)\n            return 2",
+           "\"error: out of memory\", file=sys.stderr)\n            return 1",
+           ("tests/test_cli.py::test_running_out_of_memory_is_an_input_error_without_a_traceback",)),
 )
 
 

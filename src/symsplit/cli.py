@@ -1,15 +1,18 @@
 """Command line surface: deterministic reports and serialized group arithmetic.
 
 Exit codes: 0 success, 1 verified-property failure (including membership
-violations), 2 input error or a closed stdout.  Every `ValueError` a command
-raises is an input error, printed as "error: <text>" on stderr with exit code
-2.  So each rank and sample limit is checked once, by the library call it
-bounds.  The rank and modulus of an element document and `--jmax`, which no
-library call bounds, go through the library's integer guard
-`symplectic._check_int`, so this module words no integer bound itself; it
-checks only the shape of element documents and `--psi`.  JSON reports are
-byte-deterministic for fixed inputs and seed, and embed the seed and package
-version.
+violations and a failed internal check), 2 input error, a closed stdout or
+running out of memory.  Every `ValueError` a command raises is an input error,
+printed as "error: <text>" on stderr with exit code 2.  So each rank and
+sample limit is checked once, by the library call it bounds.  The rank and
+modulus of an element document and `--jmax`, which no library call bounds, go
+through the library's integer guard `symplectic._check_int`, so this module
+words no integer bound itself; it checks only the shape of element documents
+and `--psi`.  An `ArithmeticError`, which the library raises when an internal
+check fails (such as the inverse's postcondition), is printed the same way
+with exit code 1, and a `MemoryError` as "error: out of memory" with exit
+code 2, so no error ends in a traceback.  JSON reports are byte-deterministic
+for fixed inputs and seed, and embed the seed and package version.
 """
 
 from __future__ import annotations
@@ -374,8 +377,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         try:
             code, text = _HANDLERS[command](args, _library())
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1 if isinstance(exc, ArithmeticError) else 2  # a failed internal check is 1
+        except MemoryError:
+            print("error: out of memory", file=sys.stderr)
             return 2
     try:
         sys.stdout.write(text)

@@ -20,8 +20,7 @@ Cocycle = Callable[[SymplecticMatrix], Covector]
 
 
 def coboundary_at(x: Covector, a: SymplecticMatrix) -> Covector:
-    if x.rank != a.rank:
-        raise ValueError("rank mismatch")
+    """x.A - x; raises as `Covector.act` does (a rank mismatch is a ValueError)."""
     return x.act(a) - x
 
 
@@ -43,5 +42,4 @@ def minus_id_constraint(s: Cocycle, a: SymplecticMatrix) -> bool:
     sa = s(a)
     if sa.modulus % 2:
         raise ValueError("modulus must be 0 or even")
-    sneg = s(neg_identity(a.rank))
-    return sa + sa == -(sneg.act(a) - sneg)
+    return sa + sa == -coboundary_at(s(neg_identity(a.rank)), a)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
-from .cocycles import principal_at
+from .cocycles import coboundary_at, principal_at
 from .limits import SPLIT_RANK_LIMIT
 from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
 from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _integral,
@@ -93,7 +93,7 @@ def reframe(g: JacobiElement, y: Covector) -> JacobiElement:
     """
     if y.rank != g.rank or y.modulus != g.modulus:
         raise ValueError("conjugating covector must share rank and modulus")
-    return JacobiElement(y.act(g.a) + g.x - y, g.a)
+    return JacobiElement(coboundary_at(y, g.a) + g.x, g.a)
 
 
 def default_base_refinement(r: int) -> QuadraticRefinement:
@@ -121,7 +121,7 @@ class SplitVerdict(_Value):
             raise ValueError("extension does not split; no section exists")
         x = Covector(self.witness.coords, self.modulus)
         def sigma(a: SymplecticMatrix) -> JacobiElement:
-            return JacobiElement(x.act(a) - x, a)
+            return JacobiElement(coboundary_at(x, a), a)
         return sigma
 
 

@@ -537,42 +537,34 @@ def neg_identity(r: int) -> SymplecticMatrix:
 
 
 @lru_cache(maxsize=None)
-def transvection_candidates(r: int) -> tuple[Vector, ...]:
-    """Directions used by the seeded word generator: u_i, v_i, and u_i +/- v_j."""
+def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[tuple[int, Callable], ...]], ...]:
+    """Per direction of the seeded word generator, in draw order: ((a, op, b), updates).
+
+    This defines the order: u_1..u_r, v_1..v_r, then u_i + v_j, then
+    u_i - v_j, with i outer and j inner.  `rng.choice` draws a step by its
+    index, so the order fixes every seeded word.  The direction is e_a op e_b
+    (op add or sub), or e_a when op is None (b is then a).  updates holds
+    (j, add) where phi(v, e_j) = 1 and (j, sub) where it is -1.
+    """
     r = _check_int(r, "rank", 1)
-    us = [Vector.u(r, i) for i in range(1, r + 1)]
-    vs = [Vector.v(r, i) for i in range(1, r + 1)]
-    sums = [us[i] + vs[j] for i in range(r) for j in range(r)]
-    diffs = [us[i] - vs[j] for i in range(r) for j in range(r)]
-    return tuple(us + vs + sums + diffs)
+    units = _identity_rows(2 * r)
+    triples = [(2 * i + k, None, 2 * i + k) for k in (0, 1) for i in range(r)]
+    triples += [(2 * i, op, 2 * j + 1) for op in (add, sub) for i in range(r) for j in range(r)]
+    steps = []
+    for a, op, b in triples:
+        row = _phi_row(units[a] if op is None else [*map(op, units[a], units[b])])
+        updates = tuple([(j, add if c == 1 else sub) for j, c in enumerate(row) if c])
+        steps.append(((a, op, b), updates))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=None)
-def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[tuple[int, Callable], ...]], ...]:
-    """Per candidate direction, in transvection_candidates order: ((a, op, b), updates).
-
-    The direction v is e_a op e_b (op add or sub), or e_a when op is None (b
-    is then a): a is v's first +1 coordinate, b its other nonzero one.
-    updates holds (j, add) where phi(v, e_j) = 1 and (j, sub) where it is -1.
-    ArithmeticError on any other candidate, such as 2 u_1.
-    """
-    steps = []
-    for v in transvection_candidates(r):
-        refused = f"word step needs a direction e_a, e_a + e_b or e_a - e_b, got {v}"
-        a = b = op = None
-        for k, x in enumerate(v.coords):
-            if x == 1 and a is None:
-                a = k
-            elif x in (1, -1) and op is None:
-                b, op = k, add if x == 1 else sub
-            elif x:
-                raise ArithmeticError(refused)
-        row = _phi_row(v.coords)
-        if a is None or not {*row} <= {-1, 0, 1}:
-            raise ArithmeticError(refused)
-        updates = tuple([(j, add if c == 1 else sub) for j, c in enumerate(row) if c])
-        steps.append(((a, op, a if op is None else b), updates))
-    return tuple(steps)
+def transvection_candidates(r: int) -> tuple[Vector, ...]:
+    """The directions of `_word_steps` as `Vector`s, in its order; kept for perfbench and the tests."""
+    r = _check_int(r, "rank", 1)
+    units = _identity_rows(2 * r)
+    return tuple([Vector(units[a] if op is None else map(op, units[a], units[b]))
+                  for (a, op, b), _ in _word_steps(r)])
 
 
 def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> SymplecticMatrix:

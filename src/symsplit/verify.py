@@ -56,22 +56,13 @@ def _cocycle_law_suite(r: int, samples: int, rng: random.Random) -> Iterator[boo
 
 
 def _torsor_suite(r: int, samples: int, rng: random.Random) -> Iterator[bool]:
-    # Full image: translating by a sum of unit covectors XORs their translates
-    # of the zero base, so translation reaches every refinement (transitive)
-    # iff the 2r unit translates are linearly independent over F2, and then,
-    # as there are as many covectors as refinements, by exactly one covector
-    # (free).  The translates' states are reduced to an XOR basis kept in
-    # decreasing order, so min(t, t ^ b) clears b's leading 1 from t.  The
-    # samples below check that translates compose and invert by XOR.
+    # Full image: each unit covector e_j carries the zero base to the refinement
+    # whose basis values are e_j.  With the samples' law that translates compose
+    # and invert by XOR, translation reaches every refinement by exactly one
+    # covector (free and transitive).
     base = QuadraticRefinement.zero(r)
-    basis: list[int] = []
-    for j in range(2 * r):
-        t = qtranslate(base, Covector.unit(r, j, 2)).state
-        for b in basis:
-            t = min(t, t ^ b)
-        if t:
-            basis = sorted(basis + [t], reverse=True)
-    yield len(basis) == 2 * r
+    units = [Covector.unit(r, j, 2) for j in range(2 * r)]
+    yield all(qtranslate(base, e).basis_values == e.coords for e in units)
     for _ in range(samples):
         psi = _random_refinement(r, rng)
         xbar = _random_covector(r, 2, rng)

@@ -692,6 +692,38 @@ def test_closed_stdout_is_an_input_error_without_a_traceback(flags, argv):
     assert proc.stderr == "error: stdout closed before the output was written\n"
 
 
+def test_failed_internal_check_is_a_property_failure_without_a_traceback(capsys, monkeypatch):
+    # words doubled (2A scales the form by 4): verify's first inverse fails its postcondition
+    word = verify.random_symplectic_word
+
+    def doubled_word(*args):
+        return SymplecticMatrix._trusted(tuple(tuple(2 * e for e in row) for row in word(*args).rows))
+
+    monkeypatch.setattr(verify, "random_symplectic_word", doubled_word)
+    monkeypatch.setattr(jacobi, "random_symplectic_word", doubled_word)
+    assert _run(capsys, "verify", "--r", "2", "--samples", "5", "--seed", "7") == (
+        1, "", "error: inverse postcondition failed\n")
+
+
+def test_running_out_of_memory_is_an_input_error_without_a_traceback(capsys):
+    # the least address-space limit, in 2 MB steps, under which orbits --r 2 still runs; set in
+    # the child only.  orbits --r 10 needs several MB more for its 4^r-bit closure masks.
+    resource = pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def orbits(r, limit):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        proc = subprocess.run([sys.executable, "-m", "symsplit.cli", "orbits", "--r", str(r)],
+                              capture_output=True, text=True, env=env, preexec_fn=cap)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    small = _run(capsys, "orbits", "--r", "2")
+    limit = next((mb << 20 for mb in range(12, 130, 2) if orbits(2, mb << 20) == small), None)
+    assert limit is not None, "orbits --r 2 does not run under 128 MB"
+    assert orbits(10, limit) == (2, "", "error: out of memory\n")
+
+
 def _reference_main(argv):
     """The reference route: one top-level `parse_args`, then the handler named by `args.command`."""
     try:

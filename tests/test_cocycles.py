@@ -35,6 +35,11 @@ def test_coboundary_at_hand_value():
     assert coboundary_at(x, transvection(Vector.u(1, 1))).coords == (0, 1)
 
 
+def test_coboundary_at_refuses_a_rank_mismatch():
+    with pytest.raises(ValueError, match="^rank mismatch$"):
+        coboundary_at(Covector((1, 0)), SymplecticMatrix.identity(2))
+
+
 def test_coboundary_law_all_moduli():
     rng = random.Random(3)
     for m in (0, 2, 4, 24):

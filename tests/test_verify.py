@@ -90,9 +90,9 @@ def test_torsor_check_builds_no_refinement_per_state(monkeypatch, seed):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_torsor_suite_fails_when_a_unit_translate_is_lost(monkeypatch, r):
-    # a translation that leaves the base unmoved by e_0 spans only 2r - 1
-    # directions; seed 3 draws no e_0 sample at r = 2, 3, so the full-image
-    # rank check is the one check that fails
+    # a translation that leaves the base unmoved by e_0 does not carry it to
+    # e_0; seed 3 draws no e_0 sample at r = 2, 3, so the full-image check is
+    # the one check that fails
     real = verify.qtranslate
 
     def lossy(psi, xbar):
@@ -108,7 +108,7 @@ def test_torsor_suite_fails_when_a_unit_translate_is_lost(monkeypatch, r):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_suite_totals_follow_closed_forms(r, samples, negative_control):
     # each total is the number of laws a suite checks per sample, times the samples:
-    # one law per sample, plus the torsor's one full-image rank check; two laws
+    # one law per sample, plus the torsor's one full-image check; two laws
     # (the -Id constraint and the principal cocycle at -Id) per minus_id sample;
     # associativity, two-sided identity, inverse and closure per group_axioms
     # sample; membership, multiplicativity and undoing per reframe sample; one
