@@ -39,6 +39,7 @@ Mutant = namedtuple("Mutant", "name description file snippet replacement tests")
 
 _CLI = "src/symsplit/cli.py"
 _SYMPLECTIC = "src/symsplit/symplectic.py"
+_QUADRATIC = "src/symsplit/quadratic.py"
 _COCYCLES = "src/symsplit/cocycles.py"
 _VERIFY = "src/symsplit/verify.py"
 _DISPATCH_ORACLE = ("tests/test_cli.py::test_dispatch_matches_the_single_top_level_parse",
@@ -124,6 +125,24 @@ CATALOGUE = (
            "qtranslate(base, e).basis_values == e.coords for e in units)",
            "qtranslate(base, e).basis_values == f.coords for e, f in zip(units, units[1:] + units[:1]))",
            ("tests/test_verify.py::test_all_suites_pass", "tests/test_cli.py::test_golden_report_outputs")),
+    # the quadratic part of the refinement action, of the evaluation and of the Arf invariant
+    Mutant("Q1", "qact without its pair term: a linear action", _QUADRATIC,
+           "        out ^= first & second\n", "",
+           ("tests/test_verify.py::test_section_suite_sees_a_linear_refinement_action",
+            "tests/test_verify.py::test_all_suites_pass",
+            "tests/test_quadratic.py::test_packed_qact_matches_column_oracle")),
+    Mutant("Q2", "qeval without its pair term", _QUADRATIC,
+           " + pairs.bit_count()) & 1", ") & 1",
+           ("tests/test_quadratic.py::test_qeval_matches_recursive_oracle",
+            "tests/test_quadratic.py::test_refinement_identity")),
+    Mutant("Q3", "arf without its pair mask", _QUADRATIC,
+           "(s & s >> 1 & _pair_mask(psi.nbits))", "(s & s >> 1)",
+           ("tests/test_quadratic.py::test_arf_is_the_per_pair_sum",
+            "tests/test_quadratic.py::test_arf_is_orbit_invariant")),
+    # guards on operands of different rank
+    Mutant("G1", "qdifference without its rank guard", _QUADRATIC,
+           "    if psi1.nbits != psi0.nbits:\n        raise ValueError(\"rank mismatch\")\n", "",
+           ("tests/test_jacobi.py::test_operands_of_different_rank_or_modulus_are_refused",)),
     # the exit codes of a failed internal check and of running out of memory
     Mutant("E1", "a failed internal check exits 2", _CLI,
            "return 1 if isinstance(exc, ArithmeticError) else 2", "return 2",

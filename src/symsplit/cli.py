@@ -122,8 +122,7 @@ def element_from_document(doc: object):
 def _parse_psi(bits: str, r: int):
     if len(bits) != 2 * r or any(ch not in "01" for ch in bits):
         raise ValueError(f"--psi must be a string of 2r = {2 * r} bits")
-    # bit 2r-1-i is value i
-    return _library().quadratic.QuadraticRefinement._trusted(2 * r, int(bits, 2))
+    return _library().quadratic.QuadraticRefinement(tuple(map(int, bits)))
 
 
 def _report(command: str, parameters: dict, results: dict, seed: int | None = None) -> str:

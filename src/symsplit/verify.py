@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from .cocycles import check_cocycle_law, coboundary_at, minus_id_constraint, principal_at
 from .jacobi import gamma_psi_member, jacobi_identity, jinv, jmul, random_member, reframe, splits
 from .limits import VERIFY_RANK_LIMIT, VERIFY_SAMPLES_LIMIT
-from .quadratic import QuadraticRefinement, qdifference, qtranslate
+from .quadratic import QuadraticRefinement, qact, qdifference, qeval, qtranslate
 from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _check_int, neg_identity,
                          random_symplectic_word, transvection)
 
@@ -116,8 +116,14 @@ def _reframe_suite(r: int, samples: int, rng: random.Random) -> Iterator[bool]:
 
 def _section_suite(r: int, samples: int, rng: random.Random) -> Iterator[bool]:
     if r > 1:
-        yield not splits(r, 0).splits
-        yield not splits(r, 4).splits
+        # The obstruction: a fixed refinement is 1 at every u_i and v_i, so it
+        # is the all-ones one, which the refinement identity makes 0 at
+        # w = u_1 + u_2; the transvection at w then moves it.
+        ones = QuadraticRefinement((1,) * (2 * r))
+        u1, u2 = Vector.u(r, 1), Vector.u(r, 2)
+        w = u1 + u2
+        yield qeval(ones, u1) == qeval(ones, u2) == 1 and qeval(ones, w) == 0
+        yield qact(ones, transvection(w)) != ones
         return
     verdict = splits(1, 0)
     sigma = verdict.section()

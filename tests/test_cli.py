@@ -97,8 +97,16 @@ def test_orbits_columns_line_up(capsys, r):
 
 
 def test_orbits_rank_guard(capsys):
-    code, out, err = _run(capsys, "orbits", "--r", "10", "--format", "json")
-    assert code == 0 and err == "" and json.loads(out)["results"]["pass"] is True
+    # every accepted rank: the sizes are the closed formulas 2^(2r-1) +- 2^(r-1)
+    for r in range(1, 11):
+        code, out, err = _run(capsys, "orbits", "--r", str(r), "--format", "json")
+        assert code == 0 and err == ""
+        results = json.loads(out)["results"]
+        assert results["pass"] is True
+        sizes = [2 ** (2 * r - 1) + (-1) ** a * 2 ** (r - 1) for a in (0, 1)]
+        assert [(c["arf"], c["size"]) for c in results["orbits"]] == list(zip((0, 1), sizes))
+        assert results["expected_sizes"] == sizes
+    assert [c["representative"] for c in results["orbits"]] == [[0] * 20, [0] * 18 + [1, 1]]
     code, out, err = _run(capsys, "orbits", "--r", "11")
     assert code == 2 and out == ""
     assert "1..10" in err

@@ -9,8 +9,8 @@ every CLI start would pay for.
 No function of the package calls `int()` on one of its own parameters, which
 would truncate 2.5 to 2 and read "3" as 3: integer arguments go through
 `symplectic._check_int`.  The readers that int() is for are the exceptions:
-`symplectic._integral`, which the guard reads through, and the two string
-readers of the CLI, `_decode_int` and `_parse_psi`.
+`symplectic._integral`, which the guard reads through, and the CLI's string
+reader `_decode_int`.
 
 Each `*_LIMIT` is assigned only in `symsplit.limits`; every other module
 imports it from there.
@@ -70,7 +70,7 @@ def test_package_imports_neither_typing_nor_pathlib(path):
     assert not {"typing", "pathlib"} & _imported_modules(path.read_text())
 
 
-INT_READERS = {"symplectic.py": {"_integral"}, "cli.py": {"_decode_int", "_parse_psi"}}
+INT_READERS = {"symplectic.py": {"_integral"}, "cli.py": {"_decode_int"}}
 
 
 def _int_calls_on_parameters(source: str) -> list[str]:

@@ -180,6 +180,32 @@ def test_reframe_is_a_homomorphism():
     assert reframe(reframe(g, y), -y) == g
 
 
+_V1, _V2 = Vector((1, 0)), Vector((1, 0, 0, 1))
+_C1, _C2 = Covector((1, 0), 24), Covector((1, 0, 0, 1), 24)
+_I1, _I2 = SymplecticMatrix.identity(1), SymplecticMatrix.identity(2)
+_PSI2 = QuadraticRefinement.zero(2)
+_G2 = jacobi_identity(2, 24)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _V1 + _V2, "rank mismatch"),
+    (lambda: _V1 - _V2, "rank mismatch"),
+    (lambda: _C1 + _C2, "rank mismatch"),
+    (lambda: _C1 - Covector((1, 0), 4), "modulus mismatch"),
+    (lambda: _C1.evaluate(_V2), "rank mismatch"),
+    (lambda: _I1 * _I2, "rank mismatch"),
+    (lambda: _I1.apply(_V2), "rank mismatch"),
+    (lambda: qtranslate(_PSI2, Covector((1, 0), 2)), "rank mismatch"),
+    (lambda: qdifference(_PSI2, QuadraticRefinement.zero(1)), "rank mismatch"),
+    (lambda: reframe(_G2, _C1), "conjugating covector must share rank and modulus"),
+    (lambda: reframe(_G2, Covector((1, 0, 0, 1), 4)), "conjugating covector must share rank and modulus"),
+], ids=["vector_add", "vector_sub", "covector_rank", "covector_modulus", "evaluate", "matrix_mul",
+        "apply", "qtranslate", "qdifference", "reframe_rank", "reframe_modulus"])
+def test_operands_of_different_rank_or_modulus_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_default_base_refinement():
     assert default_base_refinement(1) == QuadraticRefinement((1, 1))
     assert default_base_refinement(2) == QuadraticRefinement.zero(2)

@@ -92,6 +92,12 @@ def test_public_names_are_pinned():
     assert symsplit.__all__ == [name for names in PUBLIC.values() for name in names]
 
 
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == symsplit.__version__
+
+
 @pytest.mark.parametrize("module", PUBLIC)
 def test_each_public_name_is_its_module_object(module):
     defining = importlib.import_module(f"symsplit.{module}")

@@ -112,8 +112,9 @@ def test_suite_totals_follow_closed_forms(r, samples, negative_control):
     # (the -Id constraint and the principal cocycle at -Id) per minus_id sample;
     # associativity, two-sided identity, inverse and closure per group_axioms
     # sample; membership, multiplicativity and undoing per reframe sample; one
-    # homomorphism check per section sample at r = 1 and two non-splitting
-    # verdicts (moduli 0 and 4) above; one planted failure in the control
+    # homomorphism check per section sample at r = 1 and, above, the two checks
+    # of the obstruction (the values at u_1, u_2, u_1 + u_2, and the move by the
+    # transvection at u_1 + u_2); one planted failure in the control
     s = samples
     want = {"cocycle_law": s, "torsor": s + 1, "additivity": s, "minus_id": 2 * s,
             "group_axioms": 4 * s, "reframe": 3 * s, "section": s if r == 1 else 2}
@@ -137,3 +138,24 @@ def test_failed_check_counts_against_its_suite(monkeypatch, r):
         assert (suites["section"].passed, suites["section"].total) == (0, s)
     failing = {"group_axioms", "reframe", "negative_control"} | ({"section"} if r == 1 else set())
     assert {name for name, x in suites.items() if not x.ok} == failing
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_section_suite_sees_a_linear_refinement_action(monkeypatch, r):
+    # without the pair term the action of A is linear, psi.A = XOR of the rows
+    # of A at psi's 1-coordinates; it fixes the all-ones refinement under the
+    # transvection at u_1 + u_2, so the obstruction's second check fails
+    def section():
+        suites = {s.name: s for s in run_suites(r, samples=4, seed=7)}
+        return suites["section"].passed, suites["section"].total
+
+    def linear(state, rows):
+        n, out = len(rows), 0
+        for k, row in enumerate(rows):
+            if state >> (n - 1 - k) & 1:
+                out ^= quadratic._state_of(row)
+        return out
+
+    assert section() == (2, 2)
+    monkeypatch.setattr(quadratic, "_qact_state", linear)
+    assert section() == (1, 2)
