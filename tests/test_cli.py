@@ -106,6 +106,7 @@ def test_orbits_rank_guard(capsys):
         sizes = [2 ** (2 * r - 1) + (-1) ** a * 2 ** (r - 1) for a in (0, 1)]
         assert [(c["arf"], c["size"]) for c in results["orbits"]] == list(zip((0, 1), sizes))
         assert results["expected_sizes"] == sizes
+    # rank 10's representatives: each class's lexicographically least refinement
     assert [c["representative"] for c in results["orbits"]] == [[0] * 20, [0] * 18 + [1, 1]]
     code, out, err = _run(capsys, "orbits", "--r", "11")
     assert code == 2 and out == ""
