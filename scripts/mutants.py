@@ -42,6 +42,7 @@ _SYMPLECTIC = "src/symsplit/symplectic.py"
 _QUADRATIC = "src/symsplit/quadratic.py"
 _COCYCLES = "src/symsplit/cocycles.py"
 _VERIFY = "src/symsplit/verify.py"
+_MCG = "src/symsplit/mcg.py"
 _DISPATCH_ORACLE = ("tests/test_cli.py::test_dispatch_matches_the_single_top_level_parse",
                     "tests/test_cli.py::test_one_parser_serves_every_call_like_a_fresh_process")
 _CLOSED_STDOUT = ("tests/test_cli.py::test_closed_stdout_is_an_input_error_without_a_traceback",)
@@ -143,6 +144,36 @@ CATALOGUE = (
     Mutant("G1", "qdifference without its rank guard", _QUADRATIC,
            "    if psi1.nbits != psi0.nbits:\n        raise ValueError(\"rank mismatch\")\n", "",
            ("tests/test_jacobi.py::test_operands_of_different_rank_or_modulus_are_refused",)),
+    # the one integer guard, `_check_int`, and the Covector modulus it reads
+    Mutant("G2", "the integer guard truncates through int()", _SYMPLECTIC,
+           "    n = _integral(value)\n", "    n = int(value)\n",
+           ("tests/test_imports.py::test_no_int_call_truncates_a_parameter",
+            "tests/test_symplectic.py::test_non_integral_entries_are_refused",
+            "tests/test_jacobi.py::test_reduce_modulus",
+            "tests/test_verify.py::test_samples_must_be_an_integer")),
+    Mutant("G3", "the integer guard's lower bound off by one", _SYMPLECTIC,
+           "(lo is not None and n < lo)", "(lo is not None and n < lo - 1)",
+           ("tests/test_cli.py::test_verify_guards", "tests/test_cli.py::test_cli_error_is_the_library_error",
+            "tests/test_cli.py::test_coeff_table_and_json", "tests/test_mcg.py::test_dehn_twist_guards")),
+    Mutant("G4", "the integer guard's upper bound dropped", _SYMPLECTIC,
+           " or (hi is not None and n > hi)", "",
+           ("tests/test_cli.py::test_input_just_past_a_guard_does_no_work",
+            "tests/test_cli.py::test_element_rank_guard", "tests/test_cli.py::test_verify_samples_limit",
+            "tests/test_quadratic.py::test_rank_limits")),
+    Mutant("G5", "Covector reads its modulus without the guard", _SYMPLECTIC,
+           "        m = _check_int(modulus, \"modulus\", 0)\n", "        m = modulus\n",
+           ("tests/test_symplectic.py::test_matrix_shape_validation",
+            "tests/test_symplectic.py::test_public_covector_construction_still_coerces_and_checks",
+            "tests/test_symplectic.py::test_non_integral_entries_are_refused")),
+    # the homotopy modulus derived from p, and integers past int64 in JSON reports
+    Mutant("H1", "the homotopy modulus is the coefficient order c, not 2c", _MCG,
+           "        return 2 * self.c\n", "        return self.c\n",
+           ("tests/test_mcg.py::test_coefficient_orders", "tests/test_mcg.py::test_model_construction",
+            "tests/test_mcg.py::test_splitting_theorem_small_ranks",
+            "tests/test_cli.py::test_golden_report_outputs")),
+    Mutant("J1", "verify's JSON seed is written raw", _CLI,
+           "        seed = _encode_int(args.seed)\n", "        seed = args.seed\n",
+           ("tests/test_cli.py::test_every_json_output_is_safe_for_64_bit_readers",)),
     # the exit codes of a failed internal check and of running out of memory
     Mutant("E1", "a failed internal check exits 2", _CLI,
            "return 1 if isinstance(exc, ArithmeticError) else 2", "return 2",

@@ -2,8 +2,7 @@
 
 Two exact models share the same pair arithmetic: the smooth flavor keeps
 integer covectors (modulus 0), while the homotopy flavor reduces them modulo
-twice the order of the relevant stable homotopy group (that order is 12 in
-dimension 3 and 120 in dimension 7).  Twist generators populate the fiber.
+`ManifoldParams.homotopy_modulus`.  Twist generators populate the fiber.
 """
 
 from __future__ import annotations
@@ -37,18 +36,10 @@ class ManifoldParams(_Value):
     def c(self) -> int:
         return COEFFICIENT_ORDER[self.p]
 
-
-def _homotopy_modulus(params: ManifoldParams, modulus: int | None = None) -> int:
-    """The homotopy modulus: twice the coefficient order unless given, checked and returned.
-
-    It must be a positive multiple of 4.  Negative moduli and moduli not
-    divisible by 4 get the splitting decision's own message; 0 is refused
-    because it is the smooth model's modulus.
-    """
-    m = _check_split_modulus(2 * params.c if modulus is None else modulus)
-    if m == 0:
-        raise ValueError("the homotopy modulus must be positive; 0 is the smooth model's modulus")
-    return m
+    @property
+    def homotopy_modulus(self) -> int:
+        """Twice the order c of the relevant stable homotopy group (12 for p = 3, 120 for p = 7)."""
+        return 2 * self.c
 
 
 class MCGModel(_Value):
@@ -85,10 +76,10 @@ def aut_model(p: int, r: int) -> MCGModel:
     return MCGModel(ManifoldParams(p, r), 0, QuadraticRefinement.zero(r))
 
 
-def homotopy_model(p: int, r: int, modulus: int | None = None) -> MCGModel:
-    """Homotopy-flavor model; modulus defaults to twice the coefficient order."""
+def homotopy_model(p: int, r: int) -> MCGModel:
+    """Homotopy-flavor model: covectors modulo the homotopy modulus, over the all-zero base."""
     params = ManifoldParams(p, r)
-    return MCGModel(params, _homotopy_modulus(params, modulus), QuadraticRefinement.zero(r))
+    return MCGModel(params, params.homotopy_modulus, QuadraticRefinement.zero(r))
 
 
 def dehn_twist(model: MCGModel, i: int, kind: str, alpha: int) -> JacobiElement:
@@ -109,20 +100,13 @@ def dehn_twist(model: MCGModel, i: int, kind: str, alpha: int) -> JacobiElement:
     return JacobiElement(Covector(coords, model.modulus), SymplecticMatrix.identity(r))
 
 
-def to_homotopy(model: MCGModel, g: JacobiElement, target: MCGModel | None = None) -> JacobiElement:
-    """Reduce a smooth-model member into a homotopy model over the same base refinement.
-
-    The target defaults to the model with modulus twice the coefficient order.
-    """
+def to_homotopy(model: MCGModel, g: JacobiElement) -> JacobiElement:
+    """Reduce a smooth-model member into the homotopy model over the same base refinement."""
     if model.flavor != SMOOTH:
         raise ValueError("source model must have the smooth flavor")
     if not model.contains(g):
         raise ValueError("element is not a member of the smooth model")
-    if target is None:
-        target = MCGModel(model.params, _homotopy_modulus(model.params), model.base)
-    if target.flavor != HOMOTOPY or (target.params, target.base) != (model.params, model.base):
-        raise ValueError("target must be a homotopy model with the same parameters and base")
-    return reduce_modulus(g, target.modulus)
+    return reduce_modulus(g, model.params.homotopy_modulus)
 
 
 def pontryagin_parts(j: int) -> tuple[int, int, int]:
@@ -143,19 +127,17 @@ class SplittingTheoremVerdict(_Value):
     __slots__ = ("p", "r", "smooth", "homotopy")
 
 
-def splitting_theorem_verdict(p: int, r: int,
-                              homotopy_modulus: int | None = None) -> SplittingTheoremVerdict:
+def splitting_theorem_verdict(p: int, r: int) -> SplittingTheoremVerdict:
     """Decide splitting for the smooth and homotopy models of one manifold.
 
     At modulus 0 and at a multiple of 4 splitting is a question about mod-2
     data alone (`splits`), so one solve decides both flavors: the homotopy
     verdict is the smooth one with the homotopy modulus in place of 0.  The
-    homotopy modulus is checked as the homotopy model checks it, so it must
-    be positive.  The rank is checked first, by `splits`, so every refused
-    rank gets the splitting limit's message.
+    rank is checked first, by `splits`, so every refused rank gets the
+    splitting limit's message.
     """
     smooth = splits(r, 0)
-    m = _homotopy_modulus(ManifoldParams(p, smooth.rank), homotopy_modulus)
+    m = ManifoldParams(p, smooth.rank).homotopy_modulus
     homotopy = SplitVerdict(smooth.rank, m, smooth.base, smooth.splits, smooth.witness,
                             smooth.fixed_refinement, smooth.candidates_checked)
     return SplittingTheoremVerdict(p, smooth.rank, smooth, homotopy)

@@ -7,9 +7,7 @@ import re
 import pytest
 
 import symsplit.mcg
-from symsplit.cocycles import principal_at
-from symsplit.jacobi import (JacobiElement, gamma_psi_member, jacobi_identity, random_member,
-                             reduce_modulus, splits)
+from symsplit.jacobi import gamma_psi_member, jacobi_identity, random_member, splits
 from symsplit.mcg import (
     HOMOTOPY,
     SMOOTH,
@@ -24,12 +22,15 @@ from symsplit.mcg import (
     to_homotopy,
 )
 from symsplit.quadratic import QuadraticRefinement, orbit_decomposition
-from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
+from symsplit.symplectic import Covector, SymplecticMatrix
 
 
 def test_coefficient_orders():
     assert ManifoldParams(3, 1).c == 12
     assert ManifoldParams(7, 4).c == 120
+    # the homotopy modulus is twice the coefficient order, whatever the rank
+    assert ManifoldParams(3, 1).homotopy_modulus == ManifoldParams(3, 5).homotopy_modulus == 24
+    assert ManifoldParams(7, 4).homotopy_modulus == 240
     with pytest.raises(ValueError):
         ManifoldParams(5, 1)
     with pytest.raises(ValueError):
@@ -43,18 +44,16 @@ def test_model_construction():
     h = homotopy_model(3, 2)
     assert h.flavor == HOMOTOPY and h.modulus == 24
     assert homotopy_model(7, 1).modulus == 240
-    assert homotopy_model(7, 1, modulus=120).modulus == 120
-    # the flavor is read off the modulus
+    # the flavor is read off the modulus, and MCGModel builds a model at any multiple of 4
     params, base = ManifoldParams(3, 1), QuadraticRefinement.zero(1)
     assert MCGModel(params, 0, base).flavor == SMOOTH
     assert MCGModel(params, 24, base).flavor == HOMOTOPY
+    assert MCGModel(ManifoldParams(7, 1), 120, base).modulus == 120
 
 
 def test_model_invariants():
     params = ManifoldParams(3, 1)
     base = QuadraticRefinement.zero(1)
-    with pytest.raises(ValueError):
-        homotopy_model(3, 1, modulus=0)
     with pytest.raises(ValueError):
         MCGModel(params, 6, base)
     with pytest.raises(ValueError):
@@ -132,8 +131,6 @@ def test_to_homotopy_reduction():
     g = dehn_twist(m, 1, "u", 26)
     h = to_homotopy(m, g)
     assert h.modulus == 24 and h.x.coords == (0, 2)
-    altered = to_homotopy(m, g, homotopy_model(3, 1, modulus=48))
-    assert altered.modulus == 48 and altered.x.coords == (0, 26)
 
 
 def test_to_homotopy_default_target_keeps_the_base():
@@ -159,15 +156,6 @@ def test_to_homotopy_guards():
         to_homotopy(h, h.identity())
     with pytest.raises(ValueError):
         to_homotopy(m, jacobi_identity(1, 4))  # wrong modulus, not a member
-    with pytest.raises(ValueError):
-        to_homotopy(m, dehn_twist(m, 1, "u", 2), homotopy_model(7, 1))
-    # a smooth member over the zero base reduces to a non-member over another base
-    t = transvection(Vector.v(1, 1))
-    g = JacobiElement(Covector(principal_at(m.base, t).coords), t)
-    other_base = MCGModel(m.params, 24, QuadraticRefinement((1, 1)))
-    assert m.contains(g) and not other_base.contains(reduce_modulus(g, 24))
-    with pytest.raises(ValueError, match="base"):
-        to_homotopy(m, g, other_base)
 
 
 def test_pontryagin_parts_and_coefficients():
@@ -201,11 +189,6 @@ def test_splitting_theorem_small_ranks(p):
         assert verdict.homotopy.modulus == 2 * ManifoldParams(p, r).c
 
 
-def test_splitting_theorem_modulus_override():
-    verdict = splitting_theorem_verdict(3, 2, homotopy_modulus=4)
-    assert verdict.homotopy.modulus == 4 and not verdict.homotopy.splits
-
-
 @pytest.mark.parametrize("p,m", [(3, 24), (7, 240)])
 def test_splitting_theorem_searches_once(monkeypatch, p, m):
     calls = []
@@ -221,19 +204,6 @@ def test_splitting_theorem_searches_once(monkeypatch, p, m):
         assert calls == [(r, 0)]
         assert verdict.homotopy.modulus == m and verdict.smooth.modulus == 0
         assert verdict.homotopy == splits(r, m)
-
-
-def test_splitting_theorem_rejects_modulus_like_splits():
-    with pytest.raises(ValueError) as from_splits:
-        splits(2, 6)
-    with pytest.raises(ValueError) as from_verdict:
-        splitting_theorem_verdict(3, 2, homotopy_modulus=6)
-    assert str(from_verdict.value) == str(from_splits.value)
-    with pytest.raises(ValueError) as from_splits:
-        splits(1, -4)
-    with pytest.raises(ValueError) as from_verdict:
-        splitting_theorem_verdict(3, 1, homotopy_modulus=-4)
-    assert str(from_verdict.value) == str(from_splits.value)
 
 
 def test_non_integral_rank_is_refused():
@@ -260,27 +230,20 @@ def test_non_integral_rank_is_refused():
 
 
 def test_homotopy_modulus_has_one_validator():
-    # the homotopy model and the verdict refuse the same moduli with the same message
-    for m in (0, -4, 6):
-        with pytest.raises(ValueError) as from_model:
-            homotopy_model(3, 1, modulus=m)
-        with pytest.raises(ValueError) as from_verdict:
-            splitting_theorem_verdict(3, 1, homotopy_modulus=m)
-        assert str(from_verdict.value) == str(from_model.value)
-    with pytest.raises(ValueError, match="positive"):
-        splitting_theorem_verdict(3, 1, homotopy_modulus=0)
-    assert splits(1, 0).modulus == 0 and splits(2, 0).modulus == 0  # the smooth model keeps 0
-    assert splitting_theorem_verdict(3, 1, homotopy_modulus=4).homotopy.modulus == 4
-    # an integral modulus of another type is stored as an int; a non-integral one gets the same message
+    # splits and MCGModel refuse the same moduli with the same message
     base = QuadraticRefinement.zero(1)
-    for model in (splits(1, 8.0), MCGModel(ManifoldParams(7, 1), 8.0, base), homotopy_model(3, 1, modulus=8.0),
-                  splitting_theorem_verdict(3, 1, homotopy_modulus=8.0).homotopy):
+    for m in (-4, 6):
+        with pytest.raises(ValueError) as from_splits:
+            splits(1, m)
+        with pytest.raises(ValueError) as from_model:
+            MCGModel(ManifoldParams(3, 1), m, base)
+        assert str(from_model.value) == str(from_splits.value)
+    assert splits(1, 0).modulus == 0 and splits(2, 0).modulus == 0  # the smooth model keeps 0
+    # an integral modulus of another type is stored as an int; a non-integral one gets the same message
+    for model in (splits(1, 8.0), MCGModel(ManifoldParams(7, 1), 8.0, base)):
         assert type(model.modulus) is int and model.modulus == 8
     for bad in ("3", "8", 2.5, 8.5, float("nan"), float("inf"), None):
-        calls = [lambda: splits(1, bad), lambda: MCGModel(ManifoldParams(7, 1), bad, base)]
-        if bad is not None:  # None asks the homotopy model for its default modulus
-            calls.append(lambda: homotopy_model(3, 1, modulus=bad))
-        for call in calls:
+        for call in (lambda: splits(1, bad), lambda: MCGModel(ManifoldParams(7, 1), bad, base)):
             with pytest.raises(ValueError, match=r"^modulus must be 0 or a positive integer divisible by 4$"):
                 call()
 

@@ -47,9 +47,9 @@ CASES = {
     ManifoldParams: (lambda: ManifoldParams(7, 2), "ManifoldParams(p=7, r=2)"),
     MCGModel: (lambda: aut_model(3, 1),
                f"MCGModel(params=ManifoldParams(p=3, r=1), modulus=0, base={_Q.format(0)})"),
-    SplittingTheoremVerdict: (lambda: splitting_theorem_verdict(3, 1, 8),
+    SplittingTheoremVerdict: (lambda: splitting_theorem_verdict(3, 1),
                               f"SplittingTheoremVerdict(p=3, r=1, smooth={_split_repr(0)},"
-                              f" homotopy={_split_repr(8)})"),
+                              f" homotopy={_split_repr(24)})"),
     SuiteResult: (lambda: SuiteResult("torsor", 2, 3), "SuiteResult(name='torsor', passed=2, total=3)"),
 }
 classes = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
