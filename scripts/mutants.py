@@ -140,10 +140,21 @@ CATALOGUE = (
            "(s & s >> 1 & _pair_mask(psi.nbits))", "(s & s >> 1)",
            ("tests/test_quadratic.py::test_arf_is_the_per_pair_sum",
             "tests/test_quadratic.py::test_arf_is_orbit_invariant")),
-    # guards on operands of different rank
+    # guards on operands of different rank or modulus: one guard and one message per rule
     Mutant("G1", "qdifference without its rank guard", _QUADRATIC,
-           "    if psi1.nbits != psi0.nbits:\n        raise ValueError(\"rank mismatch\")\n", "",
+           "    _same_rank(psi1.nbits, psi0.nbits)\n", "",
            ("tests/test_jacobi.py::test_operands_of_different_rank_or_modulus_are_refused",)),
+    Mutant("R1", "the rank guard never raises", _SYMPLECTIC,
+           "    if m != n:\n        raise ValueError(\"rank mismatch\")\n", "    pass\n",
+           ("tests/test_jacobi.py::test_operands_of_different_rank_or_modulus_are_refused",
+            "tests/test_cli.py::test_mul_input_errors",
+            "tests/test_cli.py::test_cli_error_is_the_library_error")),
+    Mutant("R2", "covector addition without its modulus rule, the only one jmul and reframe meet",
+           _SYMPLECTIC,
+           "        if self.modulus != other.modulus:\n"
+           "            raise ValueError(\"modulus mismatch\")\n", "",
+           ("tests/test_jacobi.py::test_operands_of_different_rank_or_modulus_are_refused",
+            "tests/test_cli.py::test_mul_input_errors")),
     # the one integer guard, `_check_int`, and the Covector modulus it reads
     Mutant("G2", "the integer guard truncates through int()", _SYMPLECTIC,
            "    n = _integral(value)\n", "    n = int(value)\n",

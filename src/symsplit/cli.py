@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verified-property failure (including membership
 violations and a failed internal check), 2 input error, a closed stdout or
 running out of memory.  Every `ValueError` a command raises is an input error,
 printed as "error: <text>" on stderr with exit code 2.  So each rank and
-sample limit is checked once, by the library call it bounds.  The rank and
+sample limit, and the middle dimension `--p`, is checked once, by the library
+call it bounds.  The rank and
 modulus of an element document and `--jmax`, which no library call bounds, go
 through the library's integer guard `symplectic._check_int`, so this module
 words no integer bound itself; it checks only the shape of element documents
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     orbits.add_argument("--format", choices=("table", "json"), default="table")
 
     split = sub.add_parser("split", help="decide the extension splitting question")
-    split.add_argument("--p", type=int, choices=(3, 7), required=True, help="middle dimension")
+    split.add_argument("--p", type=int, required=True, help="middle dimension, 3 or 7")
     split.add_argument("--r", type=int, required=True, help=f"rank, 1..{SPLIT_RANK_LIMIT}")
     split.add_argument("--format", choices=("table", "json"), default="table")
 

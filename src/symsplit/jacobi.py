@@ -16,7 +16,7 @@ from .cocycles import coboundary_at, principal_at
 from .limits import SPLIT_RANK_LIMIT
 from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
 from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _integral,
-                         _setattr, random_symplectic_word)
+                         _same_rank, _setattr, random_symplectic_word)
 
 
 class JacobiElement(_Value):
@@ -25,8 +25,7 @@ class JacobiElement(_Value):
     __slots__ = ("x", "a")
 
     def __init__(self, x: Covector, a: SymplecticMatrix) -> None:
-        if len(x.coords) != len(a.rows):
-            raise ValueError("covector and matrix ranks differ")
+        _same_rank(len(x.coords), len(a.rows))
         _setattr(self, "x", x)
         _setattr(self, "a", a)
 
@@ -50,8 +49,7 @@ def jacobi_identity(r: int, modulus: int = 0) -> JacobiElement:
 
 
 def jmul(g: JacobiElement, h: JacobiElement) -> JacobiElement:
-    if g.rank != h.rank or g.modulus != h.modulus:
-        raise ValueError("operands must share rank and modulus")
+    """(x, A)(y, B) = (x.B + y, AB); `Covector.act` and `+` refuse operands of another rank or modulus."""
     return JacobiElement(g.x.act(h.a) + h.x, g.a * h.a)
 
 
@@ -66,8 +64,6 @@ def gamma_psi_member(g: JacobiElement, psi: QuadraticRefinement) -> bool:
     Both sides are compared as packed 2r-bit states: the parities of x against
     the state of psi.A XOR psi's.  The only object built is psi.A.
     """
-    if g.rank != psi.rank:
-        raise ValueError("rank mismatch")
     if g.modulus % 2:
         raise ValueError("membership needs modulus 0 or even")
     return _state_of(g.x.coords) == qact(psi, g.a).state ^ psi.state
@@ -75,8 +71,6 @@ def gamma_psi_member(g: JacobiElement, psi: QuadraticRefinement) -> bool:
 
 def include_fiber(x: Covector, r: int) -> JacobiElement:
     """Embed an even covector as the pair (x, Id)."""
-    if x.rank != _check_int(r, "rank", 1):
-        raise ValueError("rank mismatch")
     if any(c % 2 for c in x.coords):
         raise ValueError("fiber covectors must have even coordinates")
     return JacobiElement(x, SymplecticMatrix.identity(r))
@@ -91,8 +85,6 @@ def reframe(g: JacobiElement, y: Covector) -> JacobiElement:
 
     Carries the refinement subgroup at psi onto the one at psi + ybar.
     """
-    if y.rank != g.rank or y.modulus != g.modulus:
-        raise ValueError("conjugating covector must share rank and modulus")
     return JacobiElement(coboundary_at(y, g.a) + g.x, g.a)
 
 
@@ -147,8 +139,7 @@ def splits(r: int, modulus: int, psi: QuadraticRefinement | None = None) -> Spli
     r = _check_int(r, "rank", 1, SPLIT_RANK_LIMIT)
     modulus = _check_split_modulus(modulus)
     base = default_base_refinement(r) if psi is None else psi
-    if base.rank != r:
-        raise ValueError("base refinement rank mismatch")
+    _same_rank(base.rank, r)
     fixed = QuadraticRefinement._trusted(2 * r, (1 << 2 * r) - 1)
     if not is_group_fixed(fixed):
         return SplitVerdict(r, modulus, base, False, None, None, 4 ** r)

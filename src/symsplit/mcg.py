@@ -12,7 +12,8 @@ import math
 from .jacobi import (JacobiElement, SplitVerdict, _check_split_modulus, gamma_psi_member,
                      jacobi_identity, reduce_modulus, splits)
 from .quadratic import QuadraticRefinement
-from .symplectic import Covector, SymplecticMatrix, _Value, _check_int, _integral, _setattr
+from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _integral, _same_rank,
+                         _setattr)
 
 COEFFICIENT_ORDER = {3: 12, 7: 120}
 
@@ -49,8 +50,7 @@ class MCGModel(_Value):
 
     def __init__(self, params: ManifoldParams, modulus: int, base: QuadraticRefinement) -> None:
         modulus = _check_split_modulus(modulus)
-        if base.rank != params.r:
-            raise ValueError("base refinement rank mismatch")
+        _same_rank(base.rank, params.r)
         _setattr(self, "params", params)
         _setattr(self, "modulus", modulus)
         _setattr(self, "base", base)

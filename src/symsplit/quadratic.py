@@ -26,7 +26,7 @@ from operator import and_
 
 from .limits import DECOMPOSITION_RANK_LIMIT, ENUMERATION_RANK_LIMIT
 from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _as_int_tuple, _check_int,
-                         _setattr)
+                         _same_rank, _setattr)
 
 
 class QuadraticRefinement(_Value):
@@ -83,8 +83,7 @@ def _pair_mask(nbits: int) -> int:
 
 def qeval(psi: QuadraticRefinement, v: Vector) -> int:
     """psi(v) = sum over pairs of a_i psi(u_i) + b_i psi(v_i) + a_i b_i, mod 2."""
-    if len(v.coords) != psi.nbits:
-        raise ValueError("rank mismatch")
+    _same_rank(len(v.coords), psi.nbits)
     bits = _state_of(v.coords)
     pairs = bits & bits >> 1 & _pair_mask(psi.nbits)
     return ((psi.state & bits).bit_count() + pairs.bit_count()) & 1
@@ -101,8 +100,7 @@ def qact(psi: QuadraticRefinement, a: SymplecticMatrix) -> QuadraticRefinement:
     """
     if not isinstance(a, SymplecticMatrix):
         raise TypeError("expected a SymplecticMatrix")
-    if len(a.rows) != psi.nbits:
-        raise ValueError("rank mismatch")
+    _same_rank(len(a.rows), psi.nbits)
     return QuadraticRefinement._trusted(psi.nbits, _qact_state(psi.state, a.rows))
 
 
@@ -140,15 +138,13 @@ def qtranslate(psi: QuadraticRefinement, xbar: Covector) -> QuadraticRefinement:
     """Torsor translation psi + xbar by a mod-2 covector."""
     if xbar.modulus != 2:
         raise ValueError("translation must be a mod-2 covector")
-    if xbar.rank != psi.rank:
-        raise ValueError("rank mismatch")
+    _same_rank(xbar.rank, psi.rank)
     return QuadraticRefinement._trusted(psi.nbits, psi.state ^ _state_of(xbar.coords))
 
 
 def qdifference(psi1: QuadraticRefinement, psi0: QuadraticRefinement) -> Covector:
     """The unique mod-2 covector with psi1 = psi0 + xbar."""
-    if psi1.nbits != psi0.nbits:
-        raise ValueError("rank mismatch")
+    _same_rank(psi1.nbits, psi0.nbits)
     return Covector._trusted(_bits_of(psi1.state ^ psi0.state, psi1.nbits), 2)
 
 

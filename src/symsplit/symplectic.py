@@ -16,7 +16,7 @@ both; only the public matrix constructor records its form check, in
 such as 2.5, inf or nan, rather than truncating it.  Entries are read by
 `_as_int_tuple`; every other integer argument of the package (a rank, index,
 modulus, length, count or scalar) is read by `_check_int`, the one guard and
-message for its bounds.
+message for its bounds, as `_same_rank` is for the rule that two operands share a rank.
 
 There is no separate mod-2 type.  Mod-2 data is read as the parities of these
 integer objects (`Covector.reduce_to(2)` for covectors); the refinement code
@@ -129,6 +129,12 @@ def _check_int(value, what: str, lo: int | None = None, hi: int | None = None) -
         kind = "an" if lo is None else "a positive" if lo else "a non-negative"
         raise ValueError(f"{what} must be {kind} integer, got {value!r}")
     return n
+
+
+def _same_rank(m: int, n: int) -> None:
+    """The one guard that two operands share a rank: m and n are two ranks or two dimensions."""
+    if m != n:
+        raise ValueError("rank mismatch")
 
 
 def _pairing_pays(x, y) -> bool:
@@ -254,16 +260,12 @@ class Vector(_Value):
         """The i-th (1-based) vector of the second kind in its hyperbolic pair."""
         return cls.unit(r, 2 * _check_int(i, "pair index", 1, _check_int(r, "rank", 1)) - 1)
 
-    def _same_rank(self, other: "Vector") -> None:
-        if len(self.coords) != len(other.coords):
-            raise ValueError("rank mismatch")
-
     def __add__(self, other: "Vector") -> "Vector":
-        self._same_rank(other)
+        _same_rank(len(self.coords), len(other.coords))
         return Vector(tuple([*map(add, self.coords, other.coords)]))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        self._same_rank(other)
+        _same_rank(len(self.coords), len(other.coords))
         return Vector(tuple([*map(sub, self.coords, other.coords)]))
 
     def __rmul__(self, k: int) -> "Vector":
@@ -288,8 +290,7 @@ def _phi_row(coords: Sequence[int]) -> list[int]:
 
 def phi_eval(v: Vector, w: Vector) -> int:
     """Value of the hyperbolic form: sum over pairs of a_i b'_i - b_i a'_i."""
-    if len(v.coords) != len(w.coords):
-        raise ValueError("rank mismatch")
+    _same_rank(len(v.coords), len(w.coords))
     return sum(map(mul, _phi_row(v.coords), w.coords))
 
 
@@ -341,8 +342,7 @@ class Covector(_Value):
         return not any(self.coords)
 
     def _compatible(self, other: "Covector") -> None:
-        if len(self.coords) != len(other.coords):
-            raise ValueError("rank mismatch")
+        _same_rank(len(self.coords), len(other.coords))
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
 
@@ -359,8 +359,7 @@ class Covector(_Value):
 
     def evaluate(self, v: Vector) -> int:
         """Pairing with a vector, reduced into the covector's coefficient ring."""
-        if len(v.coords) != len(self.coords):
-            raise ValueError("rank mismatch")
+        _same_rank(len(v.coords), len(self.coords))
         total = sum(map(mul, self.coords, v.coords))
         return total % self.modulus if self.modulus else total
 
@@ -368,8 +367,7 @@ class Covector(_Value):
         """Right action by composition: (x.A)(w) = x(Aw)."""
         if not isinstance(a, SymplecticMatrix):
             raise TypeError("expected a SymplecticMatrix")
-        if len(a.rows) != len(self.coords):
-            raise ValueError("rank mismatch")
+        _same_rank(len(a.rows), len(self.coords))
         return Covector._trusted(_matmul((self.coords,), a.rows)[0], self.modulus)
 
     def reduce_to(self, m: int) -> "Covector":
@@ -491,8 +489,7 @@ class SymplecticMatrix(_Value):
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if not isinstance(other, SymplecticMatrix):
             return NotImplemented
-        if len(self.rows) != len(other.rows):
-            raise ValueError("rank mismatch")
+        _same_rank(len(self.rows), len(other.rows))
         # products of form-preserving matrices preserve the form
         return SymplecticMatrix._trusted(_matmul(self.rows, other.rows))
 
@@ -513,8 +510,7 @@ class SymplecticMatrix(_Value):
         return SymplecticMatrix._trusted(_signed_transpose(rows))
 
     def apply(self, v: Vector) -> Vector:
-        if len(self.rows) != len(v.coords):
-            raise ValueError("rank mismatch")
+        _same_rank(len(self.rows), len(v.coords))
         return Vector(tuple(sum(map(mul, row, v.coords)) for row in self.rows))
 
     def column(self, j: int) -> Vector:

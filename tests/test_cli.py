@@ -19,6 +19,7 @@ from symsplit import jacobi, quadratic, symplectic, verify
 from symsplit.cli import (_HANDLERS, ELEMENT_RANK_LIMIT, _decode_int, _library, _parse_psi,
                           build_parser, element_from_document, element_to_document, main)
 from symsplit.jacobi import JacobiElement, jacobi_identity, jmul, splits
+from symsplit.mcg import splitting_theorem_verdict
 from symsplit.quadratic import QuadraticRefinement, orbit_decomposition
 from symsplit.symplectic import Covector, SymplecticMatrix, Vector, transvection
 from symsplit.verify import VERIFY_SAMPLES_LIMIT, run_suites
@@ -266,8 +267,10 @@ def test_mul_membership_pass_and_violation(tmp_path, capsys):
 def test_mul_input_errors(tmp_path, capsys):
     g1 = _write_element(tmp_path / "r1.json", JacobiElement(Covector((0, 0)), SymplecticMatrix.identity(1)))
     g2 = _write_element(tmp_path / "r2.json", JacobiElement(Covector((0,) * 4), SymplecticMatrix.identity(2)))
-    code, _, err = _run(capsys, "mul", "--lhs", g1, "--rhs", g2)
-    assert code == 2 and "share rank" in err
+    assert _run(capsys, "mul", "--lhs", g1, "--rhs", g2) == (2, "", "error: rank mismatch\n")
+    m24 = _write_element(tmp_path / "m24.json", jacobi_identity(1, 24))
+    m240 = _write_element(tmp_path / "m240.json", jacobi_identity(1, 240))
+    assert _run(capsys, "mul", "--lhs", m24, "--rhs", m240) == (2, "", "error: modulus mismatch\n")
     code, _, err = _run(capsys, "mul", "--lhs", str(tmp_path / "absent.json"), "--rhs", g1)
     assert code == 2 and "cannot read" in err
     broken = tmp_path / "broken.json"
@@ -620,7 +623,7 @@ def test_input_just_past_a_guard_does_no_work(tmp_path, capsys, monkeypatch, gua
 def _operands_of_two_ranks(tmp_path):
     g, h = jacobi_identity(1), jacobi_identity(2)
     argv = ("mul", "--lhs", _write_element(tmp_path / "g.json", g), "--rhs", _write_element(tmp_path / "h.json", h))
-    return argv, lambda: jmul(g, h), "operands must share rank and modulus"
+    return argv, lambda: jmul(g, h), "rank mismatch"
 
 
 @pytest.mark.parametrize("case", [
@@ -634,9 +637,11 @@ def _operands_of_two_ranks(tmp_path):
     lambda _: (("verify", "--r", "8", "--samples", str(VERIFY_SAMPLES_LIMIT + 1), "--seed", "0"),
                lambda: run_suites(8, VERIFY_SAMPLES_LIMIT + 1, 0),
                f"samples must lie in 1..{VERIFY_SAMPLES_LIMIT}, got {VERIFY_SAMPLES_LIMIT + 1}"),
+    lambda _: (("split", "--p", "5", "--r", "1"), lambda: splitting_theorem_verdict(5, 1),
+               "supported middle dimensions are 3 and 7"),
     _operands_of_two_ranks,
 ], ids=["orbits-rank", "split-rank", "split-rank-zero", "verify-rank", "verify-samples",
-        "verify-samples-limit", "mul-operands"])
+        "verify-samples-limit", "split-p", "mul-operands"])
 def test_cli_error_is_the_library_error(tmp_path, capsys, case):
     # each bound has one guard, in the library; the CLI prints its message unchanged
     argv, call, message = case(tmp_path)
@@ -966,6 +971,13 @@ def _report_argv(draw):
 @example(argv=["split", "--p", "3", "--r", "1", "--modulus", "0"])
 @example(argv=["verify", "--r", "1", "--samples", str(VERIFY_SAMPLES_LIMIT), "--seed", "0"])
 @example(argv=["verify", "--r", "8", "--samples", str(VERIFY_SAMPLES_LIMIT + 1), "--seed", "0"])
+@example(argv=["orbits", "--r", "10"])
+@example(argv=["orbits", "--r", "11"])
+@example(argv=["split", "--p", "7", "--r", "31"])
+@example(argv=["split", "--p", "7", "--r", "32"])
+@example(argv=["coeff", "--jmax", "1"])
+@example(argv=["coeff", "--jmax", "0"])
+@example(argv=["split", "--p", "5", "--r", "1"])
 def test_exit_contract_on_report_argv(argv):
     # ROADMAP exit contract: 0 success, 1 property failure (here only the planted
     # negative control), 2 input error; never a traceback

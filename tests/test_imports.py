@@ -13,7 +13,10 @@ would truncate 2.5 to 2 and read "3" as 3: integer arguments go through
 reader `_decode_int`.
 
 Each `*_LIMIT` is assigned only in `symsplit.limits`; every other module
-imports it from there.
+imports it from there.  Likewise the operand rules have one guard each: the
+string "rank mismatch" is written once in the package, in
+`symplectic._same_rank`, and "modulus mismatch" once, in
+`Covector._compatible`; no older wording of either rule is left.
 """
 
 from __future__ import annotations
@@ -130,3 +133,28 @@ def test_the_check_sees_a_limit_assignment():
 def test_each_limit_is_defined_only_in_limits(path):
     # one source of truth: every other module imports its limits from symsplit.limits
     assert path.name == "limits.py" or _limit_assignments(path.read_text()) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "symsplit").glob("*.py"))
+REMOVED_WORDINGS = ("ranks differ", "share rank", "base refinement rank")
+
+
+def _string_literals(source: str, text: str) -> int:
+    """How many string constants of the module are exactly text (docstrings that mention it do not count)."""
+    return sum(isinstance(node, ast.Constant) and node.value == text for node in ast.walk(ast.parse(source)))
+
+
+def test_the_check_counts_string_literals():
+    source = '"""A rank mismatch."""\nraise ValueError("rank mismatch")\nx = "rank mismatch!"\n'
+    assert _string_literals(source, "rank mismatch") == 1
+
+
+@pytest.mark.parametrize("message", ["rank mismatch", "modulus mismatch"])
+def test_each_operand_rule_is_worded_once(message):
+    # one guard per rule, as for the limits: every operation that needs the rule calls that guard
+    assert sum(_string_literals(path.read_text(), message) for path in PACKAGE) == 1
+
+
+@pytest.mark.parametrize("wording", REMOVED_WORDINGS)
+def test_no_older_wording_of_an_operand_rule_is_left(wording):
+    assert [path.name for path in PACKAGE if wording in path.read_text()] == []

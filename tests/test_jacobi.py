@@ -21,8 +21,10 @@ from symsplit.jacobi import (
     reframe,
     splits,
 )
-from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qdifference, qeval, qtranslate
-from symsplit.symplectic import (Covector, SymplecticMatrix, Vector, random_symplectic_word,
+from symsplit.mcg import ManifoldParams, MCGModel
+from symsplit.quadratic import (QuadraticRefinement, enumerate_refinements, qact, qdifference, qeval,
+                                qtranslate)
+from symsplit.symplectic import (Covector, SymplecticMatrix, Vector, phi_eval, random_symplectic_word,
                                  transvection)
 
 MODULI = (0, 4, 24, 240)
@@ -197,11 +199,25 @@ _G2 = jacobi_identity(2, 24)
     (lambda: _I1.apply(_V2), "rank mismatch"),
     (lambda: qtranslate(_PSI2, Covector((1, 0), 2)), "rank mismatch"),
     (lambda: qdifference(_PSI2, QuadraticRefinement.zero(1)), "rank mismatch"),
-    (lambda: reframe(_G2, _C1), "conjugating covector must share rank and modulus"),
-    (lambda: reframe(_G2, Covector((1, 0, 0, 1), 4)), "conjugating covector must share rank and modulus"),
+    (lambda: reframe(_G2, _C1), "rank mismatch"),
+    (lambda: reframe(_G2, Covector((1, 0, 0, 1), 4)), "modulus mismatch"),
+    (lambda: phi_eval(_V1, _V2), "rank mismatch"),
+    (lambda: _C1.act(_I2), "rank mismatch"),
+    (lambda: qeval(_PSI2, _V1), "rank mismatch"),
+    (lambda: qact(_PSI2, _I1), "rank mismatch"),
+    (lambda: JacobiElement(_C1, _I2), "rank mismatch"),
+    (lambda: jmul(_G2, jacobi_identity(1, 24)), "rank mismatch"),
+    (lambda: jmul(_G2, jacobi_identity(2, 240)), "modulus mismatch"),
+    (lambda: gamma_psi_member(_G2, QuadraticRefinement.zero(1)), "rank mismatch"),
+    (lambda: include_fiber(Covector((0, 0, 0, 0)), 1), "rank mismatch"),
+    (lambda: splits(1, 0, _PSI2), "rank mismatch"),
+    (lambda: MCGModel(ManifoldParams(3, 1), 0, _PSI2), "rank mismatch"),
 ], ids=["vector_add", "vector_sub", "covector_rank", "covector_modulus", "evaluate", "matrix_mul",
-        "apply", "qtranslate", "qdifference", "reframe_rank", "reframe_modulus"])
+        "apply", "qtranslate", "qdifference", "reframe_rank", "reframe_modulus", "phi_eval",
+        "covector_act", "qeval", "qact", "jacobi_element", "jmul_rank", "jmul_modulus",
+        "gamma_psi_member", "include_fiber", "splits_base", "mcg_base"])
 def test_operands_of_different_rank_or_modulus_are_refused(call, message):
+    # one rule, one message: the operation that needs the rule checks it, nothing before it
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
