@@ -185,6 +185,14 @@ CATALOGUE = (
     Mutant("J1", "verify's JSON seed is written raw", _CLI,
            "        seed = _encode_int(args.seed)\n", "        seed = args.seed\n",
            ("tests/test_cli.py::test_every_json_output_is_safe_for_64_bit_readers",)),
+    # one splitting verdict printed for both models; only MCGModel asks for a multiple of 4
+    Mutant("S1", "the homotopy row reports modulus 0", _CLI,
+           "    v, m = theorem.verdict, theorem.params.homotopy_modulus\n", "    v, m = theorem.verdict, 0\n",
+           ("tests/test_cli.py::test_split_json", "tests/test_cli.py::test_split_table_rank_one",
+            "tests/test_cli.py::test_golden_report_outputs")),
+    Mutant("S2", "MCGModel's divisibility check asks for an even modulus", _MCG,
+           "        if modulus % 4:\n", "        if modulus % 2:\n",
+           ("tests/test_mcg.py::test_homotopy_modulus_has_one_validator",)),
     # the exit codes of a failed internal check and of running out of memory
     Mutant("E1", "a failed internal check exits 2", _CLI,
            "return 1 if isinstance(exc, ArithmeticError) else 2", "return 2",

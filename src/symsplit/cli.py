@@ -167,9 +167,9 @@ def _cmd_orbits(args, lib) -> tuple[int, str]:
     return code, "\n".join(lines) + "\n"
 
 
-def _verdict_dict(v) -> dict:
+def _verdict_dict(v, modulus: int) -> dict:
     return {
-        "modulus": v.modulus,
+        "modulus": modulus,
         "splits": v.splits,
         "base": list(v.base.basis_values),
         "witness": None if v.witness is None else list(v.witness.coords),
@@ -181,23 +181,24 @@ def _verdict_dict(v) -> dict:
 
 def _cmd_split(args, lib) -> tuple[int, str]:
     r = args.r
-    verdict = lib.mcg.splitting_theorem_verdict(args.p, r)
+    theorem = lib.mcg.splitting_theorem_verdict(args.p, r)
+    v, m = theorem.verdict, theorem.params.homotopy_modulus
     if args.format == "json":
         results = {
             "p": args.p,
             "r": r,
-            "smooth": _verdict_dict(verdict.smooth),
-            "homotopy": _verdict_dict(verdict.homotopy),
-            "verdicts_agree": verdict.smooth.splits == verdict.homotopy.splits,
+            "smooth": _verdict_dict(v, 0),
+            "homotopy": _verdict_dict(v, m),
+            "verdicts_agree": True,  # one verdict answers for both models
         }
         return 0, _report("split", {"p": args.p, "r": r}, results)
     # the modulus is 0, 24 or 240, so its column is as wide as its header
     lines = [f"split  p={args.p}  r={r}  version={__version__}",
              "flavor    modulus  splits  witness"]
-    for flavor, v in (("smooth", verdict.smooth), ("homotopy", verdict.homotopy)):
-        witness = _bits(v.witness.coords) if v.witness is not None else "-"
-        lines.append(f"{flavor:<9} {v.modulus:>7}  {'yes' if v.splits else 'no':<6}  {witness}")
-    if verdict.smooth.splits:
+    witness = _bits(v.witness.coords) if v.witness is not None else "-"
+    for flavor, modulus in (("smooth", 0), ("homotopy", m)):
+        lines.append(f"{flavor:<9} {modulus:>7}  {'yes' if v.splits else 'no':<6}  {witness}")
+    if v.splits:
         lines.append("section: A -> (x.A - x, A) for x any lift of the witness")
     else:
         lines.append("obstruction: a fixed translate is 1 at every u_i and v_i,"

@@ -15,8 +15,8 @@ from collections.abc import Callable
 from .cocycles import coboundary_at, principal_at
 from .limits import SPLIT_RANK_LIMIT
 from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
-from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _integral,
-                         _same_rank, _setattr, random_symplectic_word)
+from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _same_rank, _setattr,
+                         random_symplectic_word)
 
 
 class JacobiElement(_Value):
@@ -69,11 +69,11 @@ def gamma_psi_member(g: JacobiElement, psi: QuadraticRefinement) -> bool:
     return _state_of(g.x.coords) == qact(psi, g.a).state ^ psi.state
 
 
-def include_fiber(x: Covector, r: int) -> JacobiElement:
-    """Embed an even covector as the pair (x, Id)."""
+def include_fiber(x: Covector) -> JacobiElement:
+    """Embed an even covector as the pair (x, Id), with Id of x's rank."""
     if any(c % 2 for c in x.coords):
         raise ValueError("fiber covectors must have even coordinates")
-    return JacobiElement(x, SymplecticMatrix.identity(r))
+    return JacobiElement(x, SymplecticMatrix.identity(x.rank))
 
 
 def reduce_modulus(g: JacobiElement, m: int) -> JacobiElement:
@@ -95,7 +95,7 @@ def default_base_refinement(r: int) -> QuadraticRefinement:
 
 
 class SplitVerdict(_Value):
-    """Outcome of the splitting decision at one rank and modulus.
+    """Outcome of the splitting decision at one rank, for modulus 0 and every multiple of 4.
 
     When `splits` is true, `witness` is the one mod-2 translation making the
     base refinement group-fixed, and `section` gives the section it defines.
@@ -104,47 +104,41 @@ class SplitVerdict(_Value):
     witness: the count a lexicographic walk over the candidates would check.
     """
 
-    __slots__ = ("rank", "modulus", "base", "splits", "witness", "fixed_refinement",
-                 "candidates_checked")
+    __slots__ = ("rank", "base", "splits", "witness", "fixed_refinement", "candidates_checked")
 
     def section(self) -> Callable[[SymplecticMatrix], JacobiElement]:
-        """Homomorphic section A -> (x.A - x, A), where x is the witness's 0/1 lift."""
-        if not self.splits or self.witness is None:
+        """Integer section A -> (x.A - x, A), homomorphic, where x is the witness's 0/1 lift.
+
+        At a modulus m divisible by 4 the section is `reduce_modulus` of its values.
+        """
+        if self.witness is None:
             raise ValueError("extension does not split; no section exists")
-        x = Covector(self.witness.coords, self.modulus)
+        x = Covector(self.witness.coords)
         def sigma(a: SymplecticMatrix) -> JacobiElement:
             return JacobiElement(coboundary_at(x, a), a)
         return sigma
 
 
-def _check_split_modulus(modulus: int) -> int:
-    """Return the modulus as an int; raise ValueError unless it is 0 or a positive multiple of 4."""
-    m = _integral(modulus)
-    if m is None or m < 0 or m % 4:
-        raise ValueError("modulus must be 0 or a positive integer divisible by 4")
-    return m
-
-
-def splits(r: int, modulus: int, psi: QuadraticRefinement | None = None) -> SplitVerdict:
+def splits(r: int, *, psi: QuadraticRefinement | None = None) -> SplitVerdict:
     """Decide whether the extension splits; exact, in O(r) steps.
 
-    Requires modulus 0 (integer covectors) or a multiple of 4, the regime in
-    which splitting is equivalent to the base refinement having a group-fixed
-    translate.  A fixed refinement is 1 at every u_i and v_i, so the one
+    The answer is the same for integer covectors (modulus 0) and for every
+    modulus divisible by 4: in both, splitting is equivalent to the base
+    refinement having a group-fixed translate, a question about mod-2 data
+    alone.  A fixed refinement is 1 at every u_i and v_i, so the one
     candidate translate is the all-ones refinement.  It is fixed at rank 1
     and at no higher rank (at r >= 2 its value at u_1 + u_2 is 1 + 1 + 0 = 0),
     and the witness is its difference from the base.  Ranks above
     SPLIT_RANK_LIMIT are refused.
     """
     r = _check_int(r, "rank", 1, SPLIT_RANK_LIMIT)
-    modulus = _check_split_modulus(modulus)
     base = default_base_refinement(r) if psi is None else psi
     _same_rank(base.rank, r)
     fixed = QuadraticRefinement._trusted(2 * r, (1 << 2 * r) - 1)
     if not is_group_fixed(fixed):
-        return SplitVerdict(r, modulus, base, False, None, None, 4 ** r)
+        return SplitVerdict(r, base, False, None, None, 4 ** r)
     position = (fixed.state ^ base.state) + 1
-    return SplitVerdict(r, modulus, base, True, qdifference(fixed, base), fixed, position)
+    return SplitVerdict(r, base, True, qdifference(fixed, base), fixed, position)
 
 
 def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,

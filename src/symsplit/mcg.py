@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .jacobi import (JacobiElement, SplitVerdict, _check_split_modulus, gamma_psi_member,
-                     jacobi_identity, reduce_modulus, splits)
+from .jacobi import JacobiElement, gamma_psi_member, jacobi_identity, reduce_modulus, splits
 from .quadratic import QuadraticRefinement
 from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _integral, _same_rank,
                          _setattr)
@@ -49,7 +48,9 @@ class MCGModel(_Value):
     __slots__ = ("params", "modulus", "base")
 
     def __init__(self, params: ManifoldParams, modulus: int, base: QuadraticRefinement) -> None:
-        modulus = _check_split_modulus(modulus)
+        modulus = _check_int(modulus, "modulus", 0)
+        if modulus % 4:
+            raise ValueError("modulus must be 0 or a positive integer divisible by 4")
         _same_rank(base.rank, params.r)
         _setattr(self, "params", params)
         _setattr(self, "modulus", modulus)
@@ -124,20 +125,18 @@ def pontryagin_coefficient(j: int) -> int:
 
 
 class SplittingTheoremVerdict(_Value):
-    __slots__ = ("p", "r", "smooth", "homotopy")
+    """The manifold's parameters and the one splitting verdict of its smooth and homotopy models."""
+
+    __slots__ = ("params", "verdict")
 
 
 def splitting_theorem_verdict(p: int, r: int) -> SplittingTheoremVerdict:
     """Decide splitting for the smooth and homotopy models of one manifold.
 
     At modulus 0 and at a multiple of 4 splitting is a question about mod-2
-    data alone (`splits`), so one solve decides both flavors: the homotopy
-    verdict is the smooth one with the homotopy modulus in place of 0.  The
-    rank is checked first, by `splits`, so every refused rank gets the
-    splitting limit's message.
+    data alone (`splits`), so one verdict answers for both models.  The rank
+    is checked first, by `splits`, so every refused rank gets the splitting
+    limit's message.
     """
-    smooth = splits(r, 0)
-    m = ManifoldParams(p, smooth.rank).homotopy_modulus
-    homotopy = SplitVerdict(smooth.rank, m, smooth.base, smooth.splits, smooth.witness,
-                            smooth.fixed_refinement, smooth.candidates_checked)
-    return SplittingTheoremVerdict(p, smooth.rank, smooth, homotopy)
+    verdict = splits(r)
+    return SplittingTheoremVerdict(ManifoldParams(p, verdict.rank), verdict)

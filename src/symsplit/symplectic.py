@@ -223,7 +223,7 @@ def _matmul(a, b):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # a run uses a few dimensions; the bound lets a large identity go
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 

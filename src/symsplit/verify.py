@@ -125,7 +125,7 @@ def _section_suite(r: int, samples: int, rng: random.Random) -> Iterator[bool]:
         yield qeval(ones, u1) == qeval(ones, u2) == 1 and qeval(ones, w) == 0
         yield qact(ones, transvection(w)) != ones
         return
-    verdict = splits(1, 0)
+    verdict = splits(1)
     sigma = verdict.section()
     for _ in range(samples):
         a, b = _word(1, rng), _word(1, rng)

@@ -211,6 +211,18 @@ def test_split_json(capsys):
     assert smooth["section"] == "A -> (x.A - x, A) for x any lift of witness"
 
 
+@pytest.mark.parametrize("p", [3, 7])
+def test_split_json_models_differ_only_in_modulus(capsys, p):
+    # both blocks come from one verdict: the homotopy block is the smooth one at modulus 2c
+    for r in range(1, 32):
+        code, out, _ = _run(capsys, "split", "--p", str(p), "--r", str(r), "--format", "json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        smooth, homotopy = res["smooth"], res["homotopy"]
+        assert (smooth.pop("modulus"), homotopy.pop("modulus")) == (0, {3: 24, 7: 240}[p])
+        assert smooth == homotopy
+
+
 def test_split_rank_guard(capsys):
     # the limit is set by output size: 4^31 is the largest candidate count that is a 64-bit JSON int
     code, out, err = _run(capsys, "split", "--p", "3", "--r", "31", "--format", "json")
@@ -628,8 +640,8 @@ def _operands_of_two_ranks(tmp_path):
 
 @pytest.mark.parametrize("case", [
     lambda _: (("orbits", "--r", "11"), lambda: orbit_decomposition(11), "rank must lie in 1..10, got 11"),
-    lambda _: (("split", "--p", "3", "--r", "32"), lambda: splits(32, 0), "rank must lie in 1..31, got 32"),
-    lambda _: (("split", "--p", "3", "--r", "0"), lambda: splits(0, 0), "rank must lie in 1..31, got 0"),
+    lambda _: (("split", "--p", "3", "--r", "32"), lambda: splits(32), "rank must lie in 1..31, got 32"),
+    lambda _: (("split", "--p", "3", "--r", "0"), lambda: splits(0), "rank must lie in 1..31, got 0"),
     lambda _: (("verify", "--r", "9", "--samples", "1", "--seed", "0"), lambda: run_suites(9, 1, 0),
                "rank must lie in 1..8, got 9"),
     lambda _: (("verify", "--r", "1", "--samples", "0", "--seed", "0"), lambda: run_suites(1, 0, 0),

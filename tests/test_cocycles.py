@@ -103,21 +103,21 @@ def test_minus_id_constraint_rejects_odd_modulus():
 
 
 def test_witness_frozen_rank_one():
-    assert splits(1, 0, QuadraticRefinement((1, 1))).witness == Covector((0, 0), 2)
-    assert splits(1, 0, QuadraticRefinement((0, 0))).witness == Covector((1, 1), 2)
-    assert splits(1, 0, QuadraticRefinement((0, 1))).witness == Covector((1, 0), 2)
+    assert splits(1, psi=QuadraticRefinement((1, 1))).witness == Covector((0, 0), 2)
+    assert splits(1, psi=QuadraticRefinement((0, 0))).witness == Covector((1, 1), 2)
+    assert splits(1, psi=QuadraticRefinement((0, 1))).witness == Covector((1, 0), 2)
 
 
 def test_witness_absent_above_rank_one():
     for r in (2, 3):
-        assert splits(r, 0, QuadraticRefinement.zero(r)).witness is None
-        assert splits(r, 0, QuadraticRefinement.arf_one(r)).witness is None
+        assert splits(r, psi=QuadraticRefinement.zero(r)).witness is None
+        assert splits(r, psi=QuadraticRefinement.arf_one(r)).witness is None
 
 
 def test_witness_makes_cocycles_agree():
     # when a witness exists, the principal cocycle IS the coboundary of the witness
     psi = QuadraticRefinement((0, 0))
-    xbar = splits(1, 0, psi).witness
+    xbar = splits(1, psi=psi).witness
     for a in _random_words(1, 20, seed=33):
         assert principal_at(psi, a) == coboundary_at(xbar, a)
 
@@ -137,7 +137,7 @@ def _object_level_witness(psi):
 def test_witness_matches_object_level_search_on_every_base(r):
     words = _random_words(r, 5, seed=40 + r)
     for psi in enumerate_refinements(r):
-        xbar = splits(r, 0, psi).witness
+        xbar = splits(r, psi=psi).witness
         assert xbar == _object_level_witness(psi)
         if xbar is not None:
             for a in words:

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symsplit.cocycles import principal_at
+from symsplit.cocycles import coboundary_at, principal_at
 from symsplit.jacobi import (
     JacobiElement,
     default_base_refinement,
@@ -89,15 +89,16 @@ def test_projection_is_a_homomorphism():
 
 def test_fiber_inclusion():
     x = Covector((2, 4, 0, -6))
-    g = include_fiber(x, 2)
+    g = include_fiber(x)
     assert g.a == SymplecticMatrix.identity(2) and g.x == x
     with pytest.raises(ValueError):
-        include_fiber(Covector((1, 2, 3, 4)), 2)
-    with pytest.raises(ValueError):
-        include_fiber(Covector((2, 4)), 2)
+        include_fiber(Covector((1, 2, 3, 4)))
+    # the identity takes its rank from the covector, so no rank can mismatch
+    assert include_fiber(Covector((2, 4))).rank == 1
+    assert include_fiber(Covector((0,) * 6, 24)).rank == 3
     # fiber elements multiply by adding covectors, an exact lattice copy
     y = Covector((0, 2, -2, 8))
-    assert include_fiber(x, 2) * include_fiber(y, 2) == include_fiber(x + y, 2)
+    assert include_fiber(x) * include_fiber(y) == include_fiber(x + y)
 
 
 def test_membership_even_fiber_exhaustive_rank_one():
@@ -209,13 +210,12 @@ _G2 = jacobi_identity(2, 24)
     (lambda: jmul(_G2, jacobi_identity(1, 24)), "rank mismatch"),
     (lambda: jmul(_G2, jacobi_identity(2, 240)), "modulus mismatch"),
     (lambda: gamma_psi_member(_G2, QuadraticRefinement.zero(1)), "rank mismatch"),
-    (lambda: include_fiber(Covector((0, 0, 0, 0)), 1), "rank mismatch"),
-    (lambda: splits(1, 0, _PSI2), "rank mismatch"),
+    (lambda: splits(1, psi=_PSI2), "rank mismatch"),
     (lambda: MCGModel(ManifoldParams(3, 1), 0, _PSI2), "rank mismatch"),
 ], ids=["vector_add", "vector_sub", "covector_rank", "covector_modulus", "evaluate", "matrix_mul",
         "apply", "qtranslate", "qdifference", "reframe_rank", "reframe_modulus", "phi_eval",
         "covector_act", "qeval", "qact", "jacobi_element", "jmul_rank", "jmul_modulus",
-        "gamma_psi_member", "include_fiber", "splits_base", "mcg_base"])
+        "gamma_psi_member", "splits_base", "mcg_base"])
 def test_operands_of_different_rank_or_modulus_are_refused(call, message):
     # one rule, one message: the operation that needs the rule checks it, nothing before it
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -230,21 +230,33 @@ def test_default_base_refinement():
 
 @pytest.mark.parametrize("m", MODULI)
 def test_splits_rank_one(m):
-    verdict = splits(1, m)
-    assert verdict.splits and verdict.rank == 1 and verdict.modulus == m
+    verdict = splits(1)
+    assert verdict.splits and verdict.rank == 1
     assert verdict.witness == Covector((0, 0), 2)
     assert verdict.fixed_refinement == QuadraticRefinement((1, 1))
     assert verdict.candidates_checked == 1
+    # one verdict serves every modulus: its section, reduced to m, lands in the model at m
+    model = MCGModel(ManifoldParams(3, 1), m, verdict.base)
+    sigma = verdict.section()
+    t, s = transvection(Vector.u(1, 1)), transvection(Vector.v(1, 1))
+    for a in (t, s, t * s):
+        assert model.contains(reduce_modulus(sigma(a), m))
 
 
 @pytest.mark.parametrize("r,m", [(2, 0), (2, 4), (3, 0), (3, 24), (4, 0)])
 def test_splits_fails_above_rank_one(r, m):
-    verdict = splits(r, m)
+    verdict = splits(r)
     assert not verdict.splits
     assert verdict.witness is None and verdict.fixed_refinement is None
     assert verdict.candidates_checked == 4 ** r
     with pytest.raises(ValueError):
         verdict.section()
+    # the one candidate section, from the all-ones translate, leaves the model at m at T(u1 + u2)
+    ones = QuadraticRefinement((1,) * (2 * r))
+    x = Covector(qdifference(ones, verdict.base).coords)
+    w = transvection(Vector.u(r, 1) + Vector.u(r, 2))
+    model = MCGModel(ManifoldParams(3, r), m, verdict.base)
+    assert not model.contains(reduce_modulus(JacobiElement(coboundary_at(x, w), w), m))
 
 
 def test_splits_verdict_base_independent():
@@ -253,7 +265,7 @@ def test_splits_verdict_base_independent():
         expected = r == 1
         for _ in range(5):
             psi = QuadraticRefinement(tuple(rng.randint(0, 1) for _ in range(2 * r)))
-            assert splits(r, 0, psi).splits == expected
+            assert splits(r, psi=psi).splits == expected
 
 
 def _object_level_split_search(psi):
@@ -269,7 +281,7 @@ def _object_level_split_search(psi):
 
 
 def _assert_matches_object_level_search(psi):
-    verdict = splits(psi.rank, 0, psi)
+    verdict = splits(psi.rank, psi=psi)
     xbar, shifted, checked = _object_level_split_search(psi)
     assert verdict.splits == (xbar is not None)
     assert (verdict.witness, verdict.fixed_refinement, verdict.candidates_checked) == (
@@ -292,23 +304,22 @@ def test_splits_matches_object_level_search_on_seeded_bases(r):
 
 def test_splits_guards():
     with pytest.raises(ValueError):
-        splits(32, 0)
+        splits(32)
     with pytest.raises(ValueError):
-        splits(1, 6)
-    with pytest.raises(ValueError):
-        splits(1, -8)
-    for bad in (2.5, "4", None):
-        with pytest.raises(ValueError, match=r"^modulus must be 0 or a positive integer divisible by 4$"):
-            splits(1, bad)
-    with pytest.raises(ValueError):
-        splits(1, 0, QuadraticRefinement.zero(2))
+        splits(1, psi=QuadraticRefinement.zero(2))
+    # splits takes no modulus: a stale positional modulus or base is a TypeError
+    for stale in ((1, 24), (1, 0, QuadraticRefinement.zero(1))):
+        with pytest.raises(TypeError):
+            splits(*stale)
 
 
 def test_section_rank_one_is_homomorphic():
     rng = random.Random(71)
-    verdict = splits(1, 24)
-    sigma = verdict.section()
+    verdict = splits(1)
+    section = verdict.section()
     psi = verdict.base
+    def sigma(a):  # the section at modulus 24
+        return reduce_modulus(section(a), 24)
     for _ in range(30):
         a = random_symplectic_word(1, rng.randint(0, 10), rng)
         b = random_symplectic_word(1, rng.randint(0, 10), rng)
@@ -323,9 +334,11 @@ def test_section_from_nonzero_witness():
     # base (0, 0) at rank 1 has witness (1, 1); the section is then a genuine coboundary
     rng = random.Random(73)
     psi = QuadraticRefinement.zero(1)
-    verdict = splits(1, 4, psi)
+    verdict = splits(1, psi=psi)
     assert verdict.witness == Covector((1, 1), 2)
-    sigma = verdict.section()
+    section = verdict.section()
+    def sigma(a):  # the section at modulus 4
+        return reduce_modulus(section(a), 4)
     for _ in range(20):
         a = random_symplectic_word(1, rng.randint(0, 8), rng)
         b = random_symplectic_word(1, rng.randint(0, 8), rng)
@@ -334,7 +347,7 @@ def test_section_from_nonzero_witness():
 
 
 def test_section_from_witness_standalone():
-    sigma = splits(1, 0, QuadraticRefinement((0, 0))).section()
+    sigma = splits(1, psi=QuadraticRefinement((0, 0))).section()
     g = sigma(transvection(Vector.u(1, 1)))
     x = Covector((1, 1))
     assert g.x == x.act(g.a) - x
@@ -347,11 +360,9 @@ def test_extension_model():
     g = random_member(psi, 24, rng)
     assert gamma_psi_member(g, psi)
     assert not gamma_psi_member(JacobiElement(Covector.unit(2, 0, 24), SymplecticMatrix.identity(2)), psi)
-    assert not splits(2, 24, psi).splits
+    assert not splits(2, psi=psi).splits
     with pytest.raises(ValueError):
-        splits(2, 3, psi)
-    with pytest.raises(ValueError):
-        splits(1, 0, psi)
+        splits(1, psi=psi)
 
 
 def test_qdifference_consistency_with_membership():

@@ -181,12 +181,10 @@ def test_pontryagin_parts_and_coefficients():
 @pytest.mark.parametrize("p", [3, 7])
 def test_splitting_theorem_small_ranks(p):
     for r in (1, 2, 3, 4, 5):
-        verdict = splitting_theorem_verdict(p, r)
-        assert verdict.p == p and verdict.r == r
-        assert verdict.smooth.splits == (r == 1)
-        assert verdict.homotopy.splits == (r == 1)
-        assert verdict.smooth.modulus == 0
-        assert verdict.homotopy.modulus == 2 * ManifoldParams(p, r).c
+        theorem = splitting_theorem_verdict(p, r)
+        assert theorem.params.p == p and theorem.params.r == r
+        assert theorem.verdict.splits == (r == 1) and theorem.verdict.rank == r
+        assert theorem.params.homotopy_modulus == 2 * ManifoldParams(p, r).c
 
 
 @pytest.mark.parametrize("p,m", [(3, 24), (7, 240)])
@@ -200,28 +198,28 @@ def test_splitting_theorem_searches_once(monkeypatch, p, m):
     monkeypatch.setattr(symsplit.mcg, "splits", counting_splits)
     for r in (1, 2):
         calls.clear()
-        verdict = splitting_theorem_verdict(p, r)
-        assert calls == [(r, 0)]
-        assert verdict.homotopy.modulus == m and verdict.smooth.modulus == 0
-        assert verdict.homotopy == splits(r, m)
+        theorem = splitting_theorem_verdict(p, r)
+        assert calls == [(r,)]
+        assert theorem.params.homotopy_modulus == m
+        assert theorem.verdict == splits(r)
 
 
 def test_non_integral_rank_is_refused():
     # a fractional rank used to be truncated: orbit_decomposition(2.5) reported rank 2,
-    # splits(1.9, 0) split at rank 1, and homotopy_model(3, 1.5) failed on the base's rank
-    for call in (lambda: orbit_decomposition(2.5), lambda: splits(1.9, 0),
+    # splits(1.9) split at rank 1, and homotopy_model(3, 1.5) failed on the base's rank
+    for call in (lambda: orbit_decomposition(2.5), lambda: splits(1.9),
                  lambda: ManifoldParams(3, 1.5), lambda: homotopy_model(3, 1.5)):
         with pytest.raises(ValueError, match=r"^rank must (be a positive integer|lie in 1\.\.\d+), got \d\.\d$"):
             call()
     # a rank int() cannot convert gets the rank message too, not OverflowError or TypeError
     for bad in (float("inf"), float("nan"), None):
-        for call in (lambda: orbit_decomposition(bad), lambda: splits(bad, 0),
+        for call in (lambda: orbit_decomposition(bad), lambda: splits(bad),
                      lambda: ManifoldParams(3, bad), lambda: splitting_theorem_verdict(3, bad)):
             with pytest.raises(ValueError, match=rf"^rank must (be a positive integer|lie in 1\.\.\d+), got {bad}$"):
                 call()
     assert type(ManifoldParams(3, 2).r) is int and type(ManifoldParams(3, 2.0).r) is int
     assert ManifoldParams(3, 2.0) == ManifoldParams(3, 2)
-    assert type(splitting_theorem_verdict(3, 2.0).r) is int
+    assert type(splitting_theorem_verdict(3, 2.0).params.r) is int
     # the middle dimension is stored as an int too, and one that is not 3 or 7 gets one message
     assert type(ManifoldParams(3.0, 1).p) is int and ManifoldParams(7.0, 1) == ManifoldParams(7, 1)
     for bad in (3.5, "3", None, float("nan"), [3], 5):
@@ -230,22 +228,17 @@ def test_non_integral_rank_is_refused():
 
 
 def test_homotopy_modulus_has_one_validator():
-    # splits and MCGModel refuse the same moduli with the same message
-    base = QuadraticRefinement.zero(1)
-    for m in (-4, 6):
-        with pytest.raises(ValueError) as from_splits:
-            splits(1, m)
-        with pytest.raises(ValueError) as from_model:
-            MCGModel(ManifoldParams(3, 1), m, base)
-        assert str(from_model.value) == str(from_splits.value)
-    assert splits(1, 0).modulus == 0 and splits(2, 0).modulus == 0  # the smooth model keeps 0
-    # an integral modulus of another type is stored as an int; a non-integral one gets the same message
-    for model in (splits(1, 8.0), MCGModel(ManifoldParams(7, 1), 8.0, base)):
-        assert type(model.modulus) is int and model.modulus == 8
-    for bad in ("3", "8", 2.5, 8.5, float("nan"), float("inf"), None):
-        for call in (lambda: splits(1, bad), lambda: MCGModel(ManifoldParams(7, 1), bad, base)):
-            with pytest.raises(ValueError, match=r"^modulus must be 0 or a positive integer divisible by 4$"):
-                call()
+    # MCGModel reads its modulus through the integer guard, then asks for a multiple of 4
+    params, base = ManifoldParams(7, 1), QuadraticRefinement.zero(1)
+    for bad in (-4, "3", "8", 2.5, 8.5, float("nan"), float("inf"), None):
+        with pytest.raises(ValueError, match=rf"^modulus must be a non-negative integer, got {re.escape(repr(bad))}$"):
+            MCGModel(params, bad, base)
+    for bad in (2, 6, 26):
+        with pytest.raises(ValueError, match=r"^modulus must be 0 or a positive integer divisible by 4$"):
+            MCGModel(params, bad, base)
+    # an integral modulus of another type is stored as an int
+    model = MCGModel(params, 8.0, base)
+    assert type(model.modulus) is int and model.modulus == 8
 
 
 def test_twists_generate_the_fiber():

@@ -381,9 +381,9 @@ def test_states_follow_product_order(nbits):
 
 
 def test_least_fixed_translate_frozen():
-    verdict = splits(1, 0, QuadraticRefinement((0, 1)))
+    verdict = splits(1, psi=QuadraticRefinement((0, 1)))
     assert (verdict.witness, verdict.candidates_checked) == (Covector((1, 0), 2), 3)
-    verdict = splits(2, 0, QuadraticRefinement.zero(2))
+    verdict = splits(2, psi=QuadraticRefinement.zero(2))
     assert (verdict.witness, verdict.candidates_checked) == (None, 16)
 
 
@@ -415,7 +415,7 @@ def test_internal_refinements_equal_public_construction():
                 (qtranslate(psi, xbar), QuadraticRefinement([p + c for p, c in zip(psi.basis_values, xbar.coords)])),
                 (qdifference(phi, psi), Covector([p - q for p, q in zip(phi.basis_values, psi.basis_values)], 2)),
             ]
-            verdict = splits(r, 0, psi)
+            verdict = splits(r, psi=psi)
             if verdict.splits:
                 results.append((verdict.witness, Covector(verdict.witness.coords, 2)))
                 results.append((verdict.fixed_refinement, QuadraticRefinement(verdict.fixed_refinement.basis_values)))

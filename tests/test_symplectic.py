@@ -197,6 +197,24 @@ def test_neg_identity():
     assert is_symplectic(n)
 
 
+def test_identity_cache_is_bounded():
+    # a large identity is cached only until a few other dimensions are asked for
+    _identity_rows.cache_clear()
+    SymplecticMatrix.identity(1000)
+    assert _identity_rows.cache_info().currsize == 1
+    bound = _identity_rows.cache_info().maxsize
+    assert bound is not None
+    small = range(1, bound + 1)
+    for r in small:
+        SymplecticMatrix.identity(r)
+    info = _identity_rows.cache_info()
+    assert info.currsize == bound and info.misses == 1 + bound
+    # every small dimension is still held, so the full cache has no room left for the 2000 rows
+    for r in small:
+        SymplecticMatrix.identity(r)
+    assert _identity_rows.cache_info().hits == info.hits + bound
+
+
 def test_inverse_round_trip():
     rng = random.Random(31)
     for r in (1, 2, 3):

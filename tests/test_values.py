@@ -23,9 +23,8 @@ _Q = "QuadraticRefinement(nbits=2, state={})"
 _WITNESS = "Covector(coords=(0, 0), modulus=2)"
 
 
-def _split_repr(modulus: int) -> str:
-    return (f"SplitVerdict(rank=1, modulus={modulus}, base={_Q.format(3)}, splits=True,"
-            f" witness={_WITNESS}, fixed_refinement={_Q.format(3)}, candidates_checked=1)")
+_SPLIT = (f"SplitVerdict(rank=1, base={_Q.format(3)}, splits=True, witness={_WITNESS},"
+          f" fixed_refinement={_Q.format(3)}, candidates_checked=1)")
 
 
 # class -> (factory, repr)
@@ -43,13 +42,13 @@ CASES = {
     JacobiElement: (lambda: JacobiElement(Covector((2, 0)), SymplecticMatrix(_SHEAR)),
                     "JacobiElement(x=Covector(coords=(2, 0), modulus=0),"
                     " a=SymplecticMatrix(rows=((1, 1), (0, 1))))"),
-    SplitVerdict: (lambda: splits(1, 24), _split_repr(24)),
+    SplitVerdict: (lambda: splits(1), _SPLIT),
     ManifoldParams: (lambda: ManifoldParams(7, 2), "ManifoldParams(p=7, r=2)"),
     MCGModel: (lambda: aut_model(3, 1),
                f"MCGModel(params=ManifoldParams(p=3, r=1), modulus=0, base={_Q.format(0)})"),
     SplittingTheoremVerdict: (lambda: splitting_theorem_verdict(3, 1),
-                              f"SplittingTheoremVerdict(p=3, r=1, smooth={_split_repr(0)},"
-                              f" homotopy={_split_repr(24)})"),
+                              f"SplittingTheoremVerdict(params=ManifoldParams(p=3, r=1),"
+                              f" verdict={_SPLIT})"),
     SuiteResult: (lambda: SuiteResult("torsor", 2, 3), "SuiteResult(name='torsor', passed=2, total=3)"),
 }
 classes = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
