@@ -45,6 +45,8 @@ _VERIFY = "src/symsplit/verify.py"
 _MCG = "src/symsplit/mcg.py"
 _DISPATCH_ORACLE = ("tests/test_cli.py::test_dispatch_matches_the_single_top_level_parse",
                     "tests/test_cli.py::test_one_parser_serves_every_call_like_a_fresh_process")
+_PLAIN_ONLY = "tests/test_cli.py::test_plain_reader_leaves_every_other_argv_to_argparse"
+_PLAIN_ORACLE = "tests/test_cli.py::test_plain_reader_agrees_with_parse_known_args"
 _CLOSED_STDOUT = ("tests/test_cli.py::test_closed_stdout_is_an_input_error_without_a_traceback",)
 _PAIRED_DISPATCH = "tests/test_symplectic.py::test_wide_rank_6_checks_and_products_take_the_paired_path"
 _OFF_BY_ONE = "tests/test_symplectic.py::test_wide_document_off_by_one_is_refused"
@@ -56,10 +58,10 @@ _PRODUCT_ORACLES = ("tests/test_symplectic.py::test_product_matches_triple_loop_
 CATALOGUE = (
     # one parse per CLI call
     Mutant("M1", "tokens the command parser leaves over are not reported", _CLI,
-           "            if extra:\n", "            if False:\n", _DISPATCH_ORACLE),
+           "                if extra:\n", "                if False:\n", _DISPATCH_ORACLE),
     Mutant("M2", "leftover tokens reported by the command parser's error, not the top-level one",
-           _CLI, "                parser.error(f\"unrecognized arguments:",
-           "                parser.commands[command].error(f\"unrecognized arguments:", _DISPATCH_ORACLE),
+           _CLI, "                    parser.error(f\"unrecognized arguments:",
+           "                    parser.commands[command].error(f\"unrecognized arguments:", _DISPATCH_ORACLE),
     Mutant("M3", "dispatch on a prefix of a command name", _CLI,
            "    command = argv[0] if argv else None\n",
            "    command = next((name for name in parser.commands if argv and argv[0]\n"
@@ -84,6 +86,15 @@ CATALOGUE = (
            "        sys.stdout.flush()\n", "", _CLOSED_STDOUT),
     Mutant("M8", "fd 1 is left on the closed pipe", _CLI,
            "        os.dup2(devnull, sys.stdout.fileno())\n", "", _CLOSED_STDOUT),
+    # the plain-form reader: what it reads, argparse would read the same
+    Mutant("A1", "the plain reader skips the choices check", _CLI,
+           "            if action.choices is not None and value not in action.choices:\n"
+           "                return None\n", "", (_PLAIN_ONLY, _DISPATCH_ORACLE[0], _PLAIN_ORACLE)),
+    Mutant("A2", "the plain reader accepts a repeated option", _CLI,
+           "        if action is None or action in seen:\n", "        if action is None:\n", (_PLAIN_ONLY,)),
+    Mutant("A3", "the plain reader fills a missing required option with its default", _CLI,
+           "    return args if required <= seen else None\n", "    return args\n",
+           (_PLAIN_ONLY, _DISPATCH_ORACLE[0], "tests/test_cli.py::test_argparse_errors_and_version")),
     # Winograd pairing dispatch (D1-D5 in CHANGES.md)
     Mutant("D1", "never pair", _SYMPLECTIC,
            "    if (wx - 64) * (n - 2) < 2560:\n        return False",

@@ -14,6 +14,9 @@ check fails (such as the inverse's postcondition), is printed the same way
 with exit code 1, and a `MemoryError` as "error: out of memory" with exit
 code 2, so no error ends in a traceback.  JSON reports are byte-deterministic
 for fixed inputs and seed, and embed the seed and package version.
+A command line in the plain form (exact option strings, each once with one
+valid value) is read straight from the command's own argparse action table;
+argparse parses every other line, so it words every help text and error.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # no arguments: one entry
 def _library() -> SimpleNamespace:
     # Every module at once, not only those a command calls: perfbench's tracer
     # looks up each module it wraps in sys.modules.  Callers reach functions
@@ -342,10 +345,64 @@ _HANDLERS = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # no arguments: one entry
 def _parser() -> argparse.ArgumentParser:
     # parsing keeps no state in the parsers between calls, so one set serves every call
     return build_parser()
+
+
+@lru_cache(maxsize=8)  # one entry per command, and build_parser defines six
+def _plain_table(command: str) -> tuple:
+    """(command parser, its actions by exact option string, its required actions, its defaults).
+
+    All four are read from argparse's own tables for the command, which the
+    `add_argument` calls of `build_parser` fill.  Only actions that take one
+    value or none enter the option table; help and version, whose default is
+    SUPPRESS, do not.  The defaults are those `parse_known_args` gives an
+    absent option (it would also convert a string default by the action's
+    type, but no default here is a string with a type).
+    """
+    sub = _parser().commands[command]
+    options = {s: a for s, a in sub._option_string_actions.items()
+               if a.default is not argparse.SUPPRESS and a.nargs in (None, 0)}
+    defaults = {a.dest: a.default for a in sub._actions
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+    return sub, options, frozenset(a for a in sub._actions if a.required), defaults
+
+
+def _read_plain(command: str, tokens: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace the command's `parse_known_args` gives tokens in the plain form, else None.
+
+    The plain form: each option is an exact option string of the command, at
+    most once, followed by one value unless it is a flag; no value starts with
+    "-"; each value converts by its action's type and lies in its choices; and
+    every required option is present.  Anything else (help, "--opt=value", an
+    abbreviation, "--", a negative number, a repeat, a bad or missing value) is
+    None, so argparse parses it and words every help text and error.
+    """
+    sub, options, required, defaults = _plain_table(command)
+    args = argparse.Namespace(**defaults)
+    seen = set()
+    rest = iter(tokens)
+    for token in rest:
+        action = options.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        value = []  # what argparse hands a flag's action
+        if action.nargs is None:
+            value = next(rest, "-")
+            if value[:1] == "-":
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        action(sub, args, value, token)
+    return args if required <= seen else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -356,10 +413,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = argv[0] if argv else None
     try:
         if command in parser.commands:
-            # one parse, by the command's own parser; leftovers are worded as parse_args words them
-            args, extra = parser.commands[command].parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args = _read_plain(command, argv[1:])
+            if args is None:
+                # one parse, by the command's own parser; leftovers are worded as parse_args words them
+                args, extra = parser.commands[command].parse_known_args(argv[1:])
+                if extra:
+                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
         else:  # no argv, -h, --version, an unknown command or an option first
             args = parser.parse_args(argv)
             command = args.command

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import and_
 
-from .limits import DECOMPOSITION_RANK_LIMIT, ENUMERATION_RANK_LIMIT
+from .limits import DECOMPOSITION_RANK_LIMIT, ENUMERATION_RANK_LIMIT, SPLIT_RANK_LIMIT
 from .symplectic import (Covector, SymplecticMatrix, Vector, _Value, _as_int_tuple, _check_int,
                          _same_rank, _setattr)
 
@@ -182,7 +182,7 @@ def _bits_of(state: int, nbits: int) -> tuple[int, ...]:
     return tuple([state >> i & 1 for i in range(nbits - 1, -1, -1)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPLIT_RANK_LIMIT)  # every rank split accepts; an entry is 3r - 1 int triples
 def _generators(nbits: int) -> tuple[tuple[int, int, int], ...]:
     """(direction v, self-pairing parity, swap mask) for the transvections at u_i, v_i, u_i + u_{i+1}.
 
@@ -206,7 +206,7 @@ def _generators(nbits: int) -> tuple[tuple[int, int, int], ...]:
                   ((v & even) << 1) | ((v >> 1) & even)) for v in dirs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DECOMPOSITION_RANK_LIMIT)  # every rank orbit_decomposition accepts: 2.7 MB at r = 10
 def _block_clears(nbits: int) -> tuple[int, ...]:
     """Per bit k, the bitset C_k of the states whose bit k is clear.
 
@@ -226,7 +226,7 @@ def _block_clears(nbits: int) -> tuple[int, ...]:
     return tuple(clears)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DECOMPOSITION_RANK_LIMIT)  # every rank orbit_decomposition accepts: 4 MB at r = 10
 def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """Per generator, the bitset P_v of states with psi(v) = 0 and the moves of its swap.
 
@@ -234,8 +234,8 @@ def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
     of B_k over the set bits k of v, complemented when that parity is 0.  XOR
     by the swap mask is one move (2^k, C_k) per set bit k: XOR by 2^k swaps
     each state in C_k with its partner 2^k above it, one mask-and-shift each
-    way.  Cached per rank: at r = 10 the 5r - 1 masks of 4^r bits hold about
-    6.5 MB.
+    way.  Cached per rank: at r = 10 the 3r - 1 masks of 4^r bits hold about
+    4 MB, and the C_k they share another 2.7 MB.
     """
     full = (1 << (1 << nbits)) - 1
     clears = _block_clears(nbits)

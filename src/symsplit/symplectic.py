@@ -31,6 +31,8 @@ from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, attrgetter, mul, neg, sub
 
+from .limits import VERIFY_RANK_LIMIT
+
 _setattr = object.__setattr__
 
 
@@ -532,7 +534,7 @@ def neg_identity(r: int) -> SymplecticMatrix:
     return SymplecticMatrix._trusted(tuple([tuple([*map(neg, row)]) for row in rows]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERIFY_RANK_LIMIT)  # every rank verify accepts; a rank-100 table holds about 6 MB
 def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[tuple[int, Callable], ...]], ...]:
     """Per direction of the seeded word generator, in draw order: ((a, op, b), updates).
 
@@ -554,7 +556,7 @@ def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[t
     return tuple(steps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERIFY_RANK_LIMIT)  # as _word_steps, whose directions these are
 def transvection_candidates(r: int) -> tuple[Vector, ...]:
     """The directions of `_word_steps` as `Vector`s, in its order; kept for perfbench and the tests."""
     r = _check_int(r, "rank", 1)
@@ -576,6 +578,8 @@ def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> Symp
     """
     n = _check_int(word_length, "word length", 0)
     r = _check_int(r, "rank", 1)
+    if not n:  # the empty word draws nothing and needs no step table
+        return SymplecticMatrix.identity(r)
     steps = _word_steps(r)
     cols = list(_identity_rows(2 * r))  # I is symmetric: its rows are its columns
     for _ in range(n):

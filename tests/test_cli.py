@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from symsplit import jacobi, quadratic, symplectic, verify
 from symsplit.cli import (_HANDLERS, ELEMENT_RANK_LIMIT, _decode_int, _library, _parse_psi,
-                          build_parser, element_from_document, element_to_document, main)
+                          _read_plain, build_parser, element_from_document, element_to_document, main)
 from symsplit.jacobi import JacobiElement, jacobi_identity, jmul, splits
 from symsplit.mcg import splitting_theorem_verdict
 from symsplit.quadratic import QuadraticRefinement, orbit_decomposition
@@ -872,6 +873,10 @@ DISPATCH_EDGES = [
     ["split", "--p", "3"], ["verify", "--r", "1", "--seed", "2"], ["mul", "--lhs"],
     ["split", "--p", "5", "--r", "1"], ["orbits", "--r", "1", "--format", "yaml"],
     ["orbits", "--r", "x"], ["orbits", "--r", "0"], ["inv", "--lhs", "no-such-document.json"],
+    ["verify", "--r", "1", "--samples", "2", "--seed", "-5"], ["mul", "--lhs", "x", "--psi", ""],
+    ["verify", "--r", "1", "--samples", "2", "--seed", "3", "--negative-control", "--negative-control"],
+    ["orbits", "--r", "1", "--format", "json", "--format", "table"], ["inv", "--lhs", "--psi", "11"],
+    ["orbits", "--r"], ["orbits", "--r", " 3"], ["orbits", "--r", "1_0"],
 ]
 
 
@@ -894,6 +899,104 @@ def _report_argv_with_a_stray_token(draw):
 @given(argv=_report_argv_with_a_stray_token())
 def test_dispatch_matches_the_single_top_level_parse_with_a_stray_token(argv):
     _assert_dispatch_matches_reference(argv)
+
+
+def _known_parse(command, tokens):
+    """(vars, leftovers) of a fresh command parser's `parse_known_args`, or None where it exits."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            args, extra = build_parser().commands[command].parse_known_args(tokens)
+        except SystemExit:
+            return None
+    return vars(args), extra
+
+
+def _options(command):
+    """The command's optional actions but help, as build_parser adds them."""
+    return [a for a in build_parser().commands[command]._actions
+            if a.option_strings and a.default is not argparse.SUPPRESS]
+
+
+def _value(action):
+    """A value argparse takes for the action, drawn among its choices, its ints or text."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(0, 10 ** 6).map(str)
+    return st.text(max_size=5).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def _plain_argv(draw):
+    """A command and its tokens in the plain form: each drawn option once, required ones always."""
+    command = draw(st.sampled_from(list(_HANDLERS)))
+    tokens = []
+    for action in draw(st.permutations([a for a in _options(command) if a.required or draw(st.booleans())])):
+        tokens.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs is None:
+            tokens.append(draw(_value(action)))
+    return command, tokens
+
+
+_EDGE_TOKENS = ["-h", "--help", "--", "-5", "", " 3", "1_0", "--r=1", "--format=json", "--sam",
+                "--neg", "x", "-x", "yaml", "3", "json", "--version"]
+
+
+@st.composite
+def _mixed_argv(draw):
+    """A plain argv with up to three tokens inserted, repeated or dropped."""
+    command, tokens = draw(_plain_argv())
+    options = [s for a in _options(command) for s in a.option_strings]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["edge", "option", "repeat", "drop"]))
+        if edit == "drop" and tokens:
+            del tokens[min(at, len(tokens) - 1)]
+        elif edit == "repeat" and tokens:
+            tokens.insert(at, draw(st.sampled_from(tokens)))
+        else:
+            tokens.insert(at, draw(st.sampled_from(_EDGE_TOKENS if edit == "edge" else options)))
+    return command, tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mixed_argv())
+def test_plain_reader_agrees_with_parse_known_args(case):
+    # the reader may leave any argv to argparse, but what it reads, it reads as argparse does
+    command, tokens = case
+    read = _read_plain(command, tokens)
+    assert read is None or _known_parse(command, tokens) == (vars(read), [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_plain_argv())
+def test_plain_reader_reads_every_plain_argv(case):
+    command, tokens = case
+    read = _read_plain(command, tokens)
+    assert read is not None and _known_parse(command, tokens) == (vars(read), [])
+
+
+def test_plain_reader_reads_every_golden_argv():
+    for case in GOLDEN_CASES.values():
+        command, *tokens = case["argv"]
+        read = _read_plain(command, tokens)
+        assert read is not None and _known_parse(command, tokens) == (vars(read), []), case["argv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--r", "1", "--r", "1"], ["orbits", "--r", "1", "--format", "json", "--format", "json"],
+    ["verify", "--r", "1", "--samples", "2", "--seed", "3", "--negative-control", "--negative-control"],
+    ["orbits", "--r", "1", "--format", "yaml"], ["split", "--p", "3", "--r", "1", "--format", "JSON"],
+    ["orbits"], ["split", "--p", "3"], ["verify", "--r", "1", "--seed", "2"], ["mul", "--lhs", "x"],
+    ["orbits", "--r", "1", "-h"], ["orbits", "--r=1"], ["verify", "--r", "1", "--sam", "2", "--seed", "3"],
+    ["orbits", "--", "--r", "1"], ["verify", "--r", "1", "--samples", "2", "--seed", "-5"],
+    ["orbits", "--r", "x"], ["orbits", "--r"], ["inv", "--lhs", "--psi", "11"], ["orbits", "--r", "1", "x"],
+], ids=shlex.join)
+def test_plain_reader_leaves_every_other_argv_to_argparse(argv):
+    # a repeat, a value outside the choices, a missing required option, help, "=", an abbreviation,
+    # "--", a negative number, a bad or missing value, a stray token
+    assert _read_plain(argv[0], argv[1:]) is None
 
 
 MARKED_COMMANDS = [["orbits", "--r", "2", "--format", "json"], ["split", "--p", "7", "--r", "3"],

@@ -17,6 +17,10 @@ imports it from there.  Likewise the operand rules have one guard each: the
 string "rank mismatch" is written once in the package, in
 `symplectic._same_rank`, and "modulus mismatch" once, in
 `Covector._compatible`; no older wording of either rule is left.
+
+Every `lru_cache` of the package names its `maxsize`, with the reason in a
+comment on the decorator's line; only a function of no arguments may keep
+`maxsize=None`.
 """
 
 from __future__ import annotations
@@ -158,3 +162,43 @@ def test_each_operand_rule_is_worded_once(message):
 @pytest.mark.parametrize("wording", REMOVED_WORDINGS)
 def test_no_older_wording_of_an_operand_rule_is_left(wording):
     assert [path.name for path in PACKAGE if wording in path.read_text()] == []
+
+
+def _unbounded_caches(source: str) -> list[str]:
+    """The functions whose `lru_cache` (or `cache`) names no maxsize, or whose decorator line has no comment.
+
+    maxsize=None passes only on a function of no arguments, which has one entry.
+    """
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        takes_arguments = any((a.posonlyargs, a.args, a.kwonlyargs, a.vararg, a.kwarg))
+        for decorator in node.decorator_list:
+            func = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) not in (
+                    "lru_cache", "cache"):
+                continue
+            keywords = decorator.keywords if isinstance(decorator, ast.Call) else []
+            maxsize = next((k.value for k in keywords if k.arg == "maxsize"), None)
+            unbounded = isinstance(maxsize, ast.Constant) and maxsize.value is None and takes_arguments
+            if maxsize is None or unbounded or "#" not in lines[decorator.end_lineno - 1]:
+                found.append(node.name)
+    return found
+
+
+def test_the_check_sees_an_unbounded_cache():
+    source = ("from functools import cache, lru_cache\nimport functools\n"
+              "@lru_cache\ndef a(x): ...\n@lru_cache(8)  # no keyword\ndef b(x): ...\n"
+              "@functools.cache  # unbounded\ndef c(x): ...\n@lru_cache(maxsize=None)  # reason\ndef d(x): ...\n"
+              "@lru_cache(maxsize=4)\ndef e(x): ...\n@lru_cache(maxsize=4)  # reason\ndef f(x): ...\n"
+              "@lru_cache(maxsize=None)  # one entry\ndef g(): ...\n")
+    assert _unbounded_caches(source) == ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_cache_states_its_bound(path):
+    # each cache names its maxsize, with a comment on the decorator's line giving the reason
+    assert _unbounded_caches(path.read_text()) == []

@@ -681,6 +681,15 @@ def test_word_column_updates_match_transvection_products(r):
             assert fast_rng.random() == slow_rng.random()  # the generator advanced identically
 
 
+def test_empty_word_builds_no_step_table():
+    # the step table of rank 100 takes about 0.4 s and 6 MB; the empty word needs none of it
+    rng = random.Random(5)
+    state, cached = rng.getstate(), _word_steps.cache_info().currsize
+    assert random_symplectic_word(100, 0, rng) == SymplecticMatrix.identity(100)
+    assert _word_steps.cache_info().currsize == cached
+    assert rng.getstate() == state
+
+
 def test_word_length_and_rank_are_checked():
     with pytest.raises(ValueError, match=r"^rank must be a positive integer, got 0$"):
         random_symplectic_word(0, 3, random.Random(0))
