@@ -43,6 +43,7 @@ _QUADRATIC = "src/symsplit/quadratic.py"
 _COCYCLES = "src/symsplit/cocycles.py"
 _VERIFY = "src/symsplit/verify.py"
 _MCG = "src/symsplit/mcg.py"
+_JACOBI = "src/symsplit/jacobi.py"
 _DISPATCH_ORACLE = ("tests/test_cli.py::test_dispatch_matches_the_single_top_level_parse",
                     "tests/test_cli.py::test_one_parser_serves_every_call_like_a_fresh_process")
 _PLAIN_ONLY = "tests/test_cli.py::test_plain_reader_leaves_every_other_argv_to_argparse"
@@ -52,6 +53,7 @@ _PAIRED_DISPATCH = "tests/test_symplectic.py::test_wide_rank_6_checks_and_produc
 _OFF_BY_ONE = "tests/test_symplectic.py::test_wide_document_off_by_one_is_refused"
 _TRUSTED_INVERSE = "tests/test_symplectic.py::test_inverse_of_wide_trusted_non_member_raises"
 _WORD_ORACLE = "tests/test_symplectic.py::test_word_column_updates_match_transvection_products"
+_SAMPLER_RANGES = ("tests/test_verify.py::test_samplers_cover_their_ranges",)
 _PRODUCT_ORACLES = ("tests/test_symplectic.py::test_product_matches_triple_loop_oracle",
                     "tests/test_symplectic.py::test_both_product_paths_match_reference_matmul")
 
@@ -154,7 +156,8 @@ CATALOGUE = (
     # guards on operands of different rank or modulus: one guard and one message per rule
     Mutant("G1", "qdifference without its rank guard", _QUADRATIC,
            "    _same_rank(psi1.nbits, psi0.nbits)\n", "",
-           ("tests/test_jacobi.py::test_operands_of_different_rank_or_modulus_are_refused",)),
+           ("tests/test_jacobi.py::test_operands_of_different_rank_or_modulus_are_refused",
+            "tests/test_quadratic.py::test_difference_of_refinements_of_different_rank_is_refused")),
     Mutant("R1", "the rank guard never raises", _SYMPLECTIC,
            "    if m != n:\n        raise ValueError(\"rank mismatch\")\n", "    pass\n",
            ("tests/test_jacobi.py::test_operands_of_different_rank_or_modulus_are_refused",
@@ -195,7 +198,8 @@ CATALOGUE = (
             "tests/test_cli.py::test_golden_report_outputs")),
     Mutant("J1", "verify's JSON seed is written raw", _CLI,
            "        seed = _encode_int(args.seed)\n", "        seed = args.seed\n",
-           ("tests/test_cli.py::test_every_json_output_is_safe_for_64_bit_readers",)),
+           ("tests/test_cli.py::test_every_json_output_is_safe_for_64_bit_readers",
+            "tests/test_cli.py::test_verify_json_seed_is_a_string_exactly_past_int64")),
     # one splitting verdict printed for both models; only MCGModel asks for a multiple of 4
     Mutant("S1", "the homotopy row reports modulus 0", _CLI,
            "    v, m = theorem.verdict, theorem.params.homotopy_modulus\n", "    v, m = theorem.verdict, 0\n",
@@ -203,7 +207,15 @@ CATALOGUE = (
             "tests/test_cli.py::test_golden_report_outputs")),
     Mutant("S2", "MCGModel's divisibility check asks for an even modulus", _MCG,
            "        if modulus % 4:\n", "        if modulus % 2:\n",
-           ("tests/test_mcg.py::test_homotopy_modulus_has_one_validator",)),
+           ("tests/test_mcg.py::test_homotopy_modulus_has_one_validator",
+            "tests/test_mcg.py::test_model_accepts_exactly_the_multiples_of_4")),
+    # the seeded samplers draw from their whole ranges, one call per sampled value
+    Mutant("B1", "integer covectors never draw 99", _VERIFY,
+           "range(-99, 100)", "range(-99, 99)", _SAMPLER_RANGES),
+    Mutant("B2", "a member's noise never draws 9", _JACOBI,
+           "range(-9, 10)", "range(-9, 9)", _SAMPLER_RANGES),
+    Mutant("B3", "a refinement draws one bit short", _VERIFY,
+           "getrandbits(2 * r)", "getrandbits(2 * r - 1)", _SAMPLER_RANGES),
     # the exit codes of a failed internal check and of running out of memory
     Mutant("E1", "a failed internal check exits 2", _CLI,
            "return 1 if isinstance(exc, ArithmeticError) else 2", "return 2",

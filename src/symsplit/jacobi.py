@@ -153,10 +153,6 @@ def random_member(psi: QuadraticRefinement, modulus: int, rng: random.Random,
     length = rng.randint(0, _check_int(word_length, "word length", 0))
     a = random_symplectic_word(psi.rank, length, rng)
     xbar = principal_at(psi, a)
-    n = 2 * psi.rank
-    if modulus == 0:
-        noise = [rng.randint(-9, 9) for _ in range(n)]
-    else:
-        noise = [rng.randrange(modulus) for _ in range(n)]
+    noise = rng.choices(range(-9, 10) if modulus == 0 else range(modulus), k=2 * psi.rank)
     coords = tuple([b + 2 * t for b, t in zip(xbar.coords, noise)])
     return JacobiElement(Covector._trusted(coords, modulus), a)

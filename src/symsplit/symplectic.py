@@ -539,7 +539,7 @@ def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[t
     """Per direction of the seeded word generator, in draw order: ((a, op, b), updates).
 
     This defines the order: u_1..u_r, v_1..v_r, then u_i + v_j, then
-    u_i - v_j, with i outer and j inner.  `rng.choice` draws a step by its
+    u_i - v_j, with i outer and j inner.  `rng.choices` draws a step by its
     index, so the order fixes every seeded word.  The direction is e_a op e_b
     (op add or sub), or e_a when op is None (b is then a).  updates holds
     (j, add) where phi(v, e_j) = 1 and (j, sub) where it is -1.
@@ -573,17 +573,16 @@ def random_symplectic_word(r: int, word_length: int, rng: random.Random) -> Symp
     column or the sum or difference of two, so a step is up to three C-level
     maps of add or sub (`_word_steps`), O(r) work with no multiplication.
     The columns live in one mutable list, an updated column replacing its
-    entry, and are frozen into a matrix once, at the end.  rng draws exactly
-    as `rng.choice(transvection_candidates(r))` would, once per step.
+    entry, and are frozen into a matrix once, at the end.  rng draws the
+    whole word at once, exactly as `rng.choices(transvection_candidates(r),
+    k=word_length)` would.
     """
     n = _check_int(word_length, "word length", 0)
     r = _check_int(r, "rank", 1)
     if not n:  # the empty word draws nothing and needs no step table
         return SymplecticMatrix.identity(r)
-    steps = _word_steps(r)
     cols = list(_identity_rows(2 * r))  # I is symmetric: its rows are its columns
-    for _ in range(n):
-        (a, op, b), updates = rng.choice(steps)
+    for (a, op, b), updates in rng.choices(_word_steps(r), k=n):
         av = cols[a] if op is None else [*map(op, cols[a], cols[b])]
         for j, f in updates:
             cols[j] = [*map(f, cols[j], av)]

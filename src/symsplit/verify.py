@@ -2,9 +2,12 @@
 
 A suite is a generator: it yields one bool per check, in a fixed order, and
 its total is the number of checks it yields.  All suites draw from one shared
-seeded generator in `_SUITES` order, so a fixed (r, samples, seed) triple
-always produces the same report, and a new or moved draw in one suite changes
-the samples of every later suite.  The `verify` goldens hold pass counts, so
+seeded generator in `_SUITES` order, one draw call per sampled value: a
+refinement is one `getrandbits(2r)`, a covector or a member's noise one
+`choices` of all its coordinates, a word one `randint` for its length and one
+`choices` of all its steps.  So a fixed (r, samples, seed) triple always
+produces the same report, and a new or moved draw in one suite changes the
+samples of every later suite.  The `verify` goldens hold pass counts, so
 such a change alters one only if a check then fails.
 """
 
@@ -34,15 +37,11 @@ class SuiteResult(_Value):
 
 
 def _random_refinement(r: int, rng: random.Random) -> QuadraticRefinement:
-    return QuadraticRefinement(tuple([rng.randint(0, 1) for _ in range(2 * r)]))
+    return QuadraticRefinement._trusted(2 * r, rng.getrandbits(2 * r))
 
 
 def _random_covector(r: int, modulus: int, rng: random.Random) -> Covector:
-    if modulus == 0:
-        coords = tuple([rng.randint(-99, 99) for _ in range(2 * r)])
-    else:
-        coords = tuple([rng.randrange(modulus) for _ in range(2 * r)])
-    return Covector(coords, modulus)
+    return Covector(rng.choices(range(-99, 100) if modulus == 0 else range(modulus), k=2 * r), modulus)
 
 
 def _word(r: int, rng: random.Random) -> SymplecticMatrix:

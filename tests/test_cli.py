@@ -390,6 +390,15 @@ def test_every_json_output_is_safe_for_64_bit_readers(tmp_path, capsys):
         assert json.loads(reports[shlex.join(argv)])["modulus"] == str(1 << 64)
 
 
+@pytest.mark.parametrize("seed, wire", [(INT64_MAX, INT64_MAX), (INT64_MAX + 1, str(INT64_MAX + 1))])
+def test_verify_json_seed_is_a_string_exactly_past_int64(capsys, seed, wire):
+    code, out, err = _run(capsys, "verify", "--r", "1", "--samples", "1", "--seed", str(seed), "--format", "json")
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    assert report["seed"] == report["parameters"]["seed"] == wire
+    assert type(report["seed"]) is type(wire)
+
+
 @pytest.mark.parametrize("bad, message", [
     (True, "expected an integer"),
     (1.5, "expected an integer or decimal string, got 1.5"),

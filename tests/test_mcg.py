@@ -241,6 +241,16 @@ def test_homotopy_modulus_has_one_validator():
     assert type(model.modulus) is int and model.modulus == 8
 
 
+def test_model_accepts_exactly_the_multiples_of_4():
+    params, base = ManifoldParams(7, 1), QuadraticRefinement.zero(1)
+    for m in range(65):
+        if m % 4:
+            with pytest.raises(ValueError, match="divisible by 4"):
+                MCGModel(params, m, base)
+        else:
+            assert MCGModel(params, m, base).modulus == m
+
+
 def test_twists_generate_the_fiber():
     # products of the 2r twist generators with even coefficients reach every
     # even covector over the identity matrix

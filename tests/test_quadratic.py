@@ -201,6 +201,14 @@ def test_translate_difference_round_trip(r, data):
     assert qtranslate(psi0, qdifference(psi1, psi0)) == psi1
 
 
+def test_difference_of_refinements_of_different_rank_is_refused():
+    # without the guard the XOR of the states would read as a covector of the first rank
+    psi2, psi1 = QuadraticRefinement.arf_one(2), QuadraticRefinement.arf_one(1)
+    for a, b in ((psi2, psi1), (psi1, psi2)):
+        with pytest.raises(ValueError, match="^rank mismatch$"):
+            qdifference(a, b)
+
+
 def test_translate_modulus_guard():
     psi = QuadraticRefinement((0, 0))
     with pytest.raises(ValueError):

@@ -652,7 +652,7 @@ def test_form_signs_match_explicit_gram_matrix(r):
 
 @pytest.mark.parametrize("r", range(1, 5))
 def test_word_directions_keep_their_order(r):
-    # rng.choice draws a step by its index, so this order fixes every seeded word
+    # rng.choices draws each step of a word by its index, so this order fixes every seeded word
     us = [Vector.u(r, i) for i in range(1, r + 1)]
     vs = [Vector.v(r, i) for i in range(1, r + 1)]
     expected = us + vs + [u + v for u in us for v in vs] + [u - v for u in us for v in vs]
@@ -663,8 +663,8 @@ def _word_by_products(r, length, rng):
     # the definition the column updates replace: candidate transvections multiplied under *
     candidates = transvection_candidates(r)
     acc = SymplecticMatrix.identity(r)
-    for _ in range(length):
-        acc = acc * transvection(rng.choice(candidates))
+    for v in rng.choices(candidates, k=length):
+        acc = acc * transvection(v)
     return acc
 
 
