@@ -50,6 +50,7 @@ _PLAIN_ONLY = "tests/test_cli.py::test_plain_reader_leaves_every_other_argv_to_a
 _PLAIN_ORACLE = "tests/test_cli.py::test_plain_reader_agrees_with_parse_known_args"
 _CLOSED_STDOUT = ("tests/test_cli.py::test_closed_stdout_is_an_input_error_without_a_traceback",)
 _PAIRED_DISPATCH = "tests/test_symplectic.py::test_wide_rank_6_checks_and_products_take_the_paired_path"
+_PAIRING_TABLE = "tests/test_symplectic.py::test_pairing_pays_on_crafted_rows"
 _OFF_BY_ONE = "tests/test_symplectic.py::test_wide_document_off_by_one_is_refused"
 _TRUSTED_INVERSE = "tests/test_symplectic.py::test_inverse_of_wide_trusted_non_member_raises"
 _WORD_ORACLE = "tests/test_symplectic.py::test_word_column_updates_match_transvection_products"
@@ -59,11 +60,9 @@ _PRODUCT_ORACLES = ("tests/test_symplectic.py::test_product_matches_triple_loop_
 
 CATALOGUE = (
     # one parse per CLI call
-    Mutant("M1", "tokens the command parser leaves over are not reported", _CLI,
-           "                if extra:\n", "                if False:\n", _DISPATCH_ORACLE),
-    Mutant("M2", "leftover tokens reported by the command parser's error, not the top-level one",
-           _CLI, "                    parser.error(f\"unrecognized arguments:",
-           "                    parser.commands[command].error(f\"unrecognized arguments:", _DISPATCH_ORACLE),
+    Mutant("M1", "the top-level parse ignores leftover tokens", _CLI,
+           "            args = parser.parse_args(argv)\n",
+           "            args = parser.parse_known_args(argv)[0]\n", _DISPATCH_ORACLE),
     Mutant("M3", "dispatch on a prefix of a command name", _CLI,
            "    command = argv[0] if argv else None\n",
            "    command = next((name for name in parser.commands if argv and argv[0]\n"
@@ -103,16 +102,16 @@ CATALOGUE = (
            "    if True:\n        return False",
            (_PAIRED_DISPATCH, _OFF_BY_ONE, _TRUSTED_INVERSE)),
     Mutant("D2", "width-ratio rule dropped", _SYMPLECTIC,
-           " and 2 * hi <= 3 * lo\n", "\n", (_PAIRED_DISPATCH,)),
+           " and 2 * hi <= 3 * lo\n", "\n", (_PAIRED_DISPATCH, _PAIRING_TABLE)),
     Mutant("D3", "one-row products paired", _SYMPLECTIC,
            "if len(a) > 1 and _pairing_pays(row, cols[0]):", "if _pairing_pays(row, cols[0]):",
            (_PAIRED_DISPATCH, _OFF_BY_ONE)),
     Mutant("D4", "narrow-entry rule dropped", _SYMPLECTIC,
            "\n            and 4 * min(map(abs, (*x, *y))).bit_length() >= hi)", ")",
-           (_PAIRED_DISPATCH,)),
+           (_PAIRED_DISPATCH, _PAIRING_TABLE)),
     Mutant("D5", "the form check probes w_0 alone", _SYMPLECTIC,
            "if _pairing_pays(vectors[0], vectors[1]):", "if _pairing_pays(vectors[0], vectors[0]):",
-           (_PAIRED_DISPATCH,)),
+           (_PAIRED_DISPATCH, "tests/test_symplectic.py::test_form_check_pairs_on_w0_and_w1_not_on_w0_alone")),
     # unit-coefficient word steps and products by C-level adds and subtracts
     Mutant("U1", "a word update subtracts by adding", _SYMPLECTIC,
            "(j, add if c == 1 else sub) for j", "(j, add if c == 1 else add) for j",
@@ -219,11 +218,13 @@ CATALOGUE = (
     # the exit codes of a failed internal check and of running out of memory
     Mutant("E1", "a failed internal check exits 2", _CLI,
            "return 1 if isinstance(exc, ArithmeticError) else 2", "return 2",
-           ("tests/test_cli.py::test_failed_internal_check_is_a_property_failure_without_a_traceback",)),
+           ("tests/test_cli.py::test_failed_internal_check_is_a_property_failure_without_a_traceback",
+            "tests/test_cli.py::test_an_arithmetic_error_in_a_handler_exits_1")),
     Mutant("E2", "running out of memory exits 1", _CLI,
            "\"error: out of memory\", file=sys.stderr)\n            return 2",
            "\"error: out of memory\", file=sys.stderr)\n            return 1",
-           ("tests/test_cli.py::test_running_out_of_memory_is_an_input_error_without_a_traceback",)),
+           ("tests/test_cli.py::test_running_out_of_memory_is_an_input_error_without_a_traceback",
+            "tests/test_cli.py::test_a_memory_error_in_a_handler_exits_2")),
 )
 
 

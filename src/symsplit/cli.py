@@ -16,7 +16,7 @@ code 2, so no error ends in a traceback.  JSON reports are byte-deterministic
 for fixed inputs and seed, and embed the seed and package version.
 A command line in the plain form (exact option strings, each once with one
 valid value) is read straight from the command's own argparse action table;
-argparse parses every other line, so it words every help text and error.
+one top-level argparse parse reads every other line and words all help and errors.
 """
 
 from __future__ import annotations
@@ -412,14 +412,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = argv[1:]  # the end-of-options marker before a command, read as newer argparse reads it
     command = argv[0] if argv else None
     try:
-        if command in parser.commands:
-            args = _read_plain(command, argv[1:])
-            if args is None:
-                # one parse, by the command's own parser; leftovers are worded as parse_args words them
-                args, extra = parser.commands[command].parse_known_args(argv[1:])
-                if extra:
-                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        else:  # no argv, -h, --version, an unknown command or an option first
+        args = _read_plain(command, argv[1:]) if command in parser.commands else None
+        if args is None:
             args = parser.parse_args(argv)
             command = args.command
     except SystemExit as exc:

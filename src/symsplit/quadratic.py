@@ -206,15 +206,20 @@ def _generators(nbits: int) -> tuple[tuple[int, int, int], ...]:
                   ((v & even) << 1) | ((v >> 1) & even)) for v in dirs)
 
 
-@lru_cache(maxsize=DECOMPOSITION_RANK_LIMIT)  # every rank orbit_decomposition accepts: 2.7 MB at r = 10
-def _block_clears(nbits: int) -> tuple[int, ...]:
-    """Per bit k, the bitset C_k of the states whose bit k is clear.
+@lru_cache(maxsize=DECOMPOSITION_RANK_LIMIT)  # every rank orbit_decomposition accepts: 6.7 MB at r = 10
+def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Per generator, the bitset P_v of states with psi(v) = 0 and the moves of its swap.
 
-    Over the 2^nbits states a bitset has bit s set when state s is in it.
-    C_k repeats 2^k set and 2^k clear bits; its complement B_k holds the
-    states whose bit k is set.  Cached per rank.
+    Over the 2^nbits states a bitset has bit s set when state s is in it.  C_k,
+    the states with bit k clear, repeats 2^k set and 2^k clear bits; B_k is its
+    complement.  psi(v) is popcount(s & v) plus the self-pairing parity, so P_v
+    is the XOR of B_k over the set bits k of v, complemented when that parity
+    is 0.  XOR by the swap mask is one move (2^k, C_k) per set bit k: it swaps
+    each state in C_k with its partner 2^k above it.  Cached per rank: at r = 10
+    the 3r - 1 masks of 4^r bits and the C_k hold about 6.7 MB.
     """
     size = 1 << nbits
+    full = (1 << size) - 1
     clears = []
     for k in range(nbits):
         width = 1 << k
@@ -223,22 +228,6 @@ def _block_clears(nbits: int) -> tuple[int, ...]:
             clear |= clear << period
             period *= 2
         clears.append(clear)
-    return tuple(clears)
-
-
-@lru_cache(maxsize=DECOMPOSITION_RANK_LIMIT)  # every rank orbit_decomposition accepts: 4 MB at r = 10
-def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Per generator, the bitset P_v of states with psi(v) = 0 and the moves of its swap.
-
-    psi(v) is popcount(s & v) plus the self-pairing parity, so P_v is the XOR
-    of B_k over the set bits k of v, complemented when that parity is 0.  XOR
-    by the swap mask is one move (2^k, C_k) per set bit k: XOR by 2^k swaps
-    each state in C_k with its partner 2^k above it, one mask-and-shift each
-    way.  Cached per rank: at r = 10 the 3r - 1 masks of 4^r bits hold about
-    4 MB, and the C_k they share another 2.7 MB.
-    """
-    full = (1 << (1 << nbits)) - 1
-    clears = _block_clears(nbits)
     steps = []
     for v, par, swap in _generators(nbits):
         odd = 0

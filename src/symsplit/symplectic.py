@@ -556,7 +556,6 @@ def _word_steps(r: int) -> tuple[tuple[tuple[int, Callable | None, int], tuple[t
     return tuple(steps)
 
 
-@lru_cache(maxsize=VERIFY_RANK_LIMIT)  # as _word_steps, whose directions these are
 def transvection_candidates(r: int) -> tuple[Vector, ...]:
     """The directions of `_word_steps` as `Vector`s, in its order; kept for perfbench and the tests."""
     r = _check_int(r, "rank", 1)

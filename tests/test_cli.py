@@ -829,6 +829,23 @@ def test_running_out_of_memory_is_an_input_error_without_a_traceback(capsys):
     assert orbits(10, limit) == (2, "", "error: out of memory\n")
 
 
+def test_an_arithmetic_error_in_a_handler_exits_1(capsys, monkeypatch):
+    def failing(args, lib):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setitem(_HANDLERS, "coeff", failing)
+    assert _run(capsys, "coeff", "--jmax", "2") == (1, "", "error: boom\n")
+
+
+def test_a_memory_error_in_a_handler_exits_2(capsys, monkeypatch):
+    # in process, so it runs where `resource` and its address-space limit do not exist
+    def failing(args, lib):
+        raise MemoryError
+
+    monkeypatch.setitem(_HANDLERS, "coeff", failing)
+    assert _run(capsys, "coeff", "--jmax", "2") == (2, "", "error: out of memory\n")
+
+
 def _reference_main(argv):
     """The reference route: one top-level `parse_args`, then the handler named by `args.command`."""
     try:

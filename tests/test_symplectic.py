@@ -515,6 +515,37 @@ def test_wide_rank_6_checks_and_products_take_the_paired_path(monkeypatch):
     assert calls == {"_pairs_as_basis_paired": 2, "_winograd": 1}
 
 
+def _row_of_width(bits, narrow_entry=None):
+    """Twelve entries of exactly `bits` bits, the last one of `narrow_entry` bits if given."""
+    row = [(1 << (bits - 1)) + i for i in range(12)]
+    if narrow_entry is not None:
+        row[-1] = 1 << (narrow_entry - 1)
+    return tuple(row)
+
+
+@pytest.mark.parametrize("x, y, pays", [
+    (_row_of_width(1000), _row_of_width(1000), True),
+    (_row_of_width(1000), _row_of_width(990), True),
+    (_row_of_width(1000), _row_of_width(500), False),  # the wider factor is twice as wide
+    (_row_of_width(500), _row_of_width(1000), False),
+    (_row_of_width(1000, narrow_entry=100), _row_of_width(1000), False),  # one nearly free product
+    (_row_of_width(1000), _row_of_width(1000, narrow_entry=100), False),
+    (_row_of_width(200), _row_of_width(1000), False),  # a narrow x, decided on its own row
+], ids=["equal", "near", "half-width-y", "half-width-x", "narrow-entry-x", "narrow-entry-y", "narrow-x"])
+def test_pairing_pays_on_crafted_rows(x, y, pays):
+    assert symplectic._pairing_pays(x, y) is pays
+
+
+def test_form_check_pairs_on_w0_and_w1_not_on_w0_alone(monkeypatch):
+    # a wide w_0 with a narrow w_1 keeps the plain path; two wide ones take the paired one
+    calls = _count_paired_calls(monkeypatch, names=("_pairs_as_basis_paired",))
+    units = _identity_rows(12)
+    _pairs_as_basis((_row_of_width(1000), *units[1:]))
+    assert calls == {}
+    _pairs_as_basis((_row_of_width(1000), _row_of_width(1000), *units[2:]))
+    assert calls == {"_pairs_as_basis_paired": 1}
+
+
 def _wide_document_off_by_one(tmp_path):
     """A wide rank-6 element document of the `arith` benchmark, and a copy with one entry
     of its matrix moved by 1."""
