@@ -57,6 +57,10 @@ _WORD_ORACLE = "tests/test_symplectic.py::test_word_column_updates_match_transve
 _SAMPLER_RANGES = ("tests/test_verify.py::test_samplers_cover_their_ranges",)
 _PRODUCT_ORACLES = ("tests/test_symplectic.py::test_product_matches_triple_loop_oracle",
                     "tests/test_symplectic.py::test_both_product_paths_match_reference_matmul")
+_CLOSURE_ORACLES = ("tests/test_quadratic.py::test_orbit_of_frozen_rank_one",
+                    "tests/test_quadratic.py::test_generator_closure_matches_all_directions_every_start",
+                    "tests/test_quadratic.py::test_bitset_closure_matches_breadth_first_search",
+                    "tests/test_quadratic.py::test_last_orbit_stopped_by_its_complement_is_whole")
 
 CATALOGUE = (
     # one parse per CLI call
@@ -152,6 +156,13 @@ CATALOGUE = (
            "(s & s >> 1 & _pair_mask(psi.nbits))", "(s & s >> 1)",
            ("tests/test_quadratic.py::test_arf_is_the_per_pair_sum",
             "tests/test_quadratic.py::test_arf_is_orbit_invariant")),
+    # the orbit closure's two stopping rules: a quiet cycle of every generator, or a filled complement
+    Mutant("O1", "the quiet streak stops one application short", _QUADRATIC,
+           "if quiet == len(steps):", "if quiet == len(steps) - 1:", _CLOSURE_ORACLES),
+    Mutant("O2", "a growing step does not reset the quiet streak", _QUADRATIC,
+           "orbit, quiet = grown, 0\n", "orbit = grown\n", _CLOSURE_ORACLES),
+    Mutant("O3", "the fill stop tests containment, not equality", _QUADRATIC,
+           "if orbit == rest:", "if orbit & rest == orbit:", _CLOSURE_ORACLES),
     # guards on operands of different rank or modulus: one guard and one message per rule
     Mutant("G1", "qdifference without its rank guard", _QUADRATIC,
            "    _same_rank(psi1.nbits, psi0.nbits)\n", "",

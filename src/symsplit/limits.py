@@ -9,7 +9,7 @@ help, so importing this module loads nothing else.  README has the timings.
 ELEMENT_RANK_LIMIT = 50
 # enumerate_refinements builds one object per refinement: 2^20 at rank 10, 1.4 s and 140 MB
 ENUMERATION_RANK_LIMIT = 9
-# orbit_decomposition keeps each orbit as one 4^r-bit int: about 0.05 s at rank 10
+# orbit_decomposition keeps each orbit as one 4^r-bit int: about 0.02 s at rank 10
 DECOMPOSITION_RANK_LIMIT = 10
 # a verdict without a witness reports 4^r candidates; 4^31 is the largest that fits in int64
 SPLIT_RANK_LIMIT = 31

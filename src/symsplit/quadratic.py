@@ -217,6 +217,17 @@ def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
     is 0.  XOR by the swap mask is one move (2^k, C_k) per set bit k: it swaps
     each state in C_k with its partner 2^k above it.  Cached per rank: at r = 10
     the 3r - 1 masks of 4^r bits and the C_k hold about 6.7 MB.
+
+    One step per generator, in this order: the pair-mixing u_i + u_{i+1} from
+    i = r - 1 down to 1, then v_r, u_r, ..., v_1, u_1.  The mixing
+    transvections commute with one another, as do any two at different
+    pairs, so one pass over the mixing steps closes a set under the whole
+    group they generate, and one pass over the single steps applies v_i then
+    u_i at every pair at once.  Kept whole, these two blocks take half the
+    applications of `_generators` order: an `orbit_decomposition` takes
+    15r - 9 at r >= 3 instead of 30r - 10 at r >= 5.  Inside a block the
+    order of the pairs leaves the set after it unchanged; top down, the last
+    orbit fills its complement two steps sooner.
     """
     size = 1 << nbits
     full = (1 << size) - 1
@@ -236,26 +247,35 @@ def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
                 odd ^= full ^ clears[k]
         moves = tuple((1 << k, clears[k]) for k in range(nbits) if swap >> k & 1)
         steps.append((odd if par else full ^ odd, moves))
-    return tuple(steps)
+    # _generators lists u_i, v_i, u_i + u_{i+1} for each pair i in turn
+    singles = [step for i, step in enumerate(steps) if i % 3 != 2]
+    return tuple(steps[2::3][::-1] + singles[::-1])
 
 
-def _orbit_bitset(start: int, nbits: int) -> int:
-    """The orbit of a state as a bitset: closure rounds of S |= perm_v(S & P_v) until one adds nothing.
+def _orbit_bitset(start: int, nbits: int, rest: int) -> int:
+    """The orbit of a state as a bitset: steps S |= perm_v(S & P_v), cycling through the generators.
 
-    Each generator already sees what the ones before it in the round added,
-    so at every r up to 10 an orbit closes within five rounds.
+    It stops once len(steps) steps in a row add nothing, since S is then
+    closed under every generator, or once S equals rest: a union of orbits
+    that holds start, such as the complement of the orbits already closed,
+    which the group maps onto itself, so S cannot grow past it.
     """
     steps = _closure_steps(nbits)
-    orbit = 1 << start
+    orbit, quiet = 1 << start, 0
     while True:
-        before = orbit
         for zero_at_v, moves in steps:
             moved = orbit & zero_at_v
             for shift, clear in moves:
                 moved = ((moved & clear) << shift) | ((moved >> shift) & clear)
-            orbit |= moved
-        if orbit == before:
-            return orbit
+            grown = orbit | moved
+            if grown != orbit:
+                orbit, quiet = grown, 0
+                if orbit == rest:
+                    return orbit
+            else:
+                quiet += 1
+                if quiet == len(steps):
+                    return orbit
 
 
 def is_group_fixed(psi: QuadraticRefinement) -> bool:
@@ -286,7 +306,7 @@ def orbit_decomposition(r: int) -> OrbitReport:
     classes: list[OrbitClass] = []
     while seen != everything:
         s = (~seen & (seen + 1)).bit_length() - 1  # the lowest clear bit of seen
-        orbit = _orbit_bitset(s, n)
+        orbit = _orbit_bitset(s, n, everything & ~seen)
         if orbit & seen:
             raise ArithmeticError("orbits overlap")
         seen |= orbit

@@ -12,6 +12,7 @@ from symsplit.jacobi import JacobiElement, gamma_psi_member, splits
 from symsplit.quadratic import (
     QuadraticRefinement,
     _bits_of,
+    _closure_steps,
     _generators,
     _orbit_bitset,
     _state_of,
@@ -256,13 +257,13 @@ def test_fast_orbit_step_matches_generic_action():
                 moved = qact(psi, t)
                 if qeval(psi, v) == 1:
                     assert moved == psi
-                assert _orbit_bitset(psi.state, 2 * r) >> moved.state & 1
+                assert _orbit_bitset(psi.state, 2 * r, _full(2 * r)) >> moved.state & 1
 
 
 def test_orbit_of_frozen_rank_one():
     # bit s stands for state s: the zero refinement's orbit is states 0, 1, 2; Arf one's is 3 alone
-    assert _orbit_bitset(0, 2) == 0b0111
-    assert _orbit_bitset(3, 2) == 0b1000
+    assert _orbit_bitset(0, 2, _full(2)) == 0b0111
+    assert _orbit_bitset(3, 2, _full(2)) == 0b1000
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 9, 10])
@@ -277,7 +278,7 @@ def test_orbit_decomposition_against_formulas(r):
 
 def test_orbit_decomposition_rejects_overlapping_orbits(monkeypatch):
     # a closure that also reaches state 0 from every start makes the second orbit overlap the first
-    monkeypatch.setattr(quadratic, "_orbit_bitset", lambda start, nbits: (1 << start) | 1)
+    monkeypatch.setattr(quadratic, "_orbit_bitset", lambda start, nbits, rest: (1 << start) | 1)
     with pytest.raises(ArithmeticError, match="overlap"):
         orbit_decomposition(1)
 
@@ -325,6 +326,11 @@ def _bitset(states):
     return sum(1 << s for s in states)
 
 
+def _full(nbits):
+    """The set of every state, the `rest` that lets a closure stop only on a quiet cycle."""
+    return (1 << (1 << nbits)) - 1
+
+
 def _all_directions_closure(start, nbits):
     """Closure of a state under the transvections at every nonzero direction."""
     even = sum(1 << i for i in range(0, nbits, 2))
@@ -356,7 +362,7 @@ def test_generator_closure_matches_all_directions_every_start(r):
     n = 2 * r
     assert len(_generators(n)) == 3 * r - 1
     for start in range(1 << n):
-        orbit = _orbit_bitset(start, n)
+        orbit = _orbit_bitset(start, n, _full(n))
         assert orbit == _bitset(_all_directions_closure(start, n))
         assert orbit == _bitset(_orbit_states(start, n))
 
@@ -364,7 +370,7 @@ def test_generator_closure_matches_all_directions_every_start(r):
 def test_generator_closure_matches_all_directions_rank_four():
     rng = random.Random(2024)
     for start in rng.sample(range(1 << 8), 20):
-        assert _orbit_bitset(start, 8) == _bitset(_all_directions_closure(start, 8))
+        assert _orbit_bitset(start, 8, _full(8)) == _bitset(_all_directions_closure(start, 8))
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
@@ -372,7 +378,36 @@ def test_bitset_closure_matches_breadth_first_search(r):
     n = 2 * r
     rng = random.Random(300 + r)
     for start in rng.sample(range(1 << n), 20):
-        assert _orbit_bitset(start, n) == _bitset(_orbit_states(start, n))
+        assert _orbit_bitset(start, n, _full(n)) == _bitset(_orbit_states(start, n))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_closure_steps_permute_the_generators(r):
+    # each step rebuilt from its definition, state by state, in _generators order
+    n = 2 * r
+    states = range(1 << n)
+    clears = [_bitset(s for s in states if not s >> k & 1) for k in range(n)]
+    built = [(_bitset(s for s in states if not ((s & v).bit_count() ^ par) & 1),
+              tuple((1 << k, clears[k]) for k in range(n) if swap >> k & 1))
+             for v, par, swap in _generators(n)]
+    steps = _closure_steps(n)
+    assert sorted(steps) == sorted(built)  # a permutation: no generator dropped or repeated
+    # the documented order: u_i + u_{i+1} for i = r - 1 .. 1, then v_r, u_r, ..., v_1, u_1
+    mixing = [built[3 * i + 2] for i in range(r - 2, -1, -1)]
+    singles = [built[3 * i + j] for i in range(r - 1, -1, -1) for j in (1, 0)]
+    assert list(steps) == mixing + singles
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_last_orbit_stopped_by_its_complement_is_whole(r):
+    # the second orbit, closed as orbit_decomposition closes it, stops when it fills the complement
+    n = 2 * r
+    rest = _full(n) & ~_orbit_bitset(0, n, _full(n))
+    start = (rest & -rest).bit_length() - 1
+    last = _orbit_bitset(start, n, rest)
+    assert last == rest == _orbit_bitset(start, n, _full(n))
+    if r <= 4:
+        assert last == _bitset(_orbit_states(start, n))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
