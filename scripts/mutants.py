@@ -54,6 +54,10 @@ _PAIRING_TABLE = "tests/test_symplectic.py::test_pairing_pays_on_crafted_rows"
 _OFF_BY_ONE = "tests/test_symplectic.py::test_wide_document_off_by_one_is_refused"
 _TRUSTED_INVERSE = "tests/test_symplectic.py::test_inverse_of_wide_trusted_non_member_raises"
 _WORD_ORACLE = "tests/test_symplectic.py::test_word_column_updates_match_transvection_products"
+_PACKED_WIDEST = "tests/test_symplectic.py::test_packed_form_check_at_the_widest_entries_it_admits"
+_PACKED_ORACLES = ("tests/test_symplectic.py::test_both_form_check_paths_match_phi_sum",
+                   "tests/test_symplectic.py::test_form_check_path_follows_dimension_and_width",
+                   _PACKED_WIDEST)
 _SAMPLER_RANGES = ("tests/test_verify.py::test_samplers_cover_their_ranges",)
 _PRODUCT_ORACLES = ("tests/test_symplectic.py::test_product_matches_triple_loop_oracle",
                     "tests/test_symplectic.py::test_both_product_paths_match_reference_matmul")
@@ -116,6 +120,26 @@ CATALOGUE = (
     Mutant("D5", "the form check probes w_0 alone", _SYMPLECTIC,
            "if _pairing_pays(vectors[0], vectors[1]):", "if _pairing_pays(vectors[0], vectors[0]):",
            (_PAIRED_DISPATCH, "tests/test_symplectic.py::test_form_check_pairs_on_w0_and_w1_not_on_w0_alone")),
+    # the packed form check: its width guard, its phi-permuted columns and J's packed rows
+    Mutant("K1", "the packed path's width guard admits one more bit", _SYMPLECTIC,
+           "        if m.bit_length() <= 128:\n", "        if m.bit_length() <= 129:\n", (_PACKED_WIDEST,)),
+    Mutant("K2", "the phi-permuted packed columns lose their minus sign", _SYMPLECTIC,
+           "    perm[1::2] = map(neg, cols[0::2])\n", "    perm[1::2] = cols[0::2]\n", _PACKED_ORACLES),
+    Mutant("K3", "an odd row's packed target has the wrong sign", _SYMPLECTIC,
+           " else -(1 << f * (i - 1))", " else 1 << f * (i - 1)", _PACKED_ORACLES),
+    Mutant("K4", "the pairing probe runs before the packed path's guard", _SYMPLECTIC,
+           "    if n >= 8:\n        m = max(map(abs, chain.from_iterable(vectors)))\n"
+           "        if m.bit_length() <= 128:\n            return _pairs_as_basis_packed(vectors, m)\n"
+           "    if _pairing_pays(vectors[0], vectors[1]):\n        return _pairs_as_basis_paired(vectors)\n",
+           "    if _pairing_pays(vectors[0], vectors[1]):\n        return _pairs_as_basis_paired(vectors)\n"
+           "    if n >= 8:\n        m = max(map(abs, chain.from_iterable(vectors)))\n"
+           "        if m.bit_length() <= 128:\n            return _pairs_as_basis_packed(vectors, m)\n",
+           ("tests/test_symplectic.py::test_form_check_path_follows_dimension_and_width",)),
+    # entries that are exact ints already are taken as they are, and only those
+    Mutant("I1", "the exact-int fast path admits bool", _SYMPLECTIC,
+           "    if set(map(type, values)) == {int}:\n", "    if set(map(type, values)) <= {int, bool}:\n",
+           ("tests/test_symplectic.py::test_int_tuple_holds_exact_ints_equal_to_int_of_each_value",
+            "tests/test_symplectic.py::test_public_construction_still_coerces")),
     # unit-coefficient word steps and products by C-level adds and subtracts
     Mutant("U1", "a word update subtracts by adding", _SYMPLECTIC,
            "(j, add if c == 1 else sub) for j", "(j, add if c == 1 else add) for j",

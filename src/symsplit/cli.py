@@ -22,7 +22,6 @@ one top-level argparse parse reads every other line and words all help and error
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -131,6 +130,7 @@ def _parse_psi(bits: str, r: int):
 
 def _report(command: str, parameters: dict, results: dict, seed: int | None = None) -> str:
     """The JSON report; a command builds this or its table lines, never both."""
+    import json  # here, not at the top: a start that reports no JSON never loads it
     return json.dumps({"command": command, "parameters": parameters, "results": results,
                        "seed": seed, "version": __version__}, sort_keys=True) + "\n"
 
@@ -210,13 +210,17 @@ def _cmd_split(args, lib) -> tuple[int, str]:
 
 
 def _load_document(path: str) -> object:
+    """The JSON value in the file at path, read as UTF-8 text with universal newlines."""
+    import json
     try:
-        with open(path, encoding="utf-8") as f:
-            payload = f.read()
+        with open(path, "rb") as f:
+            payload = f.read().decode()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text") from exc
+    if "\r" in payload:  # as text mode reads it, so an error's line and column stay the same
+        payload = payload.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(payload)
     except json.JSONDecodeError as exc:
@@ -236,6 +240,7 @@ def _element_result(args, lib, out, named_elements) -> tuple[int, str]:
         if bad:
             print(f"membership violation at base {args.psi}: {', '.join(bad)}", file=sys.stderr)
             return 1, ""
+    import json
     return 0, json.dumps(element_to_document(out), sort_keys=True) + "\n"
 
 

@@ -4,8 +4,8 @@ The library call a limit bounds checks it; `cli` reads these only to write its
 help, so importing this module loads nothing else.  README has the timings.
 """
 
-# reading an element form-checks its matrix, cubic in the rank: about 0.05 s at rank 50 for
-# narrow entries only; 4200-digit ones make a rank-50 `inv` take about 26 s (ROADMAP item 3)
+# reading an element form-checks its matrix: a rank-50 `inv` takes about 0.007 s in process on a
+# dense word of 11-bit entries (packed check), but 4200-digit ones make it about 26 s (ROADMAP item 7)
 ELEMENT_RANK_LIMIT = 50
 # enumerate_refinements builds one object per refinement: 2^20 at rank 10, 1.4 s and 140 MB
 ENUMERATION_RANK_LIMIT = 9

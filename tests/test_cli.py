@@ -470,6 +470,33 @@ def test_documents_are_read_as_utf8_under_any_locale(tmp_path):
         2, "", f"error: {latin}: not UTF-8 text\n")
 
 
+def test_documents_are_decoded_once_with_the_errors_of_a_text_mode_read(tmp_path, capsys):
+    # a document is read as bytes and decoded once; its errors are those of reading it in
+    # text mode, universal newlines included, so line, column and char offsets stay the same
+    def text_mode_error(path):
+        with open(path, encoding="utf-8") as f:
+            payload = f.read()
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(payload)
+        return f"error: {path}: invalid JSON ({exc.value})\n"
+
+    good = json.dumps(_identity_document(1), indent=1)
+    path = tmp_path / "doc.json"
+    for payload in (b'{"r": 1, "modulus": 0, "x": [0, 0], "A": [[1, 0], [0, \xff]]}', b"\xc3"):
+        path.write_bytes(payload)
+        assert _run(capsys, "inv", "--lhs", str(path)) == (2, "", f"error: {path}: not UTF-8 text\n")
+    path.write_bytes(b"\xef\xbb\xbf" + good.encode())  # a UTF-8 BOM is no JSON whitespace
+    code, out, err = _run(capsys, "inv", "--lhs", str(path))
+    assert (code, out, err) == (2, "", text_mode_error(path)) and "Unexpected UTF-8 BOM" in err
+    for newline in ("\r\n", "\r"):
+        path.write_bytes(good.replace("\n", newline).encode())
+        assert _run(capsys, "inv", "--lhs", str(path)) == (
+            0, json.dumps(_identity_document(1), sort_keys=True) + "\n", "")
+        path.write_bytes(good.replace("\n", newline).replace('"modulus": 0,', '"modulus": 0,,').encode())
+        code, out, err = _run(capsys, "inv", "--lhs", str(path))
+        assert (code, out, err) == (2, "", text_mode_error(path)) and "line 3 column" in err
+
+
 def test_element_rank_guard(tmp_path, capsys):
     path = tmp_path / "id.json"
     path.write_text(json.dumps(_identity_document(ELEMENT_RANK_LIMIT)))

@@ -4,9 +4,12 @@ import importlib.util
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +51,56 @@ def test_mutant_catalogue_is_current():
         for test in m.tests:
             path, _, name = test.partition("::")
             assert re.search(rf"^def {name}\(", (ROOT / path).read_text(), re.M), (m.name, test)
+
+
+def _bench_pairs_module():
+    spec = importlib.util.spec_from_file_location("_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkouts(tmp_path, *names):
+    for name in names:
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / name)
+    return [str(tmp_path / name) for name in names]
+
+
+def test_pair_driver_alternates_sides_and_summarizes_canned_runs(tmp_path, capsys):
+    # canned metrics, no benchmark run: call_p50_ms is lower on the change in 4 of 5 pairs,
+    # setup_s higher in all 5, and peak_rss_mb equal (a tie counts for neither side)
+    bench_pairs = _bench_pairs_module()
+    p50 = {"parent": [0.34, 0.36, 0.33, 0.35, 0.32], "change": [0.30, 0.31, 0.34, 0.29, 0.28]}
+    calls = []
+
+    def canned(checkout, workload, seed, seconds):
+        side, k = checkout.name, seed - 40
+        calls.append((side, seed, workload, seconds))
+        return {"setup_s": 0.05 if side == "parent" else 0.06, "wall_s": 0.5 + k / 100,
+                "call_p50_ms": p50[side][k], "call_p99_ms": 5.2, "peak_rss_mb": 32.0}
+
+    argv = [*_checkouts(tmp_path, "parent", "change"), "--workload", "arith", "--pairs", "5",
+            "--seconds", "6", "--seed", "40"]
+    assert bench_pairs.main(argv, run=canned) == 0
+    assert [(side, seed) for side, seed, _, _ in calls] == [
+        ("parent", 40), ("change", 40), ("change", 41), ("parent", 41), ("parent", 42),
+        ("change", 42), ("change", 43), ("parent", 43), ("parent", 44), ("change", 44)]
+    assert {(workload, seconds) for _, _, workload, seconds in calls} == {("arith", 6.0)}
+    out = capsys.readouterr().out
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[-5:]}
+    assert list(rows) == ["setup_s", "wall_s", "call_p50_ms", "call_p99_ms", "peak_rss_mb"]
+    assert rows["call_p50_ms"] == ["0.34", "[0.33,", "0.35]", "0.3", "[0.29,", "0.31]",
+                                   "-0.04", "(-11.8%)", "yes", "4/5"]
+    assert rows["setup_s"][-4:] == ["+0.01", "(+20.0%)", "yes", "0/5"]
+    assert rows["peak_rss_mb"][-4:] == ["+0", "(+0.0%)", "no", "0/5"]
+    assert rows["wall_s"][-4:] == ["+0", "(+0.0%)", "no", "0/5"]
+
+
+def test_pair_driver_refuses_directory_names_of_unequal_length(tmp_path, capsys):
+    bench_pairs = _bench_pairs_module()
+    argv = [*_checkouts(tmp_path, "parent", "change2"), "--workload", "arith", "--pairs", "2",
+            "--seconds", "1"]
+    assert bench_pairs.main(argv, run=lambda *args: pytest.fail("no run may start")) == 2
+    assert "differ in length" in capsys.readouterr().err

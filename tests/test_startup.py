@@ -72,6 +72,17 @@ def test_start_without_a_command_loads_no_library_module(argv):
     assert modules == START_MODULES
 
 
+def test_version_loads_no_json():
+    # json is imported by the functions that read or write it, so a start that reports
+    # no JSON never loads it
+    proc = _fresh("import sys\nbare = 'json' in sys.modules\nfrom symsplit import cli\n"
+                  "code = cli.main(['--version'])\nprint(code, bare, 'json' in sys.modules)")
+    code, bare, loaded = proc.stdout.splitlines()[-1].split()
+    if bare == "True":
+        pytest.skip("this interpreter loads json at start")
+    assert (code, loaded) == ("0", "False")
+
+
 def test_first_command_loads_every_traced_module():
     exit_code, modules = _loaded_after(["orbits", "--r", "1"])
     assert exit_code == 0

@@ -6,6 +6,7 @@ import re
 import sys
 import warnings
 from collections import Counter
+from enum import IntEnum
 from operator import add, sub
 from pathlib import Path
 
@@ -20,10 +21,13 @@ from symsplit.symplectic import (
     Covector,
     SymplecticMatrix,
     Vector,
+    _as_int_tuple,
     _identity_rows,
     _matmul,
     _pairs_as_basis,
+    _pairs_as_basis_packed,
     _pairs_as_basis_paired,
+    _pairs_as_basis_plain,
     _signed_transpose,
     _word_steps,
     is_symplectic,
@@ -442,15 +446,31 @@ def _form_check_inputs(r, rng):
     yield tuple(tuple(rng.randint(-10 ** 300, 10 ** 300) for _ in range(n)) for _ in range(n))
 
 
-@pytest.mark.parametrize("paired", [False, True], ids=["plain", "paired"])
+def _widest(vectors):
+    return max(abs(e) for w in vectors for e in w)
+
+
+def _packed_at_two_bounds(vectors):
+    # exact for any bound on the entries: the tightest one and a looser one agree
+    verdict = _pairs_as_basis_packed(vectors, _widest(vectors))
+    assert _pairs_as_basis_packed(vectors, 3 * _widest(vectors) + 1) == verdict
+    return verdict
+
+
+_FORM_CHECK_PATHS = {"plain": _pairs_as_basis_plain, "paired": _pairs_as_basis_paired,
+                     "packed": _packed_at_two_bounds}
+
+
+@pytest.mark.parametrize("path", ["plain", "paired", "packed"])
 @pytest.mark.parametrize("r", range(1, 7))
-def test_both_form_check_paths_match_phi_sum(monkeypatch, r, paired):
-    # the predicate is forced either way, so each path sees narrow and wide inputs alike
-    monkeypatch.setattr(symplectic, "_pairing_pays", lambda x, y: paired)
+def test_both_form_check_paths_match_phi_sum(r, path):
+    # each of the three kernels runs on narrow and wide inputs alike, whatever
+    # `_pairs_as_basis` would choose
+    kernel = _FORM_CHECK_PATHS[path]
     rng = random.Random(67 + r)
     verdicts = Counter()
     for vectors in _form_check_inputs(r, rng):
-        verdict = _pairs_as_basis(vectors)
+        verdict = kernel(vectors)
         assert verdict == _pairs_by_phi_sum(vectors)
         verdicts[verdict] += 1
     assert verdicts[True] >= 10 and verdicts[False] >= 10
@@ -544,6 +564,66 @@ def test_form_check_pairs_on_w0_and_w1_not_on_w0_alone(monkeypatch):
     assert calls == {}
     _pairs_as_basis((_row_of_width(1000), _row_of_width(1000), *units[2:]))
     assert calls == {"_pairs_as_basis_paired": 1}
+
+
+_KERNELS = ("_pairs_as_basis_plain", "_pairs_as_basis_packed", "_pairs_as_basis_paired")
+
+
+def _path_counter(monkeypatch):
+    """A function giving the one form-check kernel a call of check(*args) ran, and its result."""
+    calls = _count_paired_calls(monkeypatch, _KERNELS)
+
+    def path(check, *args):
+        calls.clear()
+        result = check(*args)
+        ((name, count),) = calls.items()
+        assert count == 1
+        return name.removeprefix("_pairs_as_basis_"), result
+    return path
+
+
+def test_form_check_path_follows_dimension_and_width(monkeypatch):
+    # narrow 2r >= 8 packs, narrow 2r <= 6 and mid-width entries stay plain, wide entries pair,
+    # and packing comes first where pairing would pay too (2r = 60, entries of about 110 bits);
+    # the constructor, is_symplectic and the inverse postcondition all choose the same way
+    rng = random.Random(101)
+    path = _path_counter(monkeypatch)
+    mid = _wide_word(6, rng, bits=100).rows
+    assert 128 < _widest(mid).bit_length() < 320
+    both = _wide_word(30, rng, bits=55).rows
+    assert _widest(both).bit_length() <= 128 and symplectic._pairing_pays(both[0], both[1])
+    cases = [(random_symplectic_word(r, 12, rng).rows, "packed" if r >= 4 else "plain")
+             for r in (1, 2, 3, 4, 6)]
+    cases += [(mid, "plain"), (_wide_word(6, rng).rows, "paired"), (both, "packed")]
+    for rows, want in cases:
+        for check in (SymplecticMatrix, is_symplectic, lambda rows: SymplecticMatrix._trusted(rows).inverse()):
+            assert path(check, rows)[0] == want, (len(rows), want)
+
+
+@pytest.mark.parametrize("n", [8, 12, 100])
+def test_packed_form_check_at_the_widest_entries_it_admits(monkeypatch, n):
+    # a transvection along (a, b, 64-bit values, 0) has entries a * b and the like: 128 bits
+    # with a = b = 2^64 - 1, 129 with a = 2^64 (a * a); the zero coordinate leaves a narrow
+    # entry in every row, so no row pairs
+    rng = random.Random(103 + n)
+    path = _path_counter(monkeypatch)
+    top = (1 << 64) - 1
+    rest = [rng.getrandbits(64) for _ in range(n - 3)]
+    widest = transvection(Vector((top, top, *rest, 0))).rows
+    wider = transvection(Vector((top + 1, top, *rest, 0))).rows
+    assert _widest(widest).bit_length() == 128 and _widest(wider).bit_length() == 129
+    # rows 2 and 3 pair to n M^2 for M = 2^128 - 1, the largest value a packed field must hold
+    m = (1 << 128) - 1
+    units = _identity_rows(n)
+    extreme = (*units[:2], (m,) * n, (-m, m) * (n // 2), *units[4:])
+    for vectors, want in ((widest, "packed"), (wider, "plain")):
+        inputs = [vectors, tuple(zip(*vectors))]
+        inputs += [_bend(vectors, rng.randrange(n), rng.randrange(n), d) for d in (1, -1)]
+        if want == "packed":
+            inputs.append(extreme)
+        for k, vs in enumerate(inputs):
+            taken, verdict = path(_pairs_as_basis, vs)
+            assert taken == want and verdict == _pairs_by_phi_sum(vs) == (k < 2), (k, want)
 
 
 def _wide_document_off_by_one(tmp_path):
@@ -825,6 +905,24 @@ def test_public_covector_construction_still_coerces_and_checks():
         Covector(("a", 0))
     with pytest.raises(TypeError):
         Covector((None, 0))
+
+
+class _Small(IntEnum):
+    MINUS_THREE = -3
+    ZERO = 0
+    SEVEN = 7
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(), st.booleans(), st.sampled_from(_Small),
+                          st.integers(-(1 << 60), 1 << 60).map(float)), max_size=12),
+       st.sampled_from([2.5, float("nan"), "3"]))
+def test_int_tuple_holds_exact_ints_equal_to_int_of_each_value(values, bad):
+    got = _as_int_tuple(values)
+    assert got == tuple([int(v) for v in values]) and all(type(e) is int for e in got)
+    assert _as_int_tuple(got) is got  # exact ints already: the tuple itself
+    with pytest.raises(ValueError, match=rf"^entries must be integers, got {re.escape(repr(bad))}$"):
+        _as_int_tuple([*values, bad])
 
 
 def test_non_integral_entries_are_refused():
