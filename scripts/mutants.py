@@ -140,6 +140,24 @@ CATALOGUE = (
            "    if set(map(type, values)) == {int}:\n", "    if set(map(type, values)) <= {int, bool}:\n",
            ("tests/test_symplectic.py::test_int_tuple_holds_exact_ints_equal_to_int_of_each_value",
             "tests/test_symplectic.py::test_public_construction_still_coerces")),
+    # the whole-matrix passes of the element path: entry types, shape, and the signed transpose
+    Mutant("I2", "the constructor's whole-matrix type pass admits bool", _SYMPLECTIC,
+           "    if set(map(type, chain.from_iterable(rows))) != {int}:\n",
+           "    if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:\n",
+           ("tests/test_symplectic.py::test_public_construction_still_coerces",
+            "tests/test_symplectic.py::test_rows_of_mixed_integral_types_are_read_as_exact_ints")),
+    Mutant("I3", "the CLI's whole-matrix type pass admits bool", _CLI,
+           "    if set(map(type, chain.from_iterable(a_raw))) != {int}:\n",
+           "    if not set(map(type, chain.from_iterable(a_raw))) <= {int, bool}:\n",
+           ("tests/test_cli.py::test_document_validation",
+            "tests/test_cli.py::test_row_mixing_ints_with_non_integers")),
+    Mutant("N1", "the constructor's shape check reads the first row alone", _SYMPLECTIC,
+           "    if n % 2 or set(map(len, rows)) != {n}:", "    if n % 2 or len(rows[0]) != n:",
+           ("tests/test_symplectic.py::test_matrix_shape_validation",)),
+    Mutant("X1", "the signed transpose negates the even positions of row 2k", _SYMPLECTIC,
+           "        row[1::2] = map(neg, odd[1::2])\n", "        row[0::2] = map(neg, odd[0::2])\n",
+           ("tests/test_symplectic.py::test_signed_transpose_matches_the_index_formula",
+            "tests/test_symplectic.py::test_inverse_matches_signed_transpose_oracle")),
     # unit-coefficient word steps and products by C-level adds and subtracts
     Mutant("U1", "a word update subtracts by adding", _SYMPLECTIC,
            "(j, add if c == 1 else sub) for j", "(j, add if c == 1 else add) for j",

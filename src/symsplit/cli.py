@@ -26,6 +26,7 @@ import os
 import sys
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 from . import __version__
@@ -90,12 +91,13 @@ def _decode_row(values: list) -> tuple[int, ...]:
 
 
 def element_to_document(g) -> dict:
-    return {
-        "r": g.rank,
-        "modulus": _encode_int(g.modulus),
-        "x": _encode_row(g.x.coords),
-        "A": [_encode_row(row) for row in g.a.rows],
-    }
+    rows = g.a.rows
+    # one C-level min/max pass over the whole matrix; per row only when it leaves 64 bits
+    if _INT64_MIN <= min(map(min, rows)) and max(map(max, rows)) <= _INT64_MAX:
+        a = [*map(list, rows)]
+    else:
+        a = [*map(_encode_row, rows)]
+    return {"r": g.rank, "modulus": _encode_int(g.modulus), "x": _encode_row(g.x.coords), "A": a}
 
 
 def element_from_document(doc: object):
@@ -115,15 +117,19 @@ def element_from_document(doc: object):
     coords = _decode_row(x_raw)
     if m and not (0 <= min(coords) and max(coords) < m):
         raise ValueError("x entries must lie in [0, modulus)")
-    if not isinstance(a_raw, list) or len(a_raw) != 2 * r or any(
-            not isinstance(row, list) or len(row) != 2 * r for row in a_raw):
+    if (not isinstance(a_raw, list) or len(a_raw) != 2 * r
+            or not all(map(isinstance, a_raw, repeat(list))) or set(map(len, a_raw)) != {2 * r}):
         raise ValueError("A must be a 2r x 2r matrix")
-    a = lib.symplectic.SymplecticMatrix(tuple(map(_decode_row, a_raw)))
+    # JSON integers (not bools, whose type is bool) go to the constructor as they are, which
+    # reads their types in one more pass; any other matrix is decoded row by row
+    if set(map(type, chain.from_iterable(a_raw))) != {int}:
+        a_raw = tuple(map(_decode_row, a_raw))
+    a = lib.symplectic.SymplecticMatrix(a_raw)
     return lib.jacobi.JacobiElement(lib.symplectic.Covector(coords, m), a)
 
 
 def _parse_psi(bits: str, r: int):
-    if len(bits) != 2 * r or any(ch not in "01" for ch in bits):
+    if len(bits) != 2 * r or bits.strip("01"):
         raise ValueError(f"--psi must be a string of 2r = {2 * r} bits")
     return _library().quadratic.QuadraticRefinement(tuple(map(int, bits)))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -32,8 +33,8 @@ def test_readme_script_lines_run():
         assert proc.returncode == 0 and proc.stderr == "", command
 
 
-def _mutants_module():
-    spec = importlib.util.spec_from_file_location("_mutants", ROOT / "scripts" / "mutants.py")
+def _script_module(name):
+    spec = importlib.util.spec_from_file_location(f"_{name}", ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -43,7 +44,7 @@ def test_mutant_catalogue_is_current():
     # the whole catalogue runs on demand (`python3 scripts/mutants.py`); here only its
     # anchors: each snippet occurs exactly once in its file under src, and each test it
     # names is defined in its test file
-    mutants = _mutants_module()
+    mutants = _script_module("mutants")
     assert mutants.CATALOGUE and mutants.stale_entries() == []
     assert len({m.name for m in mutants.CATALOGUE}) == len(mutants.CATALOGUE)
     for m in mutants.CATALOGUE:
@@ -51,13 +52,6 @@ def test_mutant_catalogue_is_current():
         for test in m.tests:
             path, _, name = test.partition("::")
             assert re.search(rf"^def {name}\(", (ROOT / path).read_text(), re.M), (m.name, test)
-
-
-def _bench_pairs_module():
-    spec = importlib.util.spec_from_file_location("_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _checkouts(tmp_path, *names):
@@ -71,7 +65,7 @@ def _checkouts(tmp_path, *names):
 def test_pair_driver_alternates_sides_and_summarizes_canned_runs(tmp_path, capsys):
     # canned metrics, no benchmark run: call_p50_ms is lower on the change in 4 of 5 pairs,
     # setup_s higher in all 5, and peak_rss_mb equal (a tie counts for neither side)
-    bench_pairs = _bench_pairs_module()
+    bench_pairs = _script_module("bench_pairs")
     p50 = {"parent": [0.34, 0.36, 0.33, 0.35, 0.32], "change": [0.30, 0.31, 0.34, 0.29, 0.28]}
     calls = []
 
@@ -99,8 +93,43 @@ def test_pair_driver_alternates_sides_and_summarizes_canned_runs(tmp_path, capsy
 
 
 def test_pair_driver_refuses_directory_names_of_unequal_length(tmp_path, capsys):
-    bench_pairs = _bench_pairs_module()
+    bench_pairs = _script_module("bench_pairs")
     argv = [*_checkouts(tmp_path, "parent", "change2"), "--workload", "arith", "--pairs", "2",
             "--seconds", "1"]
     assert bench_pairs.main(argv, run=lambda *args: pytest.fail("no run may start")) == 2
     assert "differ in length" in capsys.readouterr().err
+
+
+def _golden_and_element_calls(workdir):
+    # a small call set: three goldens and an inv on a rank-1 document written under workdir
+    cases = json.loads((ROOT / "tests" / "golden" / "cases.json").read_text())
+    doc = workdir / "shear.json"
+    doc.write_text(json.dumps({"r": 1, "modulus": 0, "x": [0, 3], "A": [[1, 2], [0, 1]]}))
+    return [tuple(cases[name]["argv"]) for name in ("coeff_jmax_6", "orbits_r_2_table", "orbits_r_2")] + [
+        ("inv", "--lhs", str(doc), "--psi", "11")]
+
+
+def test_output_digest_matches_a_tree_and_tells_a_mutant_apart(tmp_path, capsys):
+    # the whole call set runs on demand (`python3 scripts/output_digest.py PARENT CHANGE`);
+    # here a small one: the tree against itself, then against a copy with mutant M4, which
+    # sends a JSON orbits call down the table branch
+    digest = _script_module("output_digest")
+    m4 = next(m for m in _script_module("mutants").CATALOGUE if m.name == "M4")
+    shutil.copytree(ROOT / "src", tmp_path / "mutant" / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "mutant" / m4.file
+    path.write_text(path.read_text().replace(m4.snippet, m4.replacement))
+
+    assert digest.main([str(ROOT), str(ROOT)], build=_golden_and_element_calls) == 0
+    out, err = capsys.readouterr()
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
+    assert list(rows) == ["coeff", "orbits", "inv", "(all)"] and err == ""
+    assert [row[0] for row in rows.values()] == ["1", "2", "1", "4"]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", row[1]) and row[2] == "same" for row in rows.values())
+
+    assert digest.main([str(ROOT), str(tmp_path / "mutant")], build=_golden_and_element_calls) == 1
+    mutant_out, err = capsys.readouterr()
+    mutant_rows = {line.split()[0]: line.split()[1:] for line in mutant_out.splitlines()[1:]}
+    assert mutant_rows["coeff"] == rows["coeff"] and mutant_rows["inv"] == rows["inv"]
+    assert mutant_rows["orbits"][1] == rows["orbits"][1] != mutant_rows["orbits"][2]
+    assert err == "1 of 4 calls differ; the first differing call: orbits --r 2 --format json\n"
+    assert digest.main([str(tmp_path / "absent")]) == 2

@@ -286,6 +286,33 @@ def test_inverse_matches_signed_transpose_oracle():
         assert a.inverse().rows == _matmul(_matmul(negj, tuple(zip(*a.rows))), j)
 
 
+def _index_transpose(rows):
+    """-J A^T J by its index formula, one entry at a time: the oracle of the slice-built kernel."""
+    n = len(rows)
+    return tuple([tuple([rows[j ^ 1][i ^ 1] if not (i + j) & 1 else -rows[j ^ 1][i ^ 1]
+                         for j in range(n)]) for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 12, 24, 100])
+def test_signed_transpose_matches_the_index_formula(n):
+    # any square matrix of even dimension, not only a symplectic one: the kernel only moves entries
+    rng = random.Random(n)
+    wide = 10 ** 100 + 7
+    draws = {"narrow": lambda: rng.randint(-99, 99),
+             "wide": lambda: rng.randint(-99, 99) * wide,
+             "mixed widths": lambda: rng.randint(-99, 99) * rng.choice((1, 1 << 64, wide)),
+             "mostly zeros": lambda: rng.choice((0, 0, 0, 1, -1, rng.randint(-99, 99)))}
+    for name, draw in draws.items():
+        for _ in range(3):
+            rows = [tuple(draw() for _ in range(n)) for _ in range(n)]
+            rows[rng.randrange(n)] = (0,) * n  # a zero row becomes a zero column
+            rows = tuple(rows)
+            got = _signed_transpose(rows)
+            assert got == _index_transpose(rows), (name, rows)
+            assert type(got) is tuple and {type(row) for row in got} == {tuple}
+            assert {type(e) for row in got for e in row} == {int}
+
+
 def test_row_pairing_postcondition_matches_multiply_back():
     # A J A^T == J on the rows is the inverse postcondition; multiplying back is its definition
     rng = random.Random(47)
@@ -720,6 +747,36 @@ def test_public_construction_still_coerces():
         SymplecticMatrix([[1, 0], [0, 1], [0, 0]])
 
 
+def test_rows_of_mixed_integral_types_are_read_as_exact_ints(monkeypatch):
+    # bool, IntEnum and integral float entries fail the whole-matrix type pass and are coerced
+    # row by row, to the same exact ints; a non-integral entry is refused with its own repr
+    ints = transvection(Vector((1, -3, 0, 7))).rows
+    kinds = {1: True, 0: _Small.ZERO, -3: _Small.MINUS_THREE, 7: _Small.SEVEN}
+    mixed = [[kinds.get(e, float(e)) for e in row] for row in ints]
+    assert {type(e) for row in mixed for e in row} == {bool, _Small, float}
+    a = SymplecticMatrix(mixed)
+    assert a.rows == ints and {type(e) for row in a.rows for e in row} == {int}
+    b = SymplecticMatrix([[True, False], [0, 1]])  # bools and ints only
+    assert b.rows == ((1, 0), (0, 1)) and {type(e) for row in b.rows for e in row} == {int}
+    checked = []
+    form_check = symplectic._pairs_as_basis
+
+    def spy(vectors):
+        vectors = tuple(vectors)
+        checked.extend(vectors)
+        return form_check(vectors)
+
+    monkeypatch.setattr(symplectic, "_pairs_as_basis", spy)
+    assert is_symplectic(mixed) and is_symplectic(ints)
+    assert checked == [*zip(*ints)] * 2 and {type(e) for col in checked for e in col} == {int}
+    assert not is_symplectic([[2.0, _Small.ZERO], [False, True]])
+    for bad in (2.5, "3"):
+        for rows in ([[bad, True], [_Small.ZERO, 1.0]], [[1, 0], [0.0, bad]]):
+            for call in (SymplecticMatrix, is_symplectic):
+                with pytest.raises(ValueError, match=rf"^entries must be integers, got {re.escape(repr(bad))}$"):
+                    call(rows)
+
+
 def test_random_symplectic_contract():
     assert random_symplectic_word(2, 0, random.Random(9)) == SymplecticMatrix.identity(2)
     a = random_symplectic_word(2, 20, random.Random(9))
@@ -852,6 +909,12 @@ def test_exactness_beyond_word_size():
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         SymplecticMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # ragged rows, even where the rows present would pass the form check, and no rows at all
+    for rows in ([[1, 0], [0, 1, 0]], [[1, 0, 0], [0, 1]], [[1, 0], [0]], [[1, 0], []], [],
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0]]):
+        for call in (SymplecticMatrix, is_symplectic):
+            with pytest.raises(ValueError, match="^matrix must be square of even dimension$"):
+                call(rows)
     with pytest.raises(ValueError):
         Vector((1, 2, 3))
     with pytest.raises(ValueError):
