@@ -120,13 +120,13 @@ CATALOGUE = (
     Mutant("D5", "the form check probes w_0 alone", _SYMPLECTIC,
            "if _pairing_pays(vectors[0], vectors[1]):", "if _pairing_pays(vectors[0], vectors[0]):",
            (_PAIRED_DISPATCH, "tests/test_symplectic.py::test_form_check_pairs_on_w0_and_w1_not_on_w0_alone")),
-    # the packed form check: its width guard, its phi-permuted columns and J's packed rows
+    # the packed form check: its width guard, the signs of its negated packed J rows, its dispatch
     Mutant("K1", "the packed path's width guard admits one more bit", _SYMPLECTIC,
            "        if m.bit_length() <= 128:\n", "        if m.bit_length() <= 129:\n", (_PACKED_WIDEST,)),
-    Mutant("K2", "the phi-permuted packed columns lose their minus sign", _SYMPLECTIC,
-           "    perm[1::2] = map(neg, cols[0::2])\n", "    perm[1::2] = cols[0::2]\n", _PACKED_ORACLES),
-    Mutant("K3", "an odd row's packed target has the wrong sign", _SYMPLECTIC,
-           " else -(1 << f * (i - 1))", " else 1 << f * (i - 1)", _PACKED_ORACLES),
+    Mutant("K2", "an even row's negated packed target has the wrong sign", _SYMPLECTIC,
+           "(-(1 << f * (i + 1)) if not i & 1", "(1 << f * (i + 1) if not i & 1", _PACKED_ORACLES),
+    Mutant("K3", "an odd row's negated packed target has the wrong sign", _SYMPLECTIC,
+           " else 1 << f * (i - 1))", " else -(1 << f * (i - 1)))", _PACKED_ORACLES),
     Mutant("K4", "the pairing probe runs before the packed path's guard", _SYMPLECTIC,
            "    if n >= 8:\n        m = max(map(abs, chain.from_iterable(vectors)))\n"
            "        if m.bit_length() <= 128:\n            return _pairs_as_basis_packed(vectors, m)\n"
@@ -146,9 +146,9 @@ CATALOGUE = (
            "    if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:\n",
            ("tests/test_symplectic.py::test_public_construction_still_coerces",
             "tests/test_symplectic.py::test_rows_of_mixed_integral_types_are_read_as_exact_ints")),
-    Mutant("I3", "the CLI's whole-matrix type pass admits bool", _CLI,
-           "    if set(map(type, chain.from_iterable(a_raw))) != {int}:\n",
-           "    if not set(map(type, chain.from_iterable(a_raw))) <= {int, bool}:\n",
+    Mutant("I3", "the whole-document type pass admits bool", _CLI,
+           "    if set(map(type, chain.from_iterable(rows))) == {int}:\n        return rows\n",
+           "    if set(map(type, chain.from_iterable(rows))) <= {int, bool}:\n        return rows\n",
            ("tests/test_cli.py::test_document_validation",
             "tests/test_cli.py::test_row_mixing_ints_with_non_integers")),
     Mutant("N1", "the constructor's shape check reads the first row alone", _SYMPLECTIC,
@@ -252,6 +252,9 @@ CATALOGUE = (
            "        seed = _encode_int(args.seed)\n", "        seed = args.seed\n",
            ("tests/test_cli.py::test_every_json_output_is_safe_for_64_bit_readers",
             "tests/test_cli.py::test_verify_json_seed_is_a_string_exactly_past_int64")),
+    Mutant("J2", "the whole-document int64 pass admits 2^63", _CLI,
+           "max(map(max, rows)) <= _INT64_MAX:", "max(map(max, rows)) <= _INT64_MAX + 1:",
+           ("tests/test_cli.py::test_int64_boundary_entries",)),
     # one splitting verdict printed for both models; only MCGModel asks for a multiple of 4
     Mutant("S1", "the homotopy row reports modulus 0", _CLI,
            "    v, m = theorem.verdict, theorem.params.homotopy_modulus\n", "    v, m = theorem.verdict, 0\n",

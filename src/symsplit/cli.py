@@ -75,29 +75,24 @@ def _decode_int(value: object) -> int:
     raise ValueError(f"expected an integer or decimal string, got {value!r}")
 
 
-def _encode_row(values: Sequence[int]) -> list:
-    # one C-level min/max pass instead of a call per entry when no entry leaves 64 bits
-    if _INT64_MIN <= min(values) and max(values) <= _INT64_MAX:
-        return list(values)
-    return [_encode_int(v) for v in values]
+def _encode_rows(rows) -> list:
+    # one C-level min/max pass over the whole document; entry by entry only when it leaves 64 bits
+    if _INT64_MIN <= min(map(min, rows)) and max(map(max, rows)) <= _INT64_MAX:
+        return [*map(list, rows)]
+    return [[*map(_encode_int, row)] for row in rows]
 
 
-def _decode_row(values: list) -> tuple[int, ...]:
-    # JSON integers (bools excluded: their type is bool) pass as they are;
-    # any other row is decoded entry by entry, which also reports the bad entry
-    if set(map(type, values)) == {int}:
-        return tuple(values)
-    return tuple(map(_decode_int, values))
+def _decode_rows(rows):
+    # JSON integers (bools excluded: their type is bool) pass as they are, in one C-level
+    # type pass over the whole document; else entry by entry, which also reports the bad entry
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        return rows
+    return [[*map(_decode_int, row)] for row in rows]
 
 
 def element_to_document(g) -> dict:
-    rows = g.a.rows
-    # one C-level min/max pass over the whole matrix; per row only when it leaves 64 bits
-    if _INT64_MIN <= min(map(min, rows)) and max(map(max, rows)) <= _INT64_MAX:
-        a = [*map(list, rows)]
-    else:
-        a = [*map(_encode_row, rows)]
-    return {"r": g.rank, "modulus": _encode_int(g.modulus), "x": _encode_row(g.x.coords), "A": a}
+    x, *a = _encode_rows((g.x.coords, *g.a.rows))
+    return {"r": g.rank, "modulus": _encode_int(g.modulus), "x": x, "A": a}
 
 
 def element_from_document(doc: object):
@@ -114,17 +109,14 @@ def element_from_document(doc: object):
     x_raw, a_raw = doc["x"], doc["A"]
     if not isinstance(x_raw, list) or len(x_raw) != 2 * r:
         raise ValueError("x must be a list of 2r entries")
-    coords = _decode_row(x_raw)
+    (coords,) = _decode_rows((x_raw,))
     if m and not (0 <= min(coords) and max(coords) < m):
         raise ValueError("x entries must lie in [0, modulus)")
     if (not isinstance(a_raw, list) or len(a_raw) != 2 * r
             or not all(map(isinstance, a_raw, repeat(list))) or set(map(len, a_raw)) != {2 * r}):
         raise ValueError("A must be a 2r x 2r matrix")
-    # JSON integers (not bools, whose type is bool) go to the constructor as they are, which
-    # reads their types in one more pass; any other matrix is decoded row by row
-    if set(map(type, chain.from_iterable(a_raw))) != {int}:
-        a_raw = tuple(map(_decode_row, a_raw))
-    a = lib.symplectic.SymplecticMatrix(a_raw)
+    # the constructor reads the entries' types once more, in one pass of its own
+    a = lib.symplectic.SymplecticMatrix(_decode_rows(a_raw))
     return lib.jacobi.JacobiElement(lib.symplectic.Covector(coords, m), a)
 
 

@@ -284,9 +284,10 @@ class Vector(_Value):
 def _phi_row(coords: Sequence[int]) -> list[int]:
     """phi(v, -) as a row, (-b_1, a_1, ..., -b_r, a_r) for v = (a_1, b_1, ..., a_r, b_r).
 
-    This is the one place the form's signs are written: phi(v, w) is the dot
-    product of this row with w.  The row is a signed permutation of v, so
-    building it multiplies nothing.
+    phi(v, w) is this row dotted with w, and the plain and packed form checks
+    take their signs from it; only `_signed_transpose` writes them again, by
+    its own slices, for the speed its docstring measures.  The row is a
+    signed permutation of v, so building it multiplies nothing.
     """
     row = list(coords)
     row[0::2] = map(neg, coords[1::2])
@@ -444,24 +445,22 @@ def _pairs_as_basis_packed(vectors, m: int) -> bool:
     """`_pairs_as_basis` in n dot products, exactly, given m >= the largest |entry|.
 
     Column k is packed into one int, Q_k = sum_j w_j[k] 2^(f j), a field of f
-    bits per vector, each holding a signed (balanced) value.  Then w_i dot
-    (Q_1, -Q_0, Q_3, -Q_2, ...) is sum_j phi(w_i, w_j) 2^(f j), and it is
-    compared with row i of J packed the same way: 2^(f (i+1)) for even i,
-    -2^(f (i-1)) for odd i.  Exactness: f is one bit wider than n m^2, so
-    each difference d_j = phi(w_i, w_j) - J_ij, at most n m^2 + 1 in size,
-    has |d_j| < 2^f; and a sum of d_j 2^(f j) with every |d_j| < 2^f is 0
-    only if every d_j is, since the lowest nonzero d_j would leave a nonzero
-    remainder mod 2^(f (j+1)).  So the packed rows equal J's iff every
-    phi(w_i, w_j) equals J_ij.
+    bits per vector, each holding a signed (balanced) value.  The phi-row of
+    the packed columns, (-Q_1, Q_0, -Q_3, Q_2, ...), dotted with w_i is
+    -sum_j phi(w_i, w_j) 2^(f j), and it is compared with row i of -J packed
+    the same way: -2^(f (i+1)) for even i, 2^(f (i-1)) for odd i.  So the
+    form's signs come from `_phi_row` alone.  Exactness: f is one bit wider
+    than n m^2, so each difference d_j = phi(w_i, w_j) - J_ij, at most
+    n m^2 + 1 in size, has |d_j| < 2^f; and a sum of d_j 2^(f j) with every
+    |d_j| < 2^f is 0 only if every d_j is, since the lowest nonzero d_j would
+    leave a nonzero remainder mod 2^(f (j+1)).  So the packed rows equal
+    -J's iff every phi(w_i, w_j) equals J_ij.
     """
     n = len(vectors)
     f = (n * m * m).bit_length() + 1
-    cols = [sum(map(lshift, col, range(0, f * n, f))) for col in zip(*vectors)]
-    perm = cols[:]
-    perm[0::2] = cols[1::2]
-    perm[1::2] = map(neg, cols[0::2])
+    phi = _phi_row([sum(map(lshift, col, range(0, f * n, f))) for col in zip(*vectors)])
     for i, w in enumerate(vectors):
-        if sum(map(mul, w, perm)) != (1 << f * (i + 1) if not i & 1 else -(1 << f * (i - 1))):
+        if sum(map(mul, phi, w)) != (-(1 << f * (i + 1)) if not i & 1 else 1 << f * (i - 1)):
             return False
     return True
 

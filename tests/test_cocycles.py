@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import product
 
 import pytest
 
@@ -13,7 +12,7 @@ from symsplit.cocycles import (
     principal_at,
 )
 from symsplit.jacobi import splits
-from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qeval, qtranslate
+from symsplit.quadratic import QuadraticRefinement, enumerate_refinements, qtranslate
 from symsplit.symplectic import (
     Covector,
     SymplecticMatrix,
@@ -122,23 +121,14 @@ def test_witness_makes_cocycles_agree():
         assert principal_at(psi, a) == coboundary_at(xbar, a)
 
 
-def _object_level_witness(psi):
-    """Lex-least xbar with psi + xbar equal to 1 at every nonzero vector, found object by object."""
-    n = 2 * psi.rank
-    nonzero = [Vector(bits) for bits in product((0, 1), repeat=n) if any(bits)]
-    for bits in product((0, 1), repeat=n):
-        xbar = Covector(bits, 2)
-        if all(qeval(qtranslate(psi, xbar), v) == 1 for v in nonzero):
-            return xbar
-    return None
-
-
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_witness_matches_object_level_search_on_every_base(r):
+def test_witness_coboundary_is_the_principal_cocycle_on_every_base(r):
+    # every rank-one base has a witness and no base of higher rank has one; test_jacobi.py
+    # checks each witness against an object-level search
     words = _random_words(r, 5, seed=40 + r)
     for psi in enumerate_refinements(r):
         xbar = splits(r, psi=psi).witness
-        assert xbar == _object_level_witness(psi)
+        assert (xbar is not None) == (r == 1)
         if xbar is not None:
             for a in words:
                 assert principal_at(psi, a) == coboundary_at(xbar, a)
