@@ -58,6 +58,9 @@ _PACKED_WIDEST = "tests/test_symplectic.py::test_packed_form_check_at_the_widest
 _PACKED_ORACLES = ("tests/test_symplectic.py::test_both_form_check_paths_match_phi_sum",
                    "tests/test_symplectic.py::test_form_check_path_follows_dimension_and_width",
                    _PACKED_WIDEST)
+_C_PACKING = ("tests/test_symplectic.py::test_c_packed_columns_equal_shifted_ones_at_the_extremes",
+              "tests/test_symplectic.py::test_c_packed_form_check_matches_plain_and_reference_at_its_guard")
+_JACOBI_ORACLES = ("tests/test_jacobi.py::test_jacobi_results_match_the_covector_action_and_qact",)
 _SAMPLER_RANGES = ("tests/test_verify.py::test_samplers_cover_their_ranges",)
 _PRODUCT_ORACLES = ("tests/test_symplectic.py::test_product_matches_triple_loop_oracle",
                     "tests/test_symplectic.py::test_both_product_paths_match_reference_matmul")
@@ -135,6 +138,22 @@ CATALOGUE = (
            "    if n >= 8:\n        m = max(map(abs, chain.from_iterable(vectors)))\n"
            "        if m.bit_length() <= 128:\n            return _pairs_as_basis_packed(vectors, m)\n",
            ("tests/test_symplectic.py::test_form_check_path_follows_dimension_and_width",)),
+    # the C-level column packing: its sign fix-up, its guard and the byte order it reads
+    Mutant("K5", "the C-packed columns skip the XOR/subtract sign fix-up", _SYMPLECTIC,
+           "[(from_bytes(array(\"i\", col).tobytes(), order) ^ tops) - tops for col",
+           "[from_bytes(array(\"i\", col).tobytes(), order) for col", _C_PACKING),
+    Mutant("K6", "the C path's guard admits one bit more than the field", _SYMPLECTIC,
+           "    if f <= _C_INT_BITS:\n", "    if f <= _C_INT_BITS + 1:\n", _C_PACKING),
+    Mutant("K7", "the C-level packing reads the bytes in the other byte order", _SYMPLECTIC,
+           "from_bytes, order = int.from_bytes, sys.byteorder",
+           "from_bytes, order = int.from_bytes, \"big\" if sys.byteorder == \"little\" else \"little\"",
+           _C_PACKING),
+    # each Jacobi result's covector in one pass
+    Mutant("V1", "jinv drops the outer phi of phi(A phi(x))", _JACOBI,
+           "coords = tuple(_phi_row([sum(map(mul, row, phix)) for row in g.a.rows]))",
+           "coords = tuple([sum(map(mul, row, phix)) for row in g.a.rows])", _JACOBI_ORACLES),
+    Mutant("V2", "gamma_psi_member forgets psi's own state", _JACOBI,
+           "_qact_state(psi.state, rows) ^ psi.state", "_qact_state(psi.state, rows)", _JACOBI_ORACLES),
     # entries that are exact ints already are taken as they are, and only those
     Mutant("I1", "the exact-int fast path admits bool", _SYMPLECTIC,
            "    if set(map(type, values)) == {int}:\n", "    if set(map(type, values)) <= {int, bool}:\n",

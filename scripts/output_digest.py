@@ -18,7 +18,11 @@ its last call.  The set is:
   `--negative-control`;
 - the exit-contract edge cases of `tests/test_cli.py`: every argv of its
   `DISPATCH_EDGES`, and each document of `test_document_validation` read by
-  `inv` and by `mul` on either side, plus the `--psi` strings of PSI_EDGES.
+  `inv` and by `mul` on either side, plus the `--psi` strings of PSI_EDGES;
+- narrow documents at each rank of NARROW_RANKS whose n m^2 (n = 2r, m the
+  widest |entry|) has each bit length of NARROW_WIDTHS, one symplectic and one
+  with an entry moved by 1, so that both column packings of the packed form
+  check and both of its verdicts are covered (`narrow_calls`).
 
 The calls are read from this script's own repository, so every checkout runs
 the same ones.  The element documents they read are written to a temporary
@@ -47,6 +51,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import shlex
 import sys
@@ -61,6 +66,8 @@ BATCH_SEEDS = (7, 8)
 VERIFY_SEEDS = (1, 2, 7, -3)
 VERIFY_SAMPLES = (1, 20)
 PSI_EDGES = ("01", "10", "0", "012", "1x", "x1", "0 ", "٠١")  # for a rank-1 element
+NARROW_RANKS = (4, 6)
+NARROW_WIDTHS = (31, 32)  # fields of bit_length(n m^2) + 1 bits: 32 fit a C int, 33 do not
 
 
 def _literal(path: Path, name: str, function: str | None = None):
@@ -111,6 +118,37 @@ def call_set(workdir: Path) -> list[tuple[str, ...]]:
         calls += [("inv", "--lhs", str(path)), ("mul", "--lhs", str(path), "--rhs", str(identity)),
                   ("mul", "--lhs", str(identity), "--rhs", str(path))]
     calls += [("inv", "--lhs", str(identity), "--psi", bits) for bits in PSI_EDGES]
+    return calls + narrow_calls(workdir)
+
+
+def narrow_calls(workdir: Path) -> list[tuple[str, ...]]:
+    """`inv` and `mul` on the NARROW_RANKS x NARROW_WIDTHS documents, written under workdir.
+
+    At rank r (n = 2r) and bit length b the matrix is the transvection power
+    w -> w + k phi(v, w) v along v = (1, -1, 1, -1, ...), which preserves the
+    form for every k.  Its entries are +-k and 1 +- k, so with k = m - 1 its
+    widest |entry| is m, taken as the largest m whose n m^2 has b bits.  The
+    bad copy adds 1 to entry (0, 2), which is k, so m stays the widest.  x_j
+    is 2j plus the parity of the zero refinement at column j, sum_k c_2k c_2k+1,
+    so the element is a member at `--psi 00...0`.
+    """
+    calls = []
+    for r in NARROW_RANKS:
+        n = 2 * r
+        v = [(-1) ** i for i in range(n)]
+        phi = [-v[i + 1] if i % 2 == 0 else v[i - 1] for i in range(n)]  # phi(v, e_i)
+        for bits in NARROW_WIDTHS:
+            k = math.isqrt(((1 << bits) - 1) // n) - 1
+            rows = [[int(i == j) + k * v[i] * phi[j] for j in range(n)] for i in range(n)]
+            x = [2 * j + sum(a * b for a, b in zip(c[0::2], c[1::2])) % 2
+                 for j, c in enumerate(zip(*rows))]
+            good, bad = workdir / f"narrow{r}-{bits}.json", workdir / f"narrow{r}-{bits}-off.json"
+            good.write_text(json.dumps({"r": r, "modulus": 0, "x": x, "A": rows}))
+            rows[0][2] += 1
+            bad.write_text(json.dumps({"r": r, "modulus": 0, "x": x, "A": rows}))
+            calls += [("inv", "--lhs", str(good)), ("inv", "--lhs", str(good), "--psi", "0" * n),
+                      ("mul", "--lhs", str(good), "--rhs", str(good)), ("inv", "--lhs", str(bad)),
+                      ("mul", "--lhs", str(good), "--rhs", str(bad))]
     return calls
 
 

@@ -123,14 +123,21 @@ def element_from_document(doc: object):
 def _parse_psi(bits: str, r: int):
     if len(bits) != 2 * r or bits.strip("01"):
         raise ValueError(f"--psi must be a string of 2r = {2 * r} bits")
-    return _library().quadratic.QuadraticRefinement(tuple(map(int, bits)))
+    # the bytes 48 and 49 of "0" and "1" have the parities the constructor keeps
+    return _library().quadratic.QuadraticRefinement(bits.encode())
+
+
+@lru_cache(maxsize=None)  # no arguments: one entry
+def _json_encode():
+    """`json.dumps(value, sort_keys=True)` as one encoder's bound method, built once."""
+    import json  # here, not at the top: a start that writes no JSON never loads it
+    return json.JSONEncoder(sort_keys=True).encode
 
 
 def _report(command: str, parameters: dict, results: dict, seed: int | None = None) -> str:
     """The JSON report; a command builds this or its table lines, never both."""
-    import json  # here, not at the top: a start that reports no JSON never loads it
-    return json.dumps({"command": command, "parameters": parameters, "results": results,
-                       "seed": seed, "version": __version__}, sort_keys=True) + "\n"
+    return _json_encode()({"command": command, "parameters": parameters, "results": results,
+                           "seed": seed, "version": __version__}) + "\n"
 
 
 def _bits(values) -> str:
@@ -238,8 +245,7 @@ def _element_result(args, lib, out, named_elements) -> tuple[int, str]:
         if bad:
             print(f"membership violation at base {args.psi}: {', '.join(bad)}", file=sys.stderr)
             return 1, ""
-    import json
-    return 0, json.dumps(element_to_document(out), sort_keys=True) + "\n"
+    return 0, _json_encode()(element_to_document(out)) + "\n"
 
 
 def _cmd_mul(args, lib) -> tuple[int, str]:

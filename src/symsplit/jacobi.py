@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from operator import add, mul
 
 from .cocycles import coboundary_at, principal_at
 from .limits import SPLIT_RANK_LIMIT
-from .quadratic import QuadraticRefinement, _state_of, is_group_fixed, qact, qdifference
-from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _same_rank, _setattr,
-                         random_symplectic_word)
+from .quadratic import QuadraticRefinement, _qact_state, _state_of, is_group_fixed, qdifference
+from .symplectic import (Covector, SymplecticMatrix, _Value, _check_int, _matmul, _phi_row, _same_rank,
+                         _setattr, random_symplectic_word)
 
 
 class JacobiElement(_Value):
@@ -49,24 +50,46 @@ def jacobi_identity(r: int, modulus: int = 0) -> JacobiElement:
 
 
 def jmul(g: JacobiElement, h: JacobiElement) -> JacobiElement:
-    """(x, A)(y, B) = (x.B + y, AB); `Covector.act` and `+` refuse operands of another rank or modulus."""
-    return JacobiElement(g.x.act(h.a) + h.x, g.a * h.a)
+    """(x, A)(y, B) = (x.B + y, AB), the covector reduced once.
+
+    The checks are `Covector.act`'s and `+`'s, in their order: B must be a
+    SymplecticMatrix of x's rank, and y must have x's rank and modulus.
+    """
+    x, y, b = g.x, h.x, h.a
+    if not isinstance(b, SymplecticMatrix):
+        raise TypeError("expected a SymplecticMatrix")
+    _same_rank(len(b.rows), len(x.coords))
+    x._compatible(y)
+    coords = tuple([*map(add, _matmul((x.coords,), b.rows)[0], y.coords)])
+    return JacobiElement(Covector._trusted(coords, x.modulus), g.a * b)
 
 
 def jinv(g: JacobiElement) -> JacobiElement:
+    """(x, A)^-1 = (-x.A^-1, A^-1), with -x.A^-1 read off A's own rows as phi(A phi(x)).
+
+    phi(v) = vJ is `_phi_row`, the row of phi(v, -).  Since A^-1 = -J A^T J,
+    -x.A^-1 = x J A^T J = (A (xJ)^T)^T J = phi(A phi(x)): one product of A
+    with a vector and two signed permutations, reduced once, with no
+    covector action on the inverse and no negation pass.
+    """
+    x = g.x
     ai = g.a.inverse()
-    return JacobiElement(-(g.x.act(ai)), ai)
+    phix = _phi_row(x.coords)
+    coords = tuple(_phi_row([sum(map(mul, row, phix)) for row in g.a.rows]))
+    return JacobiElement(Covector._trusted(coords, x.modulus), ai)
 
 
 def gamma_psi_member(g: JacobiElement, psi: QuadraticRefinement) -> bool:
     """Whether the mod-2 part of x equals the principal cocycle value psi.A - psi of A.
 
     Both sides are compared as packed 2r-bit states: the parities of x against
-    the state of psi.A XOR psi's.  The only object built is psi.A.
+    the state of psi.A (`_qact_state` on A's rows) XOR psi's.  Nothing is built.
     """
     if g.modulus % 2:
         raise ValueError("membership needs modulus 0 or even")
-    return _state_of(g.x.coords) == qact(psi, g.a).state ^ psi.state
+    rows = g.a.rows
+    _same_rank(len(rows), psi.nbits)
+    return _state_of(g.x.coords) == _qact_state(psi.state, rows) ^ psi.state
 
 
 def include_fiber(x: Covector) -> JacobiElement:

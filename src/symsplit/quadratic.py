@@ -93,10 +93,11 @@ def qact(psi: QuadraticRefinement, a: SymplecticMatrix) -> QuadraticRefinement:
     """Right action psi.A, i.e. the refinement v -> psi(Av); depends only on A mod 2.
 
     Value j is psi at column j of A, computed for all j at once from the
-    row-packed parities of A (see `_qact_state`).  The one entry point to the
-    mod-2 action: `cocycles.principal_at` and `jacobi.gamma_psi_member` call
-    it.  Raises TypeError unless a is a SymplecticMatrix, and ValueError
-    unless its rank is psi's.
+    row-packed parities of A (see `_qact_state`).  The one public entry point
+    to the mod-2 action, which `cocycles.principal_at` calls;
+    `jacobi.gamma_psi_member` reads only the state, from `_qact_state` after
+    its own rank check.  Raises TypeError unless a is a SymplecticMatrix, and
+    ValueError unless its rank is psi's.
     """
     if not isinstance(a, SymplecticMatrix):
         raise TypeError("expected a SymplecticMatrix")

@@ -27,6 +27,8 @@ in `quadratic` packs those parities into 2r-bit ints internally.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, compress, repeat
@@ -398,7 +400,8 @@ def _pairs_as_basis(vectors) -> bool:
 
     - packed, when n >= 8 and no entry is wider than 128 bits, which reads
       every entry: `_pairs_as_basis_packed`, n dot products with packed
-      columns, about n^2 multiplications of an entry by a packed column;
+      columns, about n^2 multiplications of an entry by a packed column,
+      the columns packed at C level when n m^2 < 2^31 for m the widest entry;
     - paired, else when `_pairing_pays` on w_0 and w_1 (wide entries):
       `_pairs_as_basis_paired`, about n^3/4 multiplications;
     - plain otherwise, `_pairs_as_basis_plain`: the pairs i < j only, the
@@ -407,11 +410,16 @@ def _pairs_as_basis(vectors) -> bool:
       n^3/2 multiplications.
 
     Measured crossovers of packed against plain, in process on one CPU
-    (fastest of 7 repeats, the width guard included): at 2r = 12, 37 against
-    54 us on the 7-bit `arith` words, 118 against 134 us at 127 bits and 166
-    against 148 us at 158 bits; at 2r = 8, 19 against 22 us on narrow words
-    and even at 125 bits; at 2r = 6, even, and at 2r = 4, slower (6.8
-    against 6.3 us); at 2r = 100, 3.1 against 16.9 ms on narrow words.  A
+    (Python 3.11, fastest of 18 runs over 30 matrices, the width guard
+    included).  On `perfbench/reference.py` words of 12 to 15 bits, nearly
+    all packed at C level: 42 against 63 us at 2r = 12 (50 with shifted
+    columns), 21.5 against 25 us at 2r = 8, and slower below, 14.3 against
+    13.6 us at 2r = 6 and 8.8 against 6.3 at 2r = 4.  At the C guard, on
+    transvection powers with n m^2 of 31 bits (C-packed) and of 32 bits
+    (shifted): 42 and 47 us at 2r = 12 (plain 63), 136 and 178 us at 2r = 24
+    (plain 370), 3.6 and 4.4 ms at 2r = 100 (plain 22.5).  Wider, at 2r = 12,
+    120 against 150 us at 124 bits and 155 against 164 us at 154 bits; at
+    2r = 8, 48 against 48 us at 124 bits and 57.5 against 55.4 at 154.  A
     packed product by a wider entry costs more than the n/2 plain products it
     replaces, so the crossover width barely moves with n.  Pairing pays from
     about 90 bits at 2r = 100, where packing is faster still (43 against 60
@@ -441,6 +449,39 @@ def _pairs_as_basis_plain(vectors) -> bool:
     return True
 
 
+_C_INT_BITS = 8 * array("i").itemsize  # the field of the C-level column packing
+
+
+@lru_cache(maxsize=8)  # a run form-checks matrices of a few dimensions
+def _c_int_tops(n: int) -> int:
+    """B for n fields of a C int: bit `_C_INT_BITS` - 1 of each field set, every other bit clear."""
+    return ((1 << _C_INT_BITS * n) - 1) // ((1 << _C_INT_BITS) - 1) << _C_INT_BITS - 1
+
+
+def _columns_packed_c(vectors) -> list[int]:
+    """`_columns_packed` with f = c = `_C_INT_BITS`, each column by one C-level conversion.
+
+    Given n vectors with entries in C int range, column k becomes
+    Q_k = sum_j w_j[k] 2^(c j), computed as
+    (int.from_bytes(array("i", col).tobytes(), sys.byteorder) ^ B) - B.
+    The bytes hold each w_j[k] as a C int in two's complement, in native
+    byte order, so reading them in that order gives field j the value
+    u_j = w_j[k] mod 2^c.  XOR with B flips the top bit of every field and
+    carries into none: since -2^(c-1) <= w_j[k] < 2^(c-1), field j becomes
+    w_j[k] + 2^(c-1), the offset-binary form of w_j[k], so the XOR is
+    sum_j (w_j[k] + 2^(c-1)) 2^(c j) = Q_k + B, and subtracting B leaves
+    Q_k, each field's two's-complement value turned into a signed field.
+    """
+    tops = _c_int_tops(len(vectors))
+    from_bytes, order = int.from_bytes, sys.byteorder
+    return [(from_bytes(array("i", col).tobytes(), order) ^ tops) - tops for col in zip(*vectors)]
+
+
+def _columns_packed(vectors, f: int) -> list[int]:
+    """Column k of the vectors w_j packed as Q_k = sum_j w_j[k] 2^(f j), by shifts and one sum."""
+    return [sum(map(lshift, col, range(0, f * len(vectors), f))) for col in zip(*vectors)]
+
+
 def _pairs_as_basis_packed(vectors, m: int) -> bool:
     """`_pairs_as_basis` in n dot products, exactly, given m >= the largest |entry|.
 
@@ -449,16 +490,25 @@ def _pairs_as_basis_packed(vectors, m: int) -> bool:
     the packed columns, (-Q_1, Q_0, -Q_3, Q_2, ...), dotted with w_i is
     -sum_j phi(w_i, w_j) 2^(f j), and it is compared with row i of -J packed
     the same way: -2^(f (i+1)) for even i, 2^(f (i-1)) for odd i.  So the
-    form's signs come from `_phi_row` alone.  Exactness: f is one bit wider
-    than n m^2, so each difference d_j = phi(w_i, w_j) - J_ij, at most
-    n m^2 + 1 in size, has |d_j| < 2^f; and a sum of d_j 2^(f j) with every
-    |d_j| < 2^f is 0 only if every d_j is, since the lowest nonzero d_j would
-    leave a nonzero remainder mod 2^(f (j+1)).  So the packed rows equal
-    -J's iff every phi(w_i, w_j) equals J_ij.
+    form's signs come from `_phi_row` alone.  Exactness: f is at least one
+    bit wider than n m^2, so each difference d_j = phi(w_i, w_j) - J_ij, at
+    most n m^2 + 1 in size, has |d_j| < 2^f; and a sum of d_j 2^(f j) with
+    every |d_j| < 2^f is 0 only if every d_j is, since the lowest nonzero d_j
+    would leave a nonzero remainder mod 2^(f (j+1)).  So the packed rows
+    equal -J's iff every phi(w_i, w_j) equals J_ij.
+
+    f is bit_length(n m^2) + 1.  When that fits a C int, f is rounded up to
+    `_C_INT_BITS` and the columns are packed at C level (`_columns_packed_c`):
+    the entries then lie in C int range, as n m^2 < 2^(f-1) with n >= 2, and
+    a wider field keeps the argument above.  Wider f packs by shifts.
     """
     n = len(vectors)
     f = (n * m * m).bit_length() + 1
-    phi = _phi_row([sum(map(lshift, col, range(0, f * n, f))) for col in zip(*vectors)])
+    if f <= _C_INT_BITS:
+        f, packed = _C_INT_BITS, _columns_packed_c(vectors)
+    else:
+        packed = _columns_packed(vectors, f)
+    phi = _phi_row(packed)
     for i, w in enumerate(vectors):
         if sum(map(mul, phi, w)) != (-(1 << f * (i + 1)) if not i & 1 else 1 << f * (i - 1)):
             return False

@@ -22,8 +22,8 @@ from symsplit.jacobi import (
     splits,
 )
 from symsplit.mcg import ManifoldParams, MCGModel
-from symsplit.quadratic import (QuadraticRefinement, enumerate_refinements, qact, qdifference, qeval,
-                                qtranslate)
+from symsplit.quadratic import (QuadraticRefinement, _state_of, enumerate_refinements, qact, qdifference,
+                                qeval, qtranslate)
 from symsplit.symplectic import (Covector, SymplecticMatrix, Vector, phi_eval, random_symplectic_word,
                                  transvection)
 
@@ -373,3 +373,81 @@ def test_qdifference_consistency_with_membership():
     for _ in range(10):
         g = random_member(psi, 0, rng)
         assert qdifference(qact(psi, g.a), psi) == g.x.reduce_to(2)
+
+
+# jmul, jinv and gamma_psi_member against the routes they replaced, kept here as oracles:
+# the covector action and covector arithmetic, and the refinement built by qact
+def _jmul_by_action(g, h):
+    return JacobiElement(g.x.act(h.a) + h.x, g.a * h.a)
+
+
+def _jinv_by_action(g):
+    ai = g.a.inverse()
+    return JacobiElement(-(g.x.act(ai)), ai)
+
+
+def _member_by_qact(g, psi):
+    if g.modulus % 2:
+        raise ValueError("membership needs modulus 0 or even")
+    return _state_of(g.x.coords) == qact(psi, g.a).state ^ psi.state
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+@pytest.mark.parametrize("r", [*range(1, 9), 50])
+def test_jacobi_results_match_the_covector_action_and_qact(r, wide):
+    # two matrices, the first with entries of about 1000 bits when wide, and over each, per
+    # modulus, a member of psi's subgroup and a non-member, their covectors as wide as the matrix
+    rng = random.Random(1100 + 2 * r + wide)
+    psi = QuadraticRefinement(tuple(rng.randint(0, 1) for _ in range(2 * r)))
+    first = random_symplectic_word(r, 10, rng)
+    if wide:
+        first = first * transvection(Vector(tuple(rng.choice((1, -1)) * rng.getrandbits(500)
+                                                  for _ in range(2 * r))))
+        assert max(abs(e) for row in first.rows for e in row).bit_length() > 900
+    matrices = [SymplecticMatrix(first.rows), random_symplectic_word(r, 10, rng)]
+    span = 1 << 1000 if wide else 30
+    for m in (0, 2, 4, 24, 240):
+        elements = []
+        for a in matrices:
+            x = [p + 2 * rng.randrange(-span, span) for p in principal_at(psi, a).coords]
+            elements.append(JacobiElement(Covector(x, m), a))
+            x[rng.randrange(2 * r)] += 1
+            elements.append(JacobiElement(Covector(x, m), a))
+        assert ([gamma_psi_member(g, psi) for g in elements] == [_member_by_qact(g, psi) for g in elements]
+                == [True, False, True, False])
+        for g in elements:
+            got = jinv(g)
+            assert got == _jinv_by_action(g) and got.x.modulus == m
+        # the wide matrix times the narrow one and back: a product of two wide ones at r = 50 takes 1 s
+        for g, h in zip(elements, elements[::-1]):
+            got = jmul(g, h)
+            assert got == _jmul_by_action(g, h) and got.x.modulus == m
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+class _Rows:
+    """A matrix part with rows but not a SymplecticMatrix, which JacobiElement does not check."""
+    rows = SymplecticMatrix.identity(2).rows
+
+
+def test_jacobi_results_keep_the_errors_of_the_routes_they_replaced():
+    # each mismatch raises the type and message, in the order, of the route it replaced
+    g2, g1, mod4, odd = jacobi_identity(2), jacobi_identity(1), jacobi_identity(2, 4), jacobi_identity(2, 3)
+    loose = JacobiElement(Covector.zero(2), _Rows())
+    for g, h, want in ((g2, g1, "rank mismatch"), (g2, mod4, "modulus mismatch"),
+                       (g1, mod4, "rank mismatch"), (g2, loose, "expected a SymplecticMatrix")):
+        got = _outcome(lambda: jmul(g, h))
+        assert got == _outcome(lambda: _jmul_by_action(g, h)) and got[1] == want
+    bent = JacobiElement(Covector((1, 0)), SymplecticMatrix._trusted(((1, 1), (1, 1))))
+    assert _outcome(lambda: jinv(bent)) == _outcome(lambda: _jinv_by_action(bent)) == (
+        ArithmeticError, "inverse postcondition failed")
+    for g, psi, want in ((odd, QuadraticRefinement.zero(1), "membership needs modulus 0 or even"),
+                         (g2, QuadraticRefinement.zero(1), "rank mismatch")):
+        got = _outcome(lambda: gamma_psi_member(g, psi))
+        assert got == _outcome(lambda: _member_by_qact(g, psi)) == (ValueError, want)

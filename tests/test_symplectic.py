@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import sys
@@ -651,6 +652,97 @@ def test_packed_form_check_at_the_widest_entries_it_admits(monkeypatch, n):
         for k, vs in enumerate(inputs):
             taken, verdict = path(_pairs_as_basis, vs)
             assert taken == want and verdict == _pairs_by_phi_sum(vs) == (k < 2), (k, want)
+
+
+_C_INT = symplectic._C_INT_BITS
+_PACKINGS = ("_columns_packed_c", "_columns_packed")
+
+
+def _packing_counter(monkeypatch):
+    """A function giving the column packing a `_pairs_as_basis` call took ("c" or "shifted"), and its verdict."""
+    calls = _count_paired_calls(monkeypatch, _PACKINGS)
+
+    def packing(vectors):
+        calls.clear()
+        verdict = _pairs_as_basis(vectors)
+        ((name, count),) = calls.items()
+        assert count == 1
+        return ("c" if name == "_columns_packed_c" else "shifted"), verdict
+    return packing
+
+
+def _gram_is_form(vectors):
+    """W J W^T == J by `perfbench/reference.py`'s plain-int products."""
+    j = reference.form(len(vectors))
+    return reference.matmul(reference.matmul(vectors, j), reference.transpose(vectors)) == j
+
+
+def _gram_off_by(rows, i, j, delta):
+    """Rows whose Gram matrix differs from J exactly at (i, j) and (j, i), by delta and -delta.
+
+    Adding c w_(i^1) to w_j changes phi(w_k, w_j) by c J_(k, i^1), which is nonzero at k = i only.
+    """
+    c = delta if not i & 1 else -delta  # J_(i, i^1) is 1 for even i, -1 for odd i
+    return tuple(tuple(map(add, w, (c * e for e in rows[i ^ 1]))) if k == j else w
+                 for k, w in enumerate(rows))
+
+
+@pytest.mark.parametrize("n", [2, 8, 12, 24, 100])
+def test_c_packed_columns_equal_shifted_ones_at_the_extremes(n):
+    # the C-level conversion is exact over the whole C int range, the sign fix-up included
+    rng = random.Random(107 + n)
+    top = 1 << _C_INT - 1
+    values = (-top, top - 1, -(1 << 15), (1 << 15) - 1, -1, 0, 1)
+    for _ in range(3):
+        vectors = tuple(tuple(rng.choice(values) for _ in range(n)) for _ in range(n))
+        want = [sum(e << _C_INT * j for j, e in enumerate(col)) for col in zip(*vectors)]
+        assert symplectic._columns_packed_c(vectors) == symplectic._columns_packed(vectors, _C_INT) == want
+
+
+@pytest.mark.parametrize("n", [8, 12, 24, 100])
+def test_c_packed_form_check_matches_plain_and_reference_at_its_guard(monkeypatch, n):
+    # n m^2 at 30, 31 and 32 bits: fields of bit_length(n m^2) + 1 = 31 and 32 bits fit a C int
+    # and pack at C level, 33 bits pack by shifts; members, their transposes, one entry moved by
+    # +-1, and near-misses whose Gram matrix differs from J at one entry by 1, 2^31 or 2^32, which
+    # fields read modulo 2^31 or 2^32 would alias
+    rng = random.Random(109 + n)
+    packing = _packing_counter(monkeypatch)
+    seen = set()
+    for bits in (30, 31, 32):
+        m = math.isqrt(((1 << bits) - 1) // n)  # the widest entry with n m^2 of `bits` bits
+        v = [rng.choice((1, -1)) for _ in range(n)]
+        rows = tuple(map(tuple, reference.transvection_power(v, m - 1)))  # entries +-(m - 1), 1 +- (m - 1)
+        assert _widest(rows) == m and (n * m * m).bit_length() == bits
+        assert packing(rows) == packing(tuple(zip(*rows))) == ("c" if bits < 32 else "shifted", True)
+        i = rng.randrange(n)
+        k = rng.choice([k for k in range(n) if k // 2 != i // 2])
+        cases = [(rows, True), (tuple(zip(*rows)), True)]
+        cases += [(_bend(rows, rng.randrange(n), rng.randrange(n), d), None) for d in (1, -1)]
+        cases += [(_gram_off_by(rows, i, k, delta), False) for delta in (1, 1 << 31, 1 << 32)]
+        for vectors, want in cases:
+            f = (n * _widest(vectors) ** 2).bit_length() + 1
+            taken, verdict = packing(vectors)
+            assert taken == ("c" if f <= _C_INT else "shifted"), (bits, f)
+            assert verdict == _pairs_as_basis_plain(vectors)
+            assert want is None or verdict == want
+            if n <= 24:  # at n = 100 the plain-int oracle takes 0.1 s a matrix: the plain kernel stands in
+                assert verdict == _gram_is_form(vectors)
+            seen.add((taken, verdict))
+    assert seen == {("c", True), ("c", False), ("shifted", True), ("shifted", False)}
+
+
+@pytest.mark.parametrize("n", [8, 12, 24, 100])
+def test_entries_at_the_sixteen_bit_edges_pack_by_shifts(monkeypatch, n):
+    # a block [[2^15 - 1, -2^15], [1, -1]] (determinant 1) has n m^2 >= 2^33: shifted fields
+    packing = _packing_counter(monkeypatch)
+    block = (((1 << 15) - 1, -(1 << 15)), (1, -1))
+    units = _identity_rows(n)
+    rows = (*(tuple(block[i][j] if j < 2 else 0 for j in range(n)) for i in range(2)), *units[2:])
+    for vectors, want in ((rows, True), (tuple(zip(*rows)), True), (_bend(rows, 0, 3, 1), False),
+                          (_gram_off_by(rows, 0, 5, 1), False)):
+        assert packing(vectors) == ("shifted", want) and _pairs_as_basis_plain(vectors) is want
+        if n <= 24:
+            assert _gram_is_form(vectors) is want
 
 
 def _wide_document_off_by_one(tmp_path):
