@@ -68,6 +68,8 @@ _CLOSURE_ORACLES = ("tests/test_quadratic.py::test_orbit_of_frozen_rank_one",
                     "tests/test_quadratic.py::test_generator_closure_matches_all_directions_every_start",
                     "tests/test_quadratic.py::test_bitset_closure_matches_breadth_first_search",
                     "tests/test_quadratic.py::test_last_orbit_stopped_by_its_complement_is_whole")
+_CLOSURE_STEPS = "tests/test_quadratic.py::test_closure_steps_permute_the_generators"
+_GROUP_FIXED = "tests/test_quadratic.py::test_is_group_fixed_matches_all_directions"
 
 CATALOGUE = (
     # one parse per CLI call
@@ -189,6 +191,14 @@ CATALOGUE = (
            "tuple([c % modulus for c in coords]) if modulus else coords", "coords",
            ("tests/test_jacobi.py::test_reduce_modulus",
             "tests/test_cocycles.py::test_principal_additive_in_translation")),
+    # the inverse transvection in place of T_v: as the matrix, and as each step of a seeded word
+    Mutant("T2", "transvection builds w -> w - phi(v, w) v", _SYMPLECTIC,
+           "tuple([e + x * c for e, c in zip(ident, row)])", "tuple([e - x * c for e, c in zip(ident, row)])",
+           ("tests/test_symplectic.py::test_transvection_hand_expanded_matrices",
+            "tests/test_symplectic.py::test_transvection_is_symplectic_and_double_twist", _WORD_ORACLE)),
+    Mutant("U5", "a word update adds where it subtracts and subtracts where it adds", _SYMPLECTIC,
+           "(j, add if c == 1 else sub) for j", "(j, sub if c == 1 else add) for j",
+           (_WORD_ORACLE, "tests/test_symplectic.py::test_form_signs_match_explicit_gram_matrix")),
     # word directions from their indices, one coboundary formula, the torsor image by definition
     Mutant("W1", "the u_i + v_j and u_i - v_j blocks of the word directions swapped", _SYMPLECTIC,
            "for op in (add, sub) for i in range(r)", "for op in (sub, add) for i in range(r)",
@@ -203,6 +213,17 @@ CATALOGUE = (
            "qtranslate(base, e).basis_values == e.coords for e in units)",
            "qtranslate(base, e).basis_values == f.coords for e, f in zip(units, units[1:] + units[:1]))",
            ("tests/test_verify.py::test_all_suites_pass", "tests/test_cli.py::test_golden_report_outputs")),
+    # the mod-2 generators: bare directions in closure order, each flip at the pair partner
+    Mutant("Z1", "a closure step flips bit k of the state, not its partner k ^ 1", _QUADRATIC,
+           "moves.append((1 << (k ^ 1), clears[k ^ 1]))", "moves.append((1 << k, clears[k]))",
+           (*_CLOSURE_ORACLES, _CLOSURE_STEPS)),
+    Mutant("Z2", "the generators without the mixing directions u_i + u_(i+1)", _QUADRATIC,
+           "    return (*(10 << k for k in range(0, nbits - 3, 2)), *(1 << k for k in range(nbits)))\n",
+           "    return tuple(1 << k for k in range(nbits))\n",
+           (_CLOSURE_STEPS, _CLOSURE_ORACLES[1], _GROUP_FIXED)),
+    Mutant("Z3", "is_group_fixed asks for psi(v) = 0 at each generator", _QUADRATIC,
+           "all((psi.state & v).bit_count() & 1 for v", "all(not (psi.state & v).bit_count() & 1 for v",
+           (_GROUP_FIXED, "tests/test_quadratic.py::test_group_fixed_classification_rank_one_and_two")),
     # the quadratic part of the refinement action, of the evaluation and of the Arf invariant
     Mutant("Q1", "qact without its pair term: a linear action", _QUADRATIC,
            "        out ^= first & second\n", "",

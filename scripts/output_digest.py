@@ -13,6 +13,9 @@ its last call.  The set is:
 - every argv of `tests/golden/cases.json`;
 - the calls of the three perfbench batches (`perfbench/workloads.py`, loaded
   by path) for each seed of BATCH_SEEDS;
+- `orbits` at every rank of ORBIT_RANKS and `split` for each p of SPLIT_PRIMES
+  at every rank of SPLIT_RANKS, as a table and as JSON: every rank the two
+  commands accept;
 - `verify --r 1..8` for each seed of VERIFY_SEEDS and sample count of
   VERIFY_SAMPLES, as a table and as JSON, with and without
   `--negative-control`;
@@ -63,6 +66,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 COMMANDS = ("orbits", "split", "mul", "inv", "verify", "coeff")
 BATCH_SEEDS = (7, 8)
+ORBIT_RANKS = range(1, 11)
+SPLIT_PRIMES = (3, 7)
+SPLIT_RANKS = range(1, 32)
 VERIFY_SEEDS = (1, 2, 7, -3)
 VERIFY_SAMPLES = (1, 20)
 PSI_EDGES = ("01", "10", "0", "012", "1x", "x1", "0 ", "٠١")  # for a rank-1 element
@@ -101,11 +107,15 @@ def call_set(workdir: Path) -> list[tuple[str, ...]]:
     for seed in BATCH_SEEDS:
         for build in workloads.WORKLOADS.values():
             calls += [call.argv for call in build(seed, workdir / f"seed{seed}").calls]
+    formats = ((), ("--format", "json"))
+    calls += [("orbits", "--r", str(r), *fmt) for r in ORBIT_RANKS for fmt in formats]
+    calls += [("split", "--p", str(p), "--r", str(r), *fmt)
+              for p in SPLIT_PRIMES for r in SPLIT_RANKS for fmt in formats]
     for r in range(1, 9):
         for seed in VERIFY_SEEDS:
             for samples in VERIFY_SAMPLES:
                 for flags in ((), ("--negative-control",)):
-                    for fmt in ((), ("--format", "json")):
+                    for fmt in formats:
                         calls.append(("verify", "--r", str(r), "--samples", str(samples),
                                       "--seed", str(seed), *flags, *fmt))
     test_cli = ROOT / "tests" / "test_cli.py"

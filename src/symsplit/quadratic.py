@@ -183,52 +183,43 @@ def _bits_of(state: int, nbits: int) -> tuple[int, ...]:
     return tuple([state >> i & 1 for i in range(nbits - 1, -1, -1)])
 
 
-@lru_cache(maxsize=SPLIT_RANK_LIMIT)  # every rank split accepts; an entry is 3r - 1 int triples
-def _generators(nbits: int) -> tuple[tuple[int, int, int], ...]:
-    """(direction v, self-pairing parity, swap mask) for the transvections at u_i, v_i, u_i + u_{i+1}.
+@lru_cache(maxsize=SPLIT_RANK_LIMIT)  # every rank split accepts; an entry is 3r - 1 ints
+def _generators(nbits: int) -> tuple[int, ...]:
+    """The directions v of the transvections at u_i + u_{i+1}, v_i and u_i, in closure order.
 
     These 3r - 1 transvections lift to integral ones that generate
     Sp(2r, Z), so their mod-2 images generate Sp(2r, F2): closure under the
     group, or fixedness by it, is closure or fixedness under them alone.
     u_i and v_i are the upper and lower bit of the aligned pair of bits
-    {nbits - 2i, nbits - 2i + 1} (i from 1).  psi(v) is popcount(state & v)
-    plus the self-pairing parity, mod 2.  When psi(v) = 0 the transvection
-    flips the state by the swap mask, v with the two bits of each pair
-    exchanged, whose coordinate j is phibar(v, e_j); when psi(v) = 1 it fixes
-    the state.
+    {nbits - 2i, nbits - 2i + 1} (i from 1).  The order is the pair-mixing
+    u_i + u_{i+1} from i = r - 1 down to 1, the masks 10 << k for k = 0, 2,
+    ..., nbits - 4, then v_r, u_r, ..., v_1, u_1, the single bits 0 .. nbits - 1.
+    No direction holds both bits of a pair, so psi(v) is popcount(state & v)
+    mod 2, with no pair term.
     """
-    even = _pair_mask(nbits)
-    dirs = []
-    for u in (1 << i for i in range(nbits - 1, 0, -2)):
-        dirs += [u, u >> 1]
-        if u > 2:
-            dirs.append(u | u >> 2)
-    return tuple((v, (v & (v >> 1) & even).bit_count() & 1,
-                  ((v & even) << 1) | ((v >> 1) & even)) for v in dirs)
+    return (*(10 << k for k in range(0, nbits - 3, 2)), *(1 << k for k in range(nbits)))
 
 
 @lru_cache(maxsize=DECOMPOSITION_RANK_LIMIT)  # every rank orbit_decomposition accepts: 6.7 MB at r = 10
 def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Per generator, the bitset P_v of states with psi(v) = 0 and the moves of its swap.
+    """Per generator, in `_generators` order, the bitset P_v of states with psi(v) = 0 and its moves.
 
     Over the 2^nbits states a bitset has bit s set when state s is in it.  C_k,
     the states with bit k clear, repeats 2^k set and 2^k clear bits; B_k is its
-    complement.  psi(v) is popcount(s & v) plus the self-pairing parity, so P_v
-    is the XOR of B_k over the set bits k of v, complemented when that parity
-    is 0.  XOR by the swap mask is one move (2^k, C_k) per set bit k: it swaps
-    each state in C_k with its partner 2^k above it.  Cached per rank: at r = 10
-    the 3r - 1 masks of 4^r bits and the C_k hold about 6.7 MB.
+    complement.  P_v is the complement of the XOR of B_k over the set bits k of
+    v.  When psi(v) = 0 the transvection flips bit k ^ 1 of the state, where
+    phibar(v, e_(k^1)) = 1, for each set bit k of v: one move (2^(k^1), C_(k^1))
+    each, which swaps each state in C_(k^1) with its partner 2^(k^1) above it.
+    Cached per rank: at r = 10 the 3r - 1 masks of 4^r bits and the C_k hold
+    about 6.7 MB.
 
-    One step per generator, in this order: the pair-mixing u_i + u_{i+1} from
-    i = r - 1 down to 1, then v_r, u_r, ..., v_1, u_1.  The mixing
-    transvections commute with one another, as do any two at different
-    pairs, so one pass over the mixing steps closes a set under the whole
+    The mixing transvections commute with one another, as do any two at
+    different pairs, so one pass over the mixing steps closes a set under the
     group they generate, and one pass over the single steps applies v_i then
-    u_i at every pair at once.  Kept whole, these two blocks take half the
-    applications of `_generators` order: an `orbit_decomposition` takes
-    15r - 9 at r >= 3 instead of 30r - 10 at r >= 5.  Inside a block the
-    order of the pairs leaves the set after it unchanged; top down, the last
-    orbit fills its complement two steps sooner.
+    u_i at every pair at once: an `orbit_decomposition` takes 15r - 9
+    applications at r >= 3.  Inside a block the order of the pairs leaves the
+    set after it unchanged, but from pair r down, as here, the last orbit
+    fills its complement two steps sooner.
     """
     size = 1 << nbits
     full = (1 << size) - 1
@@ -241,16 +232,14 @@ def _closure_steps(nbits: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
             period *= 2
         clears.append(clear)
     steps = []
-    for v, par, swap in _generators(nbits):
-        odd = 0
+    for v in _generators(nbits):
+        zero_at_v, moves = full, []
         for k in range(nbits):
             if v >> k & 1:
-                odd ^= full ^ clears[k]
-        moves = tuple((1 << k, clears[k]) for k in range(nbits) if swap >> k & 1)
-        steps.append((odd if par else full ^ odd, moves))
-    # _generators lists u_i, v_i, u_i + u_{i+1} for each pair i in turn
-    singles = [step for i, step in enumerate(steps) if i % 3 != 2]
-    return tuple(steps[2::3][::-1] + singles[::-1])
+                zero_at_v ^= full ^ clears[k]
+                moves.append((1 << (k ^ 1), clears[k ^ 1]))
+        steps.append((zero_at_v, tuple(moves)))
+    return tuple(steps)
 
 
 def _orbit_bitset(start: int, nbits: int, rest: int) -> int:
@@ -281,7 +270,7 @@ def _orbit_bitset(start: int, nbits: int, rest: int) -> int:
 
 def is_group_fixed(psi: QuadraticRefinement) -> bool:
     """Whether every generating transvection fixes psi, i.e. psi(v) = 1 at each generator v."""
-    return all(((psi.state & v).bit_count() ^ par) & 1 for v, par, _ in _generators(psi.nbits))
+    return all((psi.state & v).bit_count() & 1 for v in _generators(psi.nbits))
 
 
 class OrbitClass(_Value):

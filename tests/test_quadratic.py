@@ -15,6 +15,7 @@ from symsplit.quadratic import (
     _closure_steps,
     _generators,
     _orbit_bitset,
+    _pair_mask,
     _state_of,
     arf,
     enumerate_refinements,
@@ -303,23 +304,34 @@ def test_rank_limits():
         enumerate_refinements(10)
 
 
-def _orbit_states(start, nbits):
-    """Breadth-first closure of a state under the generators, one state at a time."""
-    gens = _generators(nbits)
+def _closure(start, nbits, directions):
+    """Breadth-first closure of a state under the transvections at directions, one state at a time.
+
+    psi(v) keeps its pair term and the flip is v with the two bits of each pair
+    exchanged, its coordinate j being phibar(v, e_j): the definitions, valid
+    for every direction, not the shortcuts `_closure_steps` takes.
+    """
+    even = sum(1 << i for i in range(0, nbits, 2))
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
-            for v, par, swap in gens:
+            for v in directions:
+                par = (v & (v >> 1) & even).bit_count() & 1
                 if ((s & v).bit_count() ^ par) & 1:
                     continue  # psi(v) = 1: this transvection fixes the state
-                t = s ^ swap
+                t = s ^ (((v & even) << 1) | ((v >> 1) & even))
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
         frontier = nxt
     return seen
+
+
+def _orbit_states(start, nbits):
+    """Closure of a state under the generators."""
+    return _closure(start, nbits, _generators(nbits))
 
 
 def _bitset(states):
@@ -333,22 +345,7 @@ def _full(nbits):
 
 def _all_directions_closure(start, nbits):
     """Closure of a state under the transvections at every nonzero direction."""
-    even = sum(1 << i for i in range(0, nbits, 2))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for v in range(1, 1 << nbits):
-                par = (v & (v >> 1) & even).bit_count() & 1
-                if ((s & v).bit_count() ^ par) & 1:
-                    continue
-                t = s ^ (((v & even) << 1) | ((v >> 1) & even))
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return seen
+    return _closure(start, nbits, range(1, 1 << nbits))
 
 
 def _fixed_by_all_directions(psi):
@@ -383,19 +380,35 @@ def test_bitset_closure_matches_breadth_first_search(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_closure_steps_permute_the_generators(r):
-    # each step rebuilt from its definition, state by state, in _generators order
+    # the documented order: u_i + u_{i+1} for i = r - 1 .. 1, then v_r, u_r, ..., v_1, u_1
     n = 2 * r
+    u, v = (lambda i: 1 << (n - 2 * i + 1)), (lambda i: 1 << (n - 2 * i))
+    assert _generators(n) == (*(u(i) | u(i + 1) for i in range(r - 1, 0, -1)),
+                              *(d for i in range(r, 0, -1) for d in (v(i), u(i))))
+    # each step rebuilt from its definition, state by state, in _generators order, with the pair
+    # term of psi(v) and the swap mask: v with the two bits of each pair exchanged
+    even = sum(1 << i for i in range(0, n, 2))
     states = range(1 << n)
     clears = [_bitset(s for s in states if not s >> k & 1) for k in range(n)]
-    built = [(_bitset(s for s in states if not ((s & v).bit_count() ^ par) & 1),
-              tuple((1 << k, clears[k]) for k in range(n) if swap >> k & 1))
-             for v, par, swap in _generators(n)]
-    steps = _closure_steps(n)
-    assert sorted(steps) == sorted(built)  # a permutation: no generator dropped or repeated
-    # the documented order: u_i + u_{i+1} for i = r - 1 .. 1, then v_r, u_r, ..., v_1, u_1
-    mixing = [built[3 * i + 2] for i in range(r - 2, -1, -1)]
-    singles = [built[3 * i + j] for i in range(r - 1, -1, -1) for j in (1, 0)]
-    assert list(steps) == mixing + singles
+    built = []
+    for d in _generators(n):
+        par = (d & (d >> 1) & even).bit_count() & 1
+        swap = ((d & even) << 1) | ((d >> 1) & even)
+        built.append((_bitset(s for s in states if not ((s & d).bit_count() ^ par) & 1),
+                      tuple((1 << k, clears[k]) for k in range(n) if swap >> k & 1)))
+    assert list(_closure_steps(n)) == built
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_no_generator_holds_both_bits_of_a_pair(r):
+    # so psi(v) at a generator has no pair term: the public qeval, which keeps it, agrees
+    n = 2 * r
+    assert all(d & d >> 1 & _pair_mask(n) == 0 for d in _generators(n))
+    rng = random.Random(900 + r)
+    for _ in range(20):
+        psi = QuadraticRefinement(_bits_of(rng.getrandbits(n), n))
+        for d in _generators(n):
+            assert qeval(psi, Vector(_bits_of(d, n))) == (psi.state & d).bit_count() & 1
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
